@@ -53,10 +53,6 @@ class MomentSeries:
         return np.array([getattr(s, name) for s in self.samples])
 
 
-def series_from_samples(samples, spec_digest: str = "") -> MomentSeries:
-    return MomentSeries(samples=tuple(samples), spec_digest=spec_digest)
-
-
 @dataclass(frozen=True)
 class PowerLawFit:
     """m(t) ~ prefactor * t^exponent over the fit window, with log-log residual."""

@@ -70,9 +70,11 @@ def _check_budget(config: ExperimentConfig, allow_reflections: bool) -> None:
     n = config.chain.num_sites
     t_max = config.times.t_end
     half_width = config.chain.disorder.half_width
-    if reflection_budget_exceeded(n, t_max, half_width) and not allow_reflections:
+    gamma = abs(config.chain.gamma)
+    if reflection_budget_exceeded(n, t_max, half_width, gamma) and not allow_reflections:
         raise BoundaryBudgetError(
-            f"boundary budget violated: 2*t_end + region = {2 * t_max + 2 * half_width + 1:g} "
+            f"boundary budget violated: 2*gamma*t_end + region = "
+            f"{2 * gamma * t_max + 2 * half_width + 1:g} "
             f"exceeds (N-1)/2 - 10 = {(n - 1) / 2 - 10:g}; enlarge the chain, shorten t_end, "
             "or pass --allow-reflections"
         )

@@ -17,9 +17,10 @@ where eight are needed.  The averaged |a_0| is flat (exponent within 0.08
 of 0) in all ten, so the scatter is in W, not in the fit or the averaging.
 On [500, 1000] every exponent is higher still (2.747, 2.793, 2.816,
 2.620, 2.832, 2.979, 2.615, 2.796, 2.840, 2.473; 7 of 10 above 2.7): the
-local exponent is still rising at t = 1000.  Relaxation onto t^(5/2) is
-expected at longer times but not yet measured; configs/fig1_full.json, which
-would reach them, is too large for this suite.
+local exponent is still rising at t = 1000.  Relaxation onto t^(5/2) was
+expected at longer times; one run of configs/fig1_full.json (five
+realizations to t = 10000, too large for this suite) fits 2.60 to 2.94 on
+both [2000, 10000] and [5000, 10000], level but still above 2.5.
 """
 
 import math

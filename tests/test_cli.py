@@ -306,6 +306,17 @@ class TestCommandLine:
         assert result.exit_code == 1
         assert "boundary budget" in result.output
 
+    def test_budget_uses_front_speed_two_gamma(self, tmp_path):
+        # 2*80 + 7 fits in (401-1)/2 - 10 = 190 at gamma = 1, but not at gamma = 2
+        raw = make_config(times={"t_start": 0.0, "t_end": 80.0, "num_samples": 5})
+        raw["chain"].update(num_sites=401, gamma=2.0)
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, ["simulate", "--config", str(path), "--out", str(out)])
+        assert result.exit_code == 1
+        assert "boundary budget" in result.output
+        assert not out.exists()
+
     def test_analytic_rejects_disorder_exit_code(self, tmp_path):
         path = write_config(tmp_path, make_config())
         result = CliRunner().invoke(main, ["analytic", "--config", str(path)])

@@ -2,17 +2,24 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import entspread.propagator
 from entspread.analytic import infinite_amplitude
 from entspread.chain import ChainSpec, DisorderSpec, Hamiltonian, build_hamiltonian, derive_seed
 from entspread.propagator import (
     DIAGONALIZATION_MAX_SITES,
+    TAIL_TOLERANCE,
     ReflectionBudgetWarning,
     WaveState,
     basis_state,
+    chebyshev_order,
     evolve_chebyshev,
     evolve_diagonalization,
     evolve_series,
+    reflection_budget_exceeded,
 )
 
 
@@ -111,6 +118,109 @@ class TestChebyshev:
             evolve_chebyshev(ordered(4), bad, 1.0)
 
 
+def padded_order(z):
+    """The order the propagator used before tolerance truncation."""
+    return math.ceil(z) + 40 + math.ceil(10.0 * math.log1p(z))
+
+
+def full_chain_chebyshev(h, psi, delta_t):
+    """Unwindowed reference step: every matvec over the whole chain, padded order, scipy coefficients."""
+    radius = np.zeros(h.num_sites)
+    radius[:-1] += np.abs(h.offdiag)
+    radius[1:] += np.abs(h.offdiag)
+    emin, emax = np.min(h.diag - radius), np.max(h.diag + radius)
+    a, b = 0.5 * (emax + emin), 0.5 * (emax - emin)
+    z = b * abs(delta_t)
+    coeff = scipy.special.jv(np.arange(padded_order(z) + 1), z)
+    step = -1j if delta_t > 0 else 1j
+
+    def hs(v):
+        out = (h.diag - a) * v
+        out[:-1] += h.offdiag * v[1:]
+        out[1:] += h.offdiag * v[:-1]
+        return out / b
+
+    prev, cur = psi.astype(complex), hs(psi.astype(complex))
+    acc = coeff[0] * prev + 2.0 * coeff[1] * step * cur
+    for k in range(2, len(coeff)):
+        prev, cur = cur, 2.0 * hs(cur) - prev
+        acc += 2.0 * coeff[k] * step**k * cur
+    return np.exp(-1j * a * delta_t) * acc
+
+
+@st.composite
+def chains_and_states(draw):
+    """A random disordered chain, a unit state of a drawn support layout, and a step of either sign."""
+    n = draw(st.integers(3, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = Hamiltonian(diag=rng.uniform(-2.5, 2.5, n), offdiag=rng.uniform(0.2, 1.5, n - 1))
+    layout = draw(st.sampled_from(["left_end", "right_end", "islands"]))
+    if layout == "islands":
+        width = draw(st.integers(1, max(1, (n - 1) // 4)))
+        gap = draw(st.integers(1, n - 2 * width))
+        start = draw(st.integers(0, n - 2 * width - gap))
+        sites = np.r_[start : start + width, start + width + gap : start + 2 * width + gap]
+    else:
+        width = draw(st.integers(1, n))
+        sites = np.arange(width) if layout == "left_end" else np.arange(n - width, n)
+    amps = np.zeros(n, dtype=complex)
+    amps[sites] = rng.normal(size=sites.size) + 1j * rng.normal(size=sites.size)
+    amps /= np.linalg.norm(amps)
+    delta_t = draw(st.floats(0.01, 6.0)) * draw(st.sampled_from([1.0, -1.0]))
+    return h, WaveState(amps, 0.0, int(sites[0])), delta_t
+
+
+class TestWindowedStep:
+    @settings(max_examples=60, deadline=None)
+    @given(chains_and_states())
+    def test_windowed_step_matches_oracle_and_full_chain(self, case):
+        h, init, delta_t = case
+        windowed = evolve_chebyshev(h, init, delta_t).amplitudes
+        exact = evolve_diagonalization(h, init, delta_t).amplitudes
+        full = full_chain_chebyshev(h, init.amplitudes, delta_t)
+        assert np.max(np.abs(windowed - exact)) <= 1e-12
+        assert np.max(np.abs(windowed - full)) <= 1e-13
+
+    def test_order_tail_bound(self):
+        # the cut order leaves a tail at or below the tolerance, is the first
+        # such order, and never exceeds the old padded order
+        b = 4.31
+        for k, z in enumerate(np.geomspace(1e-3, 200.0, 80)):
+            delta_t = (z / b) * (-1.0) ** k
+            order = chebyshev_order(b, delta_t)
+            orders = np.arange(order + 1, order + 400)
+            tail = 2.0 * np.sum(np.abs(scipy.special.jv(orders, z)))
+            assert tail <= TAIL_TOLERANCE, (z, order, tail)
+            if order > 0:
+                assert tail + 2.0 * abs(scipy.special.jv(order, z)) > TAIL_TOLERANCE, (z, order)
+            assert order <= padded_order(z), (z, order)
+
+    def test_desk_step_order(self):
+        assert chebyshev_order(4.31, 0.25) == 15
+
+    def test_series_sets_up_once_per_run(self, monkeypatch):
+        calls = {"bessel_row": 0, "spectral_bounds": 0}
+        for name in calls:
+            original = getattr(entspread.propagator, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(entspread.propagator, name, counted)
+        times = 0.25 * np.arange(1, 41)
+        states = list(evolve_series(disordered64(), 31, times))
+        assert len(states) == 40
+        assert calls == {"bessel_row": 1, "spectral_bounds": 1}
+
+    def test_flushes_below_threshold(self):
+        # far outside the light cone the amplitudes are exact zeros, not subnormals
+        state = evolve_chebyshev(ordered(801), basis_state(801, 400), 5.0)
+        mags = np.abs(state.amplitudes)
+        assert np.all((mags == 0.0) | (mags >= 1e-300))
+        assert mags[0] == 0.0 and mags[-1] == 0.0
+
+
 class TestDiagonalization:
     def test_identity_at_zero_time(self):
         h = disordered64()
@@ -172,6 +282,14 @@ class TestEvolveSeries:
     def test_disordered_region_tightens_budget(self):
         with pytest.warns(ReflectionBudgetWarning):
             list(evolve_series(ordered(401), 200, np.array([80.0]), disorder_half_width=20))
+
+    def test_budget_scales_with_hopping(self):
+        # the front moves at 2 gamma: gamma = 2 on 401 sites to t = 80 reflects
+        assert not reflection_budget_exceeded(401, 80.0)
+        assert reflection_budget_exceeded(401, 80.0, gamma=2.0)
+        strong = Hamiltonian(diag=np.zeros(401), offdiag=np.full(400, 2.0))
+        with pytest.warns(ReflectionBudgetWarning):
+            list(evolve_series(strong, 200, np.array([80.0])))
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
