@@ -2,15 +2,17 @@
 
 Every command is a deterministic function of its config and input files;
 series CSVs from reruns are byte-identical.  Heavy work lives in plain
-functions so tests can drive them directly, with thin click wrappers mapping
-failures to exit codes (2 for config problems, 1 for failed checks or a
-boundary-budget violation).
+functions so tests can drive them directly.  The click group maps their
+exceptions to exit codes in one place, `EXIT_CODES`: 2 for config or input
+problems, 1 for a boundary-budget violation.  `verify` also exits 1 when a
+check fails.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import hashlib
+import json
 import math
 import statistics
 import time as _time
@@ -35,6 +37,7 @@ from .config import (
     ConfigError,
     ExperimentConfig,
     config_digest,
+    config_from_dict,
     config_to_dict,
     load_config,
 )
@@ -61,8 +64,6 @@ def _with_seed(config: ExperimentConfig, seed_override: int | None) -> Experimen
         return config
     raw = config_to_dict(config)
     raw["ensemble"]["base_seed"] = seed_override
-    from .config import config_from_dict
-
     return config_from_dict(raw)
 
 
@@ -80,8 +81,46 @@ def _check_budget(config: ExperimentConfig, allow_reflections: bool) -> None:
         )
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _header(command: str) -> dict:
+    return {"schema_version": 1, "command": command, "package_version": __version__}
+
+
+def _record(index: int | None, path: Path, spec_digest: str, started: float) -> dict:
+    """Manifest entry of one written series CSV."""
+    return {
+        "index": index,
+        "csv": path.name,
+        "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+        "spec_digest": spec_digest,
+        "wall_time_s": round(_time.perf_counter() - started, 3),
+    }
+
+
+def _manifest(
+    command: str, config: ExperimentConfig, out_dir: Path, records: list[dict], started: float
+) -> dict:
+    """The run manifest of `simulate` or `analytic`, also written as manifest.json."""
+    manifest = {
+        **_header(command),
+        "config": config_to_dict(config),
+        "config_digest": config_digest(config),
+        "realizations": records,
+        "total_wall_time_s": round(_time.perf_counter() - started, 3),
+    }
+    if "json" in config.outputs.formats:
+        write_json(out_dir / "manifest.json", manifest)
+    return manifest
+
+
+def _ensemble(exponents: list[float]) -> dict:
+    """Median and interquartile range of fitted exponents; None when nothing was fitted."""
+    if not exponents:
+        return {"count": 0, "median_exponent": None, "iqr_exponent": None}
+    return {
+        "count": len(exponents),
+        "median_exponent": float(statistics.median(exponents)),
+        "iqr_exponent": float(np.percentile(exponents, 75) - np.percentile(exponents, 25)),
+    }
 
 
 def simulate_realization(config: ExperimentConfig, realization_index: int) -> MomentSeries:
@@ -101,12 +140,16 @@ def simulate_realization(config: ExperimentConfig, realization_index: int) -> Mo
 def analytic_series(config: ExperimentConfig) -> tuple[MomentSeries, dict[str, np.ndarray]]:
     """Closed-form ordered-chain moment series plus bound/asymptote columns.
 
-    The time grid is processed in chunks of comparable argument so the
-    batched recurrence stays efficient across widely different truncation
-    radii.
+    The closed form is the |gamma| = 1 chain, whose amplitudes are J_x(2t);
+    any other hopping is rejected rather than silently mis-scaled.  The time
+    grid is processed in chunks of comparable argument so the batched
+    recurrence stays efficient across widely different truncation radii.
     """
     if not config.chain.disorder.is_ordered:
-        raise ConfigError("config.chain.disorder", "analytic mode requires an ordered chain")
+        raise ConfigError("config.chain.disorder", "the closed form needs an ordered chain")
+    gamma = config.chain.gamma
+    if abs(gamma) != 1.0:
+        raise ConfigError("config.chain.gamma", f"the closed form needs |gamma| = 1, got {gamma:g}")
     times = config.times.grid()
     samples: list[MomentSample] = []
     for lo in range(0, len(times), _ANALYTIC_CHUNK):
@@ -142,26 +185,13 @@ def analytic_series(config: ExperimentConfig) -> tuple[MomentSeries, dict[str, n
     return series, extras
 
 
-def _realization_csv_path(out_dir: Path, index: int) -> Path:
-    return out_dir / f"series_r{index:04d}.csv"
-
-
-def _simulate_worker(raw_config: dict, realization_index: int, out_dir: str) -> dict:
+def _simulate_worker(config: ExperimentConfig, realization_index: int, out_dir: Path) -> dict:
     """Process-pool entry: simulate one realization and write its CSV slot."""
-    from .config import config_from_dict
-
-    config = config_from_dict(raw_config)
     started = _time.perf_counter()
     series = simulate_realization(config, realization_index)
-    path = _realization_csv_path(Path(out_dir), realization_index)
+    path = out_dir / f"series_r{realization_index:04d}.csv"
     write_series_csv(path, series)
-    return {
-        "index": realization_index,
-        "csv": path.name,
-        "sha256": _sha256(path),
-        "spec_digest": series.spec_digest,
-        "wall_time_s": round(_time.perf_counter() - started, 3),
-    }
+    return _record(realization_index, path, series.spec_digest, started)
 
 
 def run_simulate(
@@ -176,30 +206,16 @@ def run_simulate(
     _check_budget(config, allow_reflections)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    raw = config_to_dict(config)
-    indices = list(range(config.ensemble.num_realizations))
+    indices = range(config.ensemble.num_realizations)
     started = _time.perf_counter()
     if jobs > 1 and len(indices) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                idx: pool.submit(_simulate_worker, raw, idx, str(out_dir)) for idx in indices
-            }
+            futures = [pool.submit(_simulate_worker, config, idx, out_dir) for idx in indices]
             # Slots are keyed by realization index, never by completion order.
-            records = [futures[idx].result() for idx in indices]
+            records = [future.result() for future in futures]
     else:
-        records = [_simulate_worker(raw, idx, str(out_dir)) for idx in indices]
-    manifest = {
-        "schema_version": 1,
-        "command": "simulate",
-        "package_version": __version__,
-        "config": raw,
-        "config_digest": config_digest(config),
-        "realizations": records,
-        "total_wall_time_s": round(_time.perf_counter() - started, 3),
-    }
-    if "json" in config.outputs.formats:
-        write_json(out_dir / "manifest.json", manifest)
-    return manifest
+        records = [_simulate_worker(config, idx, out_dir) for idx in indices]
+    return _manifest("simulate", config, out_dir, records, started)
 
 
 def run_analytic(
@@ -213,26 +229,8 @@ def run_analytic(
     series, extras = analytic_series(config)
     path = out_dir / "series_analytic.csv"
     write_series_csv(path, series, extras)
-    manifest = {
-        "schema_version": 1,
-        "command": "analytic",
-        "package_version": __version__,
-        "config": config_to_dict(config),
-        "config_digest": config_digest(config),
-        "realizations": [
-            {
-                "index": None,
-                "csv": path.name,
-                "sha256": _sha256(path),
-                "spec_digest": series.spec_digest,
-                "wall_time_s": round(_time.perf_counter() - started, 3),
-            }
-        ],
-        "total_wall_time_s": round(_time.perf_counter() - started, 3),
-    }
-    if "json" in config.outputs.formats:
-        write_json(out_dir / "manifest.json", manifest)
-    return manifest
+    record = _record(None, path, series.spec_digest, started)
+    return _manifest("analytic", config, out_dir, [record], started)
 
 
 def fit_series(
@@ -271,37 +269,26 @@ def run_fit(
     """Fit every input series and aggregate ensemble exponent statistics."""
     entries = []
     for path in csv_paths:
-        series = read_series_csv(path)
-        entry = {"source": str(path)}
-        entry.update(fit_series(series, window, field_name, average_window))
-        entries.append(entry)
-    exponents = [e["exponent"] for e in entries]
-    report = {
-        "schema_version": 1,
-        "command": "fit",
-        "package_version": __version__,
+        fit = fit_series(read_series_csv(path), window, field_name, average_window)
+        entries.append({"source": str(path), **fit})
+    return {
+        **_header("fit"),
         "realizations": entries,
-        "ensemble": {
-            "count": len(exponents),
-            "median_exponent": float(statistics.median(exponents)),
-            "iqr_exponent": float(
-                np.percentile(exponents, 75) - np.percentile(exponents, 25)
-            ),
-        },
+        "ensemble": _ensemble([e["exponent"] for e in entries]),
     }
-    return report
 
 
 def _bessel_identity_checks() -> list[dict]:
     """Spot checks of the two moment identities behind the ordered-chain bounds."""
     checks = []
+    # errors are kept as Python floats so each "ok" is a bool that json can write
     for a in (2.0, 20.0, 100.0):
         row = bessel_row(int(2 * a) + 1, a).values
         worst = 0.0
         for x in range(1, int(2 * a) + 1):
             lhs = x * row[x]
             rhs = 0.5 * a * (row[x - 1] + row[x + 1])
-            worst = max(worst, abs(lhs - rhs))
+            worst = max(worst, float(abs(lhs - rhs)))
         checks.append(
             {"name": "recurrence_moment", "a": a, "error": worst, "tol": 1e-10, "ok": worst <= 1e-10}
         )
@@ -309,7 +296,7 @@ def _bessel_identity_checks() -> list[dict]:
     for a, k_max in ((2.0, 42), (50.0, 140), (100.0, 140)):
         row = bessel_row(2 * k_max, a).values
         total = sum((2 * k) ** 2 * row[2 * k] for k in range(1, k_max + 1))
-        err = abs(total - a * a / 2.0)
+        err = float(abs(total - a * a / 2.0))
         checks.append(
             {"name": "even_order_sum", "a": a, "error": err, "tol": 1e-6, "ok": err <= 1e-6}
         )
@@ -325,8 +312,6 @@ def run_verify(
     if (config is None) == (csv_path is None):
         raise ValueError("provide exactly one of config or csv_path")
     if config is not None:
-        if not config.chain.disorder.is_ordered:
-            raise ConfigError("config.chain.disorder", "bound verification requires an ordered chain")
         series, _ = analytic_series(config)
         source = "analytic:" + config_digest(config)
     else:
@@ -337,9 +322,7 @@ def run_verify(
     max_norm_error = float(np.max(series.column("norm_error"))) if len(series) else 0.0
     identities = _bessel_identity_checks()
     report = {
-        "schema_version": 1,
-        "command": "verify",
-        "package_version": __version__,
+        **_header("verify"),
         "source": source,
         "bounds": {
             "samples": len(bounds.checks),
@@ -372,47 +355,34 @@ def run_sweep(
 ) -> dict:
     """Simulate the ensemble, fit every realization, aggregate exponent statistics.
 
-    Individual realization failures are recorded and do not stop the sweep.
+    A realization whose series cannot be read or fitted is recorded under
+    `failures` and does not stop the sweep.
     """
-    config = _with_seed(config, seed_override)
-    _check_budget(config, allow_reflections)
+    manifest = run_simulate(config, out_dir, allow_reflections, seed_override, jobs)
     out_dir = Path(out_dir)
-    manifest = run_simulate(config, out_dir, allow_reflections=True, jobs=jobs)
     if window is None:
         window = (config.times.t_end / 5.0, config.times.t_end)
 
     entries = []
     failures = []
     for record in manifest["realizations"]:
-        path = out_dir / record["csv"]
         try:
-            series = read_series_csv(path)
-            entry = {"index": record["index"], "source": record["csv"]}
-            entry.update(fit_series(series, window, field_name, average_window))
-            entries.append(entry)
+            series = read_series_csv(out_dir / record["csv"])
+            fit = fit_series(series, window, field_name, average_window)
         except (ValueError, OSError) as exc:
             failures.append({"index": record["index"], "error": str(exc)})
+        else:
+            entries.append({"index": record["index"], "source": record["csv"], **fit})
 
-    exponents = [e["exponent"] for e in entries]
     aggregate = {
-        "schema_version": 1,
-        "command": "sweep",
-        "package_version": __version__,
+        **_header("sweep"),
         "config_digest": manifest["config_digest"],
         "window": [window[0], window[1]],
         "average_window": average_window,
         "field": field_name,
         "realizations": entries,
         "failures": failures,
-        "ensemble": {
-            "count": len(exponents),
-            "median_exponent": float(statistics.median(exponents)) if exponents else None,
-            "iqr_exponent": (
-                float(np.percentile(exponents, 75) - np.percentile(exponents, 25))
-                if exponents
-                else None
-            ),
-        },
+        "ensemble": _ensemble([e["exponent"] for e in entries]),
     }
     if "json" in config.outputs.formats:
         write_json(out_dir / "aggregate.json", aggregate)
@@ -421,6 +391,22 @@ def run_sweep(
 
 # ---------------------------------------------------------------------------
 # click wrappers
+
+# The one map from pipeline exceptions to exit codes.  ConfigError is a
+# ValueError, so config problems exit 2 as well.
+EXIT_CODES: dict[type[Exception], int] = {ValueError: 2, BoundaryBudgetError: 1}
+
+
+class _Pipeline(click.Group):
+    """Click group that turns a pipeline exception into a one-line message and its exit code."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except tuple(EXIT_CODES) as exc:
+            label = "config" if isinstance(exc, ConfigError) else ctx.invoked_subcommand
+            click.echo(f"{label} error: {exc}", err=True)
+            ctx.exit(next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind)))
 
 
 def _parse_window(text: str | None) -> tuple[float, float] | None:
@@ -433,15 +419,7 @@ def _parse_window(text: str | None) -> tuple[float, float] | None:
         raise click.UsageError(f"--window expects LO:HI, got {text!r}") from None
 
 
-def _load(config_path: str) -> ExperimentConfig:
-    try:
-        return load_config(config_path)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        raise SystemExit(2) from exc
-
-
-@click.group()
+@click.group(cls=_Pipeline)
 @click.version_option(version=__version__)
 def main():
     """Entanglement spreading in single-excitation spin chains."""
@@ -455,13 +433,9 @@ def main():
 @click.option("--seed", "seed_override", default=None, type=int, help="Override ensemble.base_seed.")
 def simulate(config_path, out_dir, allow_reflections, jobs, seed_override):
     """Numerically evolve the configured chain and write moment CSVs."""
-    config = _load(config_path)
+    config = load_config(config_path)
     out = out_dir or config.outputs.directory
-    try:
-        manifest = run_simulate(config, out, allow_reflections, seed_override, jobs)
-    except BoundaryBudgetError as exc:
-        click.echo(str(exc), err=True)
-        raise SystemExit(1) from exc
+    manifest = run_simulate(config, out, allow_reflections, seed_override, jobs)
     click.echo(
         f"simulate: {len(manifest['realizations'])} realization(s) -> {out} "
         f"({manifest['total_wall_time_s']:.1f} s)"
@@ -474,13 +448,9 @@ def simulate(config_path, out_dir, allow_reflections, jobs, seed_override):
 @click.option("--seed", "seed_override", default=None, type=int)
 def analytic(config_path, out_dir, seed_override):
     """Write the closed-form ordered-chain series with bound columns."""
-    config = _load(config_path)
+    config = load_config(config_path)
     out = out_dir or config.outputs.directory
-    try:
-        manifest = run_analytic(config, out, seed_override)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        raise SystemExit(2) from exc
+    manifest = run_analytic(config, out, seed_override)
     click.echo(f"analytic: wrote {manifest['realizations'][0]['csv']} in {out}")
 
 
@@ -492,19 +462,12 @@ def analytic(config_path, out_dir, seed_override):
 @click.option("--out", "report_path", default=None, help="Report JSON path (default stdout).")
 def fit(csv_paths, window, field_name, avg_window, report_path):
     """Fit power-law exponents to one or more series CSVs."""
-    parsed = _parse_window(window)
-    try:
-        report = run_fit(list(csv_paths), parsed, field_name, avg_window)
-    except ValueError as exc:
-        click.echo(f"fit error: {exc}", err=True)
-        raise SystemExit(2) from exc
+    report = run_fit(list(csv_paths), _parse_window(window), field_name, avg_window)
     if report_path:
         write_json(report_path, report)
         click.echo(f"fit: report -> {report_path}")
     else:
-        import json as _json
-
-        click.echo(_json.dumps(report, indent=2, sort_keys=True))
+        click.echo(json.dumps(report, indent=2, sort_keys=True))
     click.echo(
         f"fit: median exponent {report['ensemble']['median_exponent']:.4f} "
         f"over {report['ensemble']['count']} series"
@@ -517,15 +480,8 @@ def fit(csv_paths, window, field_name, avg_window, report_path):
 @click.option("--out", "report_path", default=None)
 def verify(config_path, csv_path, report_path):
     """Check ordered-chain bounds, Bessel identities and unitarity."""
-    if (config_path is None) == (csv_path is None):
-        click.echo("verify error: provide exactly one of --config or --csv", err=True)
-        raise SystemExit(2)
-    try:
-        config = _load(config_path) if config_path else None
-        report = run_verify(config=config, csv_path=csv_path)
-    except (ConfigError, ValueError) as exc:
-        click.echo(f"verify error: {exc}", err=True)
-        raise SystemExit(2) from exc
+    config = load_config(config_path) if config_path else None
+    report = run_verify(config=config, csv_path=csv_path)
     if report_path:
         write_json(report_path, report)
     status = "PASS" if report["passed"] else "FAIL"
@@ -549,22 +505,18 @@ def verify(config_path, csv_path, report_path):
 @click.option("--seed", "seed_override", default=None, type=int)
 def sweep(config_path, out_dir, window, field_name, avg_window, jobs, allow_reflections, seed_override):
     """Run the disorder ensemble end to end and aggregate exponents."""
-    config = _load(config_path)
+    config = load_config(config_path)
     out = out_dir or config.outputs.directory
-    try:
-        aggregate = run_sweep(
-            config,
-            out,
-            window=_parse_window(window),
-            field_name=field_name,
-            average_window=avg_window,
-            jobs=jobs,
-            allow_reflections=allow_reflections,
-            seed_override=seed_override,
-        )
-    except BoundaryBudgetError as exc:
-        click.echo(str(exc), err=True)
-        raise SystemExit(1) from exc
+    aggregate = run_sweep(
+        config,
+        out,
+        window=_parse_window(window),
+        field_name=field_name,
+        average_window=avg_window,
+        jobs=jobs,
+        allow_reflections=allow_reflections,
+        seed_override=seed_override,
+    )
     med = aggregate["ensemble"]["median_exponent"]
     click.echo(
         f"sweep: {aggregate['ensemble']['count']} fit(s), median exponent "

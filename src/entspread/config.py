@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytic import EmissionModel
 from .chain import DIAG_SIGNS, DISORDER_MODES, ChainSpec, DisorderSpec
 
 SCHEMA_VERSION = 1
@@ -60,7 +59,6 @@ class ExperimentConfig:
     times: TimesSpec
     ensemble: EnsembleSpec = field(default_factory=EnsembleSpec)
     outputs: OutputSpec = field(default_factory=OutputSpec)
-    emission: EmissionModel | None = None
     description: str = ""
 
 
@@ -152,19 +150,6 @@ def _parse_times(obj: dict, where: str) -> TimesSpec:
     return TimesSpec(t_start=t_start, t_end=t_end, num_samples=num_samples, spacing=spacing)
 
 
-def _parse_emission(obj: dict, where: str) -> EmissionModel:
-    _require_keys(obj, where, (), ("beta", "tau", "gamma_mag", "half_width"))
-    try:
-        return EmissionModel(
-            beta=_number(obj, where, "beta", 0.0),
-            tau=_number(obj, where, "tau", 0.0),
-            gamma_mag=_number(obj, where, "gamma_mag", 1.0),
-            half_width=_integer(obj, where, "half_width", 0),
-        )
-    except ValueError as exc:
-        raise ConfigError(where, str(exc)) from exc
-
-
 def _parse_ensemble(obj: dict, where: str) -> EnsembleSpec:
     _require_keys(obj, where, (), ("num_realizations", "base_seed"))
     num = _integer(obj, where, "num_realizations", 1)
@@ -185,6 +170,8 @@ def _parse_outputs(obj: dict, where: str) -> OutputSpec:
     for fmt in formats:
         if fmt not in OUTPUT_FORMATS:
             raise ConfigError(f"{where}.formats", f"expected entries from {OUTPUT_FORMATS}, got {fmt!r}")
+    if "csv" not in formats:
+        raise ConfigError(f"{where}.formats", "must include 'csv': series CSVs are always written")
     return OutputSpec(directory=directory, formats=tuple(formats))
 
 
@@ -194,7 +181,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raw,
         "config",
         ("schema_version", "chain", "times"),
-        ("ensemble", "outputs", "emission", "description"),
+        ("ensemble", "outputs", "description"),
     )
     version = raw["schema_version"]
     if version != SCHEMA_VERSION:
@@ -203,16 +190,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     chain = _parse_chain(raw["chain"], "config.chain", seed=ensemble.base_seed)
     times = _parse_times(raw["times"], "config.times")
     outputs = _parse_outputs(raw.get("outputs", {}), "config.outputs")
-    emission = None
-    if "emission" in raw and raw["emission"] is not None:
-        emission = _parse_emission(raw["emission"], "config.emission")
     description = _string(raw, "config", "description", "")
     return ExperimentConfig(
         chain=chain,
         times=times,
         ensemble=ensemble,
         outputs=outputs,
-        emission=emission,
         description=description,
     )
 
@@ -247,13 +230,6 @@ def config_to_dict(config: ExperimentConfig) -> dict:
             "formats": list(config.outputs.formats),
         },
     }
-    if config.emission is not None:
-        out["emission"] = {
-            "beta": abs(config.emission.beta),
-            "tau": config.emission.tau,
-            "gamma_mag": config.emission.gamma_mag,
-            "half_width": config.emission.half_width,
-        }
     if config.description:
         out["description"] = config.description
     return out

@@ -15,6 +15,7 @@ from entspread.cli import (
     run_simulate,
     run_sweep,
     run_verify,
+    simulate_realization,
 )
 from entspread.config import SCHEMA_VERSION, config_from_dict
 from entspread.observables import MomentSample
@@ -185,6 +186,21 @@ class TestAnalytic:
         with pytest.raises(Exception, match="ordered"):
             analytic_series(config)
 
+    def test_gamma_minus_one_matches_numeric(self):
+        # flipping the hopping sign maps a_x to (-1)^x a_x, so every moment is unchanged
+        raw = make_config(
+            chain={"num_sites": 401, "gamma": -1.0},
+            times={"t_start": 0.0, "t_end": 20.0, "num_samples": 11},
+            ensemble={"num_realizations": 1, "base_seed": 0},
+        )
+        config = config_from_dict(raw)
+        closed, _ = analytic_series(config)
+        numeric = simulate_realization(config, 0)
+        for name in ("m", "w", "alpha0_abs"):
+            np.testing.assert_allclose(
+                closed.column(name), numeric.column(name), rtol=1e-9, atol=1e-12
+            )
+
 
 class TestFit:
     def test_exact_power_law_report(self, tmp_path):
@@ -317,6 +333,28 @@ class TestCommandLine:
         assert "boundary budget" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "analytic"])
+    def test_negative_seed_exit_code(self, tmp_path, command):
+        raw = make_config(chain={"num_sites": 201}, ensemble={"num_realizations": 1, "base_seed": 0})
+        path = write_config(tmp_path, raw)
+        args = [command, "--config", str(path), "--out", str(tmp_path / "out"), "--seed", "-1"]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "config.ensemble.base_seed" in result.output
+
+    def test_closed_form_rejects_gamma_two(self, tmp_path):
+        # the closed form is J_x(2t), the |gamma| = 1 chain; gamma = 2 spreads twice as fast
+        raw = make_config(
+            chain={"num_sites": 401, "gamma": 2.0},
+            times={"t_start": 0.0, "t_end": 20.0, "num_samples": 11},
+            ensemble={"num_realizations": 1, "base_seed": 0},
+        )
+        path = write_config(tmp_path, raw)
+        for args in (["analytic", "--out", str(tmp_path / "out")], ["verify"]):
+            result = CliRunner().invoke(main, args + ["--config", str(path)])
+            assert result.exit_code == 2, result.output
+            assert "config.chain.gamma" in result.output
+
     def test_analytic_rejects_disorder_exit_code(self, tmp_path):
         path = write_config(tmp_path, make_config())
         result = CliRunner().invoke(main, ["analytic", "--config", str(path)])
@@ -370,9 +408,11 @@ class TestCommandLine:
             ensemble={"num_realizations": 1, "base_seed": 0},
         )
         path = write_config(tmp_path, raw)
-        result = CliRunner().invoke(main, ["verify", "--config", str(path)])
+        report = tmp_path / "verify.json"
+        result = CliRunner().invoke(main, ["verify", "--config", str(path), "--out", str(report)])
         assert result.exit_code == 0, result.output
         assert "PASS" in result.output
+        assert json.loads(report.read_text())["passed"] is True
 
         config = config_from_dict(raw)
         series, _ = analytic_series(config)
@@ -408,3 +448,42 @@ class TestCommandLine:
         aggregate = json.loads((out / "aggregate.json").read_text())
         assert aggregate["ensemble"]["count"] == 2
         assert (out / "series_r0001.csv").exists()
+
+
+class TestReportSchemas:
+    """Top-level keys of every report the pipeline writes; a change here is a schema change."""
+
+    HEADER = {"schema_version", "command", "package_version"}
+
+    def test_report_key_sets(self, tmp_path):
+        config = config_from_dict(make_config())
+        ordered = config_from_dict(
+            make_config(
+                chain={"num_sites": 201},
+                times={"t_start": 0.0, "t_end": 5.0, "num_samples": 6},
+                ensemble={"num_realizations": 1, "base_seed": 0},
+            )
+        )
+        simulate = run_simulate(config, tmp_path / "sim")
+        analytic = run_analytic(ordered, tmp_path / "ana")
+        fit = run_fit([tmp_path / "sim" / "series_r0000.csv"], window=(2.0, 20.0))
+        verify = run_verify(config=ordered)
+        sweep = run_sweep(config, tmp_path / "sweep", window=(2.0, 20.0))
+
+        manifest_keys = self.HEADER | {"config", "config_digest", "realizations", "total_wall_time_s"}
+        assert set(simulate) == manifest_keys
+        assert set(analytic) == manifest_keys
+        assert set(fit) == self.HEADER | {"realizations", "ensemble"}
+        assert set(verify) == self.HEADER | {
+            "source", "bounds", "bessel_identities", "unitarity", "passed"
+        }
+        assert set(sweep) == self.HEADER | {
+            "config_digest", "window", "average_window", "field", "realizations", "failures",
+            "ensemble",
+        }
+        record_keys = {"index", "csv", "sha256", "spec_digest", "wall_time_s"}
+        assert set(simulate["realizations"][0]) == record_keys
+        assert set(analytic["realizations"][0]) == record_keys
+        ensemble_keys = {"count", "median_exponent", "iqr_exponent"}
+        assert set(fit["ensemble"]) == set(sweep["ensemble"]) == ensemble_keys
+        assert json.loads((tmp_path / "sim" / "manifest.json").read_text()).keys() == manifest_keys

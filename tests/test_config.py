@@ -83,21 +83,19 @@ class TestSchema:
         with pytest.raises(ConfigError, match="config.chain.num_sites"):
             config_from_dict(raw)
 
-    def test_emission_block_optional(self):
-        raw = base_config(emission={"beta": 0.3, "tau": 2.0})
-        config = config_from_dict(raw)
-        assert config.emission is not None
-        assert abs(config.emission.beta) == pytest.approx(0.3)
-
-    def test_invalid_emission_rejected(self):
-        raw = base_config(emission={"beta": 0.9})
-        with pytest.raises(ConfigError, match="config.emission"):
-            config_from_dict(raw)
+    def test_emission_key_rejected_as_unknown(self):
+        # no command reads an emission model from a config, so the key is gone
+        with pytest.raises(ConfigError, match="unknown keys.*emission"):
+            config_from_dict(base_config(emission={"beta": 0.3, "tau": 2.0}))
 
     def test_output_formats_validated(self):
         raw = base_config()
         raw["outputs"]["formats"] = ["xml"]
         with pytest.raises(ConfigError, match="config.outputs.formats"):
+            config_from_dict(raw)
+        # series CSVs are always written, so a list without "csv" would misstate the outputs
+        raw["outputs"]["formats"] = ["json"]
+        with pytest.raises(ConfigError, match="config.outputs.formats: must include 'csv'"):
             config_from_dict(raw)
 
     def test_even_chain_rejected_with_path(self):
