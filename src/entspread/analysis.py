@@ -13,44 +13,73 @@ refinement.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 import numpy as np
 
 from .analytic import EmissionModel, emission_magnitude_profile, w_bounds_ordered
-from .observables import MomentSample
+from .observables import MOMENT_COLUMNS, MomentSample
 
 AVERAGE_WINDOW_DEFAULT = math.pi
 
 # Upper-bound checks only apply where the asymptotic form is meaningful.
 UPPER_BOUND_MIN_TIME = 5.0
 
-_FIELDS = ("m", "w", "alpha0_abs", "m_o", "m_d", "norm_error")
+_FIELDS = MOMENT_COLUMNS[1:]
+_row_values = attrgetter(*MOMENT_COLUMNS)
 FIT_FIELDS = ("m", "w")
 
 
-@dataclass(frozen=True)
 class MomentSeries:
-    """Time-ordered moment rows plus an identifier of what generated them."""
+    """Time-ordered moment rows plus an identifier of what generated them.
 
-    samples: tuple[MomentSample, ...]
-    spec_digest: str = ""
+    The rows are one read-only float `table` of shape (n, len(MOMENT_COLUMNS)),
+    built once.  Producers make a series with `from_table`; `samples=` builds
+    one from MomentSample rows and `samples` reads them back.
+    """
 
-    def __post_init__(self):
-        times = [s.time for s in self.samples]
-        if any(b <= a for a, b in zip(times, times[1:])):
+    def __init__(self, samples: Iterable[MomentSample] = (), spec_digest: str = ""):
+        rows = [_row_values(s) for s in samples]
+        table = np.array(rows, dtype=float).reshape(len(rows), len(MOMENT_COLUMNS))
+        self._freeze(table, spec_digest)
+
+    @classmethod
+    def from_table(cls, table: np.ndarray, spec_digest: str = "") -> MomentSeries:
+        """Series over a copy of `table`, whose columns are MOMENT_COLUMNS."""
+        series = cls.__new__(cls)
+        series._freeze(np.array(table, dtype=float), spec_digest)
+        return series
+
+    def _freeze(self, table: np.ndarray, spec_digest: str) -> None:
+        if table.ndim != 2 or table.shape[1] != len(MOMENT_COLUMNS):
+            raise ValueError(f"table must have shape (n, {len(MOMENT_COLUMNS)}), got {table.shape}")
+        if np.any(np.diff(table[:, 0]) <= 0.0):
             raise ValueError("sample times must be strictly increasing")
+        table.flags.writeable = False
+        self.table = table
+        self.spec_digest = spec_digest
+
+    @property
+    def samples(self) -> tuple[MomentSample, ...]:
+        return tuple(MomentSample(*row) for row in self.table.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MomentSeries):
+            return NotImplemented
+        return self.spec_digest == other.spec_digest and np.array_equal(self.table, other.table)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.table)
 
     def times(self) -> np.ndarray:
-        return np.array([s.time for s in self.samples])
+        return self.table[:, 0]
 
     def column(self, name: str) -> np.ndarray:
         if name not in _FIELDS:
             raise ValueError(f"unknown column {name!r}, expected one of {_FIELDS}")
-        return np.array([getattr(s, name) for s in self.samples])
+        return self.table[:, MOMENT_COLUMNS.index(name)]
 
 
 @dataclass(frozen=True)
@@ -91,25 +120,10 @@ def time_average(series: MomentSeries, window_width: float = AVERAGE_WINDOW_DEFA
         raise ValueError("window wider than the sampled span, nothing left after trimming")
 
     counts = (hi - lo)[keep]
-    averaged = {}
-    for name in _FIELDS:
-        col = series.column(name)
-        csum = np.concatenate(([0.0], np.cumsum(col)))
-        averaged[name] = (csum[hi] - csum[lo])[keep] / counts
-
-    samples = [
-        MomentSample(
-            time=float(t),
-            m=float(averaged["m"][k]),
-            w=float(averaged["w"][k]),
-            alpha0_abs=float(averaged["alpha0_abs"][k]),
-            m_o=float(averaged["m_o"][k]),
-            m_d=float(averaged["m_d"][k]),
-            norm_error=float(averaged["norm_error"][k]),
-        )
-        for k, t in enumerate(times[keep])
-    ]
-    return MomentSeries(samples=tuple(samples), spec_digest=series.spec_digest)
+    csum = np.concatenate((np.zeros((1, len(MOMENT_COLUMNS))), np.cumsum(series.table, axis=0)))
+    averaged = (csum[hi] - csum[lo])[keep] / counts[:, None]
+    averaged[:, 0] = times[keep]
+    return MomentSeries.from_table(averaged, series.spec_digest)
 
 
 def _fit_window_values(series: MomentSeries, field_name: str, window: tuple[float, float]):
@@ -205,15 +219,15 @@ def verify_bounds(series: MomentSeries) -> BoundsReport:
     come back as failure counts.
     """
     checks = []
-    for s in series.samples:
-        lower, upper = w_bounds_ordered(s.time)
-        upper_ok = bool(s.w <= upper) if s.time >= UPPER_BOUND_MIN_TIME else None
+    for t, w in zip(series.times().tolist(), series.column("w").tolist()):
+        lower, upper = w_bounds_ordered(t)
+        upper_ok = bool(w <= upper) if t >= UPPER_BOUND_MIN_TIME else None
         checks.append(
             BoundCheck(
-                time=s.time,
-                lower_ok=bool(s.w >= lower - 1e-9),
+                time=t,
+                lower_ok=bool(w >= lower - 1e-9),
                 upper_ok=upper_ok,
-                w=s.w,
+                w=w,
                 lower=lower,
                 upper=upper,
             )

@@ -41,8 +41,8 @@ from .config import (
     config_to_dict,
     load_config,
 )
-from .observables import MomentSample, moment_m
-from .propagator import evolve_series, reflection_budget_exceeded
+from .observables import moment_m
+from .propagator import evolve_series, reflection_budget_violation
 from .seriesio import (
     ANALYTIC_EXTRA_COLUMNS,
     read_series_csv,
@@ -68,16 +68,13 @@ def _with_seed(config: ExperimentConfig, seed_override: int | None) -> Experimen
 
 
 def _check_budget(config: ExperimentConfig, allow_reflections: bool) -> None:
-    n = config.chain.num_sites
-    t_max = config.times.t_end
-    half_width = config.chain.disorder.half_width
-    gamma = abs(config.chain.gamma)
-    if reflection_budget_exceeded(n, t_max, half_width, gamma) and not allow_reflections:
+    chain = config.chain
+    violation = reflection_budget_violation(
+        chain.num_sites, config.times.t_end, chain.disorder.half_width, chain.gamma
+    )
+    if violation and not allow_reflections:
         raise BoundaryBudgetError(
-            f"boundary budget violated: 2*gamma*t_end + region = "
-            f"{2 * gamma * t_max + 2 * half_width + 1:g} "
-            f"exceeds (N-1)/2 - 10 = {(n - 1) / 2 - 10:g}; enlarge the chain, shorten t_end, "
-            "or pass --allow-reflections"
+            f"{violation}; enlarge the chain, shorten t_end, or pass --allow-reflections"
         )
 
 
@@ -128,11 +125,9 @@ def simulate_realization(config: ExperimentConfig, realization_index: int) -> Mo
     h = build_hamiltonian(config.chain, realization_index)
     times = config.times.grid()
     half_width = config.chain.disorder.half_width
-    samples = []
-    for state in evolve_series(h, config.chain.origin, times, half_width):
-        samples.append(moment_m(state, half_width))
+    states = evolve_series(h, config.chain.origin, times, half_width)
     return MomentSeries(
-        samples=tuple(samples),
+        samples=(moment_m(state, half_width) for state in states),
         spec_digest=config_digest(config, realization_index),
     )
 
@@ -151,37 +146,23 @@ def analytic_series(config: ExperimentConfig) -> tuple[MomentSeries, dict[str, n
     if abs(gamma) != 1.0:
         raise ConfigError("config.chain.gamma", f"the closed form needs |gamma| = 1, got {gamma:g}")
     times = config.times.grid()
-    samples: list[MomentSample] = []
+    chunks = []
     for lo in range(0, len(times), _ANALYTIC_CHUNK):
         chunk = times[lo : lo + _ANALYTIC_CHUNK]
         order_max = math.ceil(2.0 * float(chunk[-1])) + 60
         rows = bessel_rows(order_max, 2.0 * chunk)
         absrows = np.abs(rows)
         x2 = np.arange(order_max + 1, dtype=float) ** 2
-        w_col = 2.0 * (absrows[:, 1:] @ x2[1:])
-        alpha0_col = absrows[:, 0]
+        w = 2.0 * (absrows[:, 1:] @ x2[1:])
+        alpha0 = absrows[:, 0]
+        m = 2.0 * alpha0 * w
         # probability on the full chain: J_0^2 + 2 sum_k J_k^2
-        norm_col = rows[:, 0] ** 2 + 2.0 * np.sum(rows[:, 1:] ** 2, axis=1)
-        for k, t in enumerate(chunk):
-            w = float(w_col[k])
-            a0 = float(alpha0_col[k])
-            m = 2.0 * a0 * w
-            samples.append(
-                MomentSample(
-                    time=float(t),
-                    m=m,
-                    w=w,
-                    alpha0_abs=a0,
-                    m_o=m,
-                    m_d=0.0,
-                    norm_error=abs(1.0 - float(norm_col[k])),
-                )
-            )
-    series = MomentSeries(samples=tuple(samples), spec_digest=config_digest(config))
-    lower = np.array([w_bounds_ordered(t)[0] for t in times])
-    upper = np.array([w_bounds_ordered(t)[1] for t in times])
+        norm_error = np.abs(1.0 - (rows[:, 0] ** 2 + 2.0 * np.sum(rows[:, 1:] ** 2, axis=1)))
+        chunks.append(np.column_stack((chunk, m, w, alpha0, m, np.zeros_like(m), norm_error)))
+    series = MomentSeries.from_table(np.concatenate(chunks), config_digest(config))
+    bounds = np.array([w_bounds_ordered(t) for t in times])
     asym = np.array([asymptotes_ordered(t) if t > 0 else (0.0, 0.0) for t in times])
-    extras = dict(zip(ANALYTIC_EXTRA_COLUMNS, (lower, upper, asym[:, 0], asym[:, 1])))
+    extras = dict(zip(ANALYTIC_EXTRA_COLUMNS, (bounds[:, 0], bounds[:, 1], asym[:, 0], asym[:, 1])))
     return series, extras
 
 

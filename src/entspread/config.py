@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -201,37 +201,15 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    """Canonical dict form (round-trips through config_from_dict)."""
-    out = {
-        "schema_version": SCHEMA_VERSION,
-        "chain": {
-            "num_sites": config.chain.num_sites,
-            "gamma": config.chain.gamma,
-            "disorder": {
-                "mode": config.chain.disorder.mode,
-                "half_width": config.chain.disorder.half_width,
-                "low": config.chain.disorder.low,
-                "high": config.chain.disorder.high,
-                "diag_sign": config.chain.disorder.diag_sign,
-            },
-        },
-        "times": {
-            "t_start": config.times.t_start,
-            "t_end": config.times.t_end,
-            "num_samples": config.times.num_samples,
-            "spacing": config.times.spacing,
-        },
-        "ensemble": {
-            "num_realizations": config.ensemble.num_realizations,
-            "base_seed": config.ensemble.base_seed,
-        },
-        "outputs": {
-            "directory": config.outputs.directory,
-            "formats": list(config.outputs.formats),
-        },
-    }
-    if config.description:
-        out["description"] = config.description
+    """Canonical dict form (round-trips through config_from_dict).
+
+    The disorder seed is left out, because it comes from ensemble.base_seed.
+    """
+    out = {"schema_version": SCHEMA_VERSION, **asdict(config)}
+    del out["chain"]["disorder"]["seed"]
+    out["outputs"]["formats"] = list(config.outputs.formats)
+    if not config.description:
+        del out["description"]
     return out
 
 

@@ -10,7 +10,7 @@ simulation drivers actually record.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -48,6 +48,10 @@ class MomentSample:
     m_o: float
     m_d: float
     norm_error: float
+
+
+# The one column schema of a moment series: its table, its CSV and its averaging.
+MOMENT_COLUMNS = tuple(f.name for f in fields(MomentSample))
 
 
 def _check_pair(state: WaveState, i: int, j: int) -> None:
@@ -116,10 +120,7 @@ def concurrence_pair(state: WaveState, i: int, j: int) -> float:
 
 def moment_w(state: WaveState) -> float:
     """W = sum_{x != 0} x^2 |a_{origin+x}| over all sites of the state."""
-    offsets = np.arange(state.num_sites) - state.origin
-    weights = offsets.astype(float) ** 2 * np.abs(state.amplitudes)
-    weights[state.origin] = 0.0
-    return float(np.sum(weights))
+    return moment_m(state).w
 
 
 def moment_m(state: WaveState, half_width: int = 0) -> MomentSample:

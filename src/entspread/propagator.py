@@ -256,14 +256,26 @@ def evolve_diagonalization(h: Hamiltonian, initial: WaveState, delta_t: float) -
     return WaveState(amps, initial.time + delta_t, initial.origin)
 
 
+def reflection_budget_violation(
+    num_sites: int, t_max: float, disorder_half_width: int = 0, gamma: float = 1.0
+) -> str | None:
+    """Why the wavefront (speed 2 gamma) plus the disordered core can touch the boundary, or None.
+
+    Condition: 2 gamma t_max + (2L + 1) > (N - 1) / 2 - 10.  The message
+    gives both sides of it.
+    """
+    reach = 2.0 * abs(gamma) * t_max + (2 * disorder_half_width + 1)
+    room = (num_sites - 1) / 2 - 10
+    if not reach > room:
+        return None
+    return f"boundary budget exceeded: 2*gamma*t_max + (2L+1) = {reach:g} > (N-1)/2 - 10 = {room:g}"
+
+
 def reflection_budget_exceeded(
     num_sites: int, t_max: float, disorder_half_width: int = 0, gamma: float = 1.0
 ) -> bool:
-    """True when the wavefront (speed 2 gamma) plus the disordered core can touch the boundary.
-
-    Condition: 2 gamma t_max + (2L + 1) > (N - 1) / 2 - 10.
-    """
-    return 2.0 * abs(gamma) * t_max + (2 * disorder_half_width + 1) > (num_sites - 1) / 2 - 10
+    """True when `reflection_budget_violation` finds the condition met."""
+    return reflection_budget_violation(num_sites, t_max, disorder_half_width, gamma) is not None
 
 
 def evolve_series(
@@ -289,12 +301,10 @@ def evolve_series(
         raise ValueError("times must be strictly ascending")
     gamma = float(np.max(np.abs(h.offdiag))) if h.num_sites > 1 else 0.0
     t_max = float(times[-1])
-    if reflection_budget_exceeded(h.num_sites, t_max, disorder_half_width, gamma):
+    violation = reflection_budget_violation(h.num_sites, t_max, disorder_half_width, gamma)
+    if violation:
         warnings.warn(
-            f"wavefront may reach the open boundary: 2*gamma*t_max + region "
-            f"({2 * gamma * t_max + 2 * disorder_half_width + 1:g}) exceeds "
-            f"(N-1)/2 - 10 ({(h.num_sites - 1) / 2 - 10:g}); amplitudes near the "
-            "edges will contain reflections",
+            f"{violation}; amplitudes near the edges will contain reflections",
             ReflectionBudgetWarning,
             stacklevel=2,
         )

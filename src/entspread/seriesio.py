@@ -14,9 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import MomentSeries
-from .observables import MomentSample
+from .observables import MOMENT_COLUMNS
 
-CSV_COLUMNS = ("time", "m", "w", "alpha0_abs", "m_o", "m_d", "norm_error")
+CSV_COLUMNS = MOMENT_COLUMNS
 ANALYTIC_EXTRA_COLUMNS = ("w_lower_bound", "w_upper_bound", "w_asymptote", "m_asymptote")
 
 
@@ -39,14 +39,17 @@ def write_series_csv(
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(CSV_COLUMNS) + list(extras))
-        for k, sample in enumerate(series.samples):
-            row = [format_float(getattr(sample, name)) for name in CSV_COLUMNS]
-            row += [format_float(extras[name][k]) for name in extras]
-            writer.writerow(row)
+        table = np.column_stack((series.table, *extras.values()))
+        writer.writerows([format_float(x) for x in row] for row in table.tolist())
 
 
 def read_series_csv(path: str | Path) -> MomentSeries:
-    """Read a series back; extra columns are ignored, missing base columns raise."""
+    """Read a series back; extra columns are ignored.
+
+    Missing base columns raise ValueError naming the path; a row with fewer
+    fields than the header or a non-numeric base field, naming the path and
+    the line.
+    """
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
@@ -57,13 +60,19 @@ def read_series_csv(path: str | Path) -> MomentSeries:
         missing = [c for c in CSV_COLUMNS if c not in header]
         if missing:
             raise ValueError(f"{path}: missing columns {missing}")
-        index = {name: header.index(name) for name in CSV_COLUMNS}
-        samples = []
+        index = [header.index(name) for name in CSV_COLUMNS]
+        rows = []
         for row in reader:
-            samples.append(
-                MomentSample(**{name: float(row[index[name]]) for name in CSV_COLUMNS})
-            )
-    return MomentSeries(samples=tuple(samples), spec_digest="")
+            if len(row) < len(header):
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: {len(row)} fields, header has {len(header)}"
+                )
+            try:
+                rows.append([float(row[k]) for k in index])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    table = np.array(rows, dtype=float).reshape(len(rows), len(CSV_COLUMNS))
+    return MomentSeries.from_table(table)
 
 
 def write_json(path: str | Path, payload: dict) -> None:

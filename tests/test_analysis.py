@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from entspread.analysis import (
     verify_bounds,
 )
 from entspread.analytic import EmissionModel, emission_amplitude, infinite_state
-from entspread.observables import MomentSample, moment_m
+from entspread.observables import MOMENT_COLUMNS, MomentSample, moment_m
 
 
 def series_from_m(times, m_values, **overrides):
@@ -237,3 +238,32 @@ class TestMomentSeries:
         np.testing.assert_array_equal(series.column("m"), [3.0, 4.0])
         with pytest.raises(ValueError):
             series.column("bogus")
+
+    def test_rows_changed_by_replace_give_the_expected_table(self):
+        # the row constructor and dataclasses.replace on rows are how
+        # perfbench corrupts a series on purpose
+        series = series_from_m([1.0, 2.0, 3.0], [3.0, 4.0, 5.0])
+        rows = list(series.samples)
+        rows[1] = dataclasses.replace(rows[1], m=7.0, norm_error=1e-6)
+        changed = MomentSeries(samples=tuple(rows), spec_digest="abc")
+        expected = np.array(series.table)
+        expected[1, MOMENT_COLUMNS.index("m")] = 7.0
+        expected[1, MOMENT_COLUMNS.index("norm_error")] = 1e-6
+        np.testing.assert_array_equal(changed.table, expected)
+        assert changed.table.shape == (3, len(MOMENT_COLUMNS))
+        assert changed.samples[1].m == 7.0
+        assert changed.spec_digest == "abc"
+
+    def test_from_table_round_trip_and_read_only(self):
+        series = MomentSeries(
+            samples=tuple(moment_m(infinite_state(float(t)), 2) for t in (0.5, 1.0, 2.0)),
+            spec_digest="d1",
+        )
+        assert MomentSeries.from_table(series.table, series.spec_digest) == series
+        assert MomentSeries.from_table(series.table, "other") != series
+        with pytest.raises(ValueError):
+            series.table[0, 1] = 1.0
+        with pytest.raises(ValueError):
+            series.column("w")[0] = 1.0
+        with pytest.raises(ValueError):
+            MomentSeries.from_table(series.table[:, :6])

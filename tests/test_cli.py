@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +83,19 @@ class TestSeriesIO:
         path.write_text("time,m\n0.0,0.0\n")
         with pytest.raises(ValueError, match="missing columns"):
             read_series_csv(path)
+
+    @pytest.mark.parametrize("bad_row", ["3.0,1.0,1.0", "3.0,1.0,x,0.5,1.0,0.0,0.0"])
+    def test_ragged_or_non_numeric_row_rejected(self, tmp_path, bad_row):
+        path = tmp_path / "ragged.csv"
+        synthetic_power_law_csv(path)
+        lines = path.read_text().splitlines()
+        lines[2] = bad_row
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 3")):
+            read_series_csv(path)
+        result = CliRunner().invoke(main, ["fit", str(path), "--window", "10:100"])
+        assert result.exit_code == 2, result.output
+        assert "line 3" in result.output
 
 
 class TestSimulate:
@@ -180,6 +194,26 @@ class TestAnalytic:
         assert series.samples[0].m == 0.0
         assert series.samples[1].w == pytest.approx(7.8439635000430841, abs=1e-9)
         assert series.samples[1].m == pytest.approx(3.5123821991601201, abs=1e-9)
+
+    def test_bessel_rows_called_through_the_cli_attribute(self, monkeypatch):
+        # perfbench's traced bessel.rows_s wraps entspread.cli.bessel_rows
+        import entspread.cli
+
+        calls = []
+        original = entspread.cli.bessel_rows
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(entspread.cli, "bessel_rows", counted)
+        raw = make_config(
+            chain={"num_sites": 201},
+            times={"t_start": 0.0, "t_end": 5.0, "num_samples": 6},
+            ensemble={"num_realizations": 1, "base_seed": 0},
+        )
+        series, _ = analytic_series(config_from_dict(raw))
+        assert len(calls) == 1 and len(series) == 6
 
     def test_rejects_disordered_config(self):
         config = config_from_dict(make_config())

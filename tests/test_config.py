@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,8 @@ from entspread.config import (
     config_to_dict,
     load_config,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def base_config(**overrides):
@@ -117,6 +120,18 @@ class TestLoadAndDigest:
         path.write_text("{\n  \"schema_version\": 1,\n}\n")
         with pytest.raises(ConfigError, match="line"):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("fig1_desk.json", "0e6146bd6cce"),
+            ("fig1_full.json", "b5917c01301e"),
+            ("ordered_analytic.json", "8c5f14cd611f"),
+        ],
+    )
+    def test_committed_config_digests_pinned(self, name, digest):
+        # the digests name the committed runs in their manifests and CSV spec_digests
+        assert config_digest(load_config(CONFIGS / name)) == digest
 
     def test_digest_stable_and_realization_sensitive(self):
         config = config_from_dict(base_config())

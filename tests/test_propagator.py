@@ -272,7 +272,8 @@ class TestEvolveSeries:
         assert state.norm_error() <= 1e-8
 
     def test_boundary_budget_warning(self):
-        with pytest.warns(ReflectionBudgetWarning):
+        message = r"boundary budget exceeded: .* = 101 > \(N-1\)/2 - 10 = 40"
+        with pytest.warns(ReflectionBudgetWarning, match=message):
             list(evolve_series(ordered(101), 50, np.array([50.0])))
 
     def test_no_warning_inside_budget(self, recwarn):
