@@ -126,22 +126,23 @@ def moment_w(state: WaveState) -> float:
 def moment_m(state: WaveState, half_width: int = 0) -> MomentSample:
     """Full moment row at the state's time, split at the region half-width.
 
+    Sums run over the state's support when it is set, else over all sites.
     Offsets with |x| <= half_width count as the disordered-region share m_d,
     the rest as m_o; by construction m = 2 * alpha0_abs * w and
     m = m_o + m_d hold to rounding.
     """
     if half_width < 0:
         raise ValueError(f"half_width must be >= 0, got {half_width}")
-    offsets = np.arange(state.num_sites) - state.origin
-    absamp = np.abs(state.amplitudes)
+    lo, hi = state.support if state.support is not None else (0, state.num_sites - 1)
+    offsets = np.arange(lo - state.origin, hi + 1 - state.origin)
+    absamp = np.abs(state.amplitudes[lo : hi + 1])
     weights = offsets.astype(float) ** 2 * absamp
-    weights[state.origin] = 0.0
 
     w_total = float(np.sum(weights))
     inner = np.abs(offsets) <= half_width
     w_inner = float(np.sum(weights[inner]))
 
-    alpha0 = float(absamp[state.origin])
+    alpha0 = float(abs(state.amplitudes[state.origin]))
     m_total = 2.0 * alpha0 * w_total
     m_d = 2.0 * alpha0 * w_inner
     m_o = max(m_total - m_d, 0.0)

@@ -2,59 +2,77 @@
 
 The production path is a Chebyshev expansion of the evolution operator,
 
-    exp(-i H t) = exp(-i a t) * sum_k (2 - delta_k0) (-i)^k J_k(b t) T_k(Hs),
+    exp(-i H t) = exp(-i a t) * sum_k (2 - delta_k0) J_k(b t) (-i)^k T_k(Hs),
 
 with Hs = (H - a) / b rescaled into [-1, 1] by the Gershgorin bounds
 (a = center, b = half-width) and T_k applied through the three-term
-recurrence, so one long step costs only tridiagonal matrix-vector products.
+recurrence, so the only operator work is tridiagonal matrix-vector products.
 The coefficients are exactly the Bessel rows the bessel module provides.
 
-Two facts keep a step small:
-
-* Order.  Since |T_k(Hs)| <= 1 on the spectrum, cutting the series after
-  order K changes the result by at most 2 sum_{k>K} |J_k(b|t|)| in the
-  2-norm.  The series is cut at the first K where that tail is at or below
-  TAIL_TOLERANCE (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)); the
-  tail decays superexponentially once k passes b|t|.
+* Blocks.  T_k(Hs) psi does not depend on t, so one recurrence from a
+  block's start state serves its S samples within b tau <= BLOCK_Z_SPAN:
+  each is a coefficient row times the stored vectors, all S one matrix
+  product (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984); Weisse et
+  al., Rev. Mod. Phys. 78, 275 (2006)).  The last sample starts the next.
+* Parity split.  Even orders carry real coefficients and odd orders
+  imaginary ones, so the recurrence runs on U_k = (-i)^k T_k(Hs) psi =
+  -2i Hs U_{k-1} + U_{k-2} as two real rows (times -i swaps them and flips
+  one sign): the GEMM's coefficients (2 - delta_k0) J_k(b|tau|) sign(tau)^k
+  are real.
+* Order.  As |T_k(Hs)| <= 1 on the spectrum, cutting after order K changes
+  a sample by at most 2 sum_{k>K} |J_k(b|tau|)| in the 2-norm.  A block is
+  cut where that tail first is <= TAIL_TOLERANCE for its longest offset.
 * Window.  A tridiagonal matvec widens the support of a vector by one site
-  per side, so T_k psi lives on [lo - k, hi + k] when psi lives on [lo, hi].
-  Every matvec and every accumulate of a step runs on the window
-  [lo - K, hi + K] only, which is exact, not an approximation: it is the
-  discrete light cone of the step (Lieb & Robinson, Commun. Math. Phys. 28,
-  251 (1972)).  After each step amplitudes below the bessel module's
-  FLUSH_THRESHOLD are set to zero, which keeps the support tight and the
-  arithmetic out of subnormal numbers, and lo and hi are recomputed.
+  per side, so U_k lives on [lo - k, hi + k] when psi lives on [lo, hi].  A
+  block runs on [lo - K, hi + K] only, which is exact: it is the discrete
+  light cone (Lieb & Robinson, Commun. Math. Phys. 28, 251 (1972)).  Sample
+  amplitudes below the bessel module's FLUSH_THRESHOLD are set to zero,
+  which keeps the support tight and the arithmetic out of subnormals, and
+  each WaveState records its support, so reductions can skip the zeros.
+* Byte cap.  Up to 8 orders sit in a ring, added into the S sample rows
+  whenever it fills; S is cut so that ring, sample and coefficient rows and
+  scratch fit WORKSPACE_BYTES.  Wider windows shrink the ring to as few as 3
+  orders; only one over WORKSPACE_BYTES / 112 sites (75 000) passes the cap.
 
-`evolve_chebyshev` and `evolve_series` share that one kernel.  A dense
-eigendecomposition evolver is kept alongside as the accuracy oracle for small
-chains.  Everything here is pure; distinct trajectories can be evolved
-concurrently.
+`evolve_series` and `evolve_chebyshev` (one block of one sample) share that
+one kernel.  A dense eigendecomposition evolver is kept alongside as the
+accuracy oracle for small chains.  Everything here is pure; distinct
+trajectories can be evolved concurrently.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dgemm
 
-from .bessel import FLUSH_THRESHOLD, bessel_row
+from .bessel import FLUSH_THRESHOLD, bessel_row, bessel_rows
 from .chain import Hamiltonian, spectral_bounds
 
 # Dense-oracle capacity; beyond this the eigensolve is no longer "cheap test
 # machinery" and the Chebyshev path is the only supported route.
 DIAGONALIZATION_MAX_SITES = 2048
 
-# Bound on the discarded Chebyshev tail 2 * sum_{k>K} |J_k(b|dt|)| of one
-# step, which bounds that step's truncation error in the 2-norm.
+# Bound on the discarded Chebyshev tail 2 * sum_{k>K} |J_k(b|tau|)| of one
+# sample, which bounds its truncation error in the 2-norm.
 TAIL_TOLERANCE = 1e-16
 
+# Rescaled time z = b tau a block spans: at the desk step (z = 1.08) 16
+# samples for K = 47 matvecs, against 16 x 15 one sample at a time.
+BLOCK_Z_SPAN = 17.3
+
+# Cap on a block's workspace.  A desk block at t = 1000 needs 2.6 MB; a
+# fig1_full block at t = 10000 is cut to 4 samples by it.
+WORKSPACE_BYTES = 8 << 20
+_RING_ORDERS = 8  # most orders stored between two accumulating products
+
 # The Bessel row is first evaluated to order ceil(z) + _ORDER_PAD +
-# ceil(10 ln(1 + z)), z = b|dt|, and doubled in length while its tail is still
-# above TAIL_TOLERANCE (only past z ~ 1000).
+# ceil(10 ln(1 + z)), and doubled in length while its tail is still above
+# TAIL_TOLERANCE (only past z ~ 1000).
 _ORDER_PAD = 40
 
 
@@ -64,11 +82,19 @@ class ReflectionBudgetWarning(UserWarning):
 
 @dataclass
 class WaveState:
-    """Complex site amplitudes at one instant, tagged with the excitation origin."""
+    """Complex site amplitudes at one instant, tagged with the excitation origin.
+
+    Every amplitude outside `support` (lo, hi) is zero; None: not known.
+    """
 
     amplitudes: np.ndarray
     time: float
     origin: int
+    support: tuple[int, int] | None = None
+
+    def __post_init__(self):
+        if self.support is not None and not 0 <= self.support[0] <= self.support[1] < self.num_sites:
+            raise ValueError(f"support {self.support} outside chain of {self.num_sites} sites")
 
     @property
     def num_sites(self) -> int:
@@ -84,12 +110,16 @@ def basis_state(num_sites: int, origin: int, time: float = 0.0) -> WaveState:
         raise ValueError(f"origin {origin} outside chain of {num_sites} sites")
     amplitudes = np.zeros(num_sites, dtype=complex)
     amplitudes[origin] = 1.0
-    return WaveState(amplitudes=amplitudes, time=time, origin=origin)
+    return WaveState(amplitudes=amplitudes, time=time, origin=origin, support=(origin, origin))
+
+
+def _padded_order(z: float) -> int:
+    return math.ceil(z) + _ORDER_PAD + math.ceil(10.0 * math.log1p(z))
 
 
 def _truncated_row(z: float) -> np.ndarray:
     """J_0(z)..J_K(z) for the first K with 2 * sum_{k>K} |J_k(z)| <= TAIL_TOLERANCE."""
-    order = math.ceil(z) + _ORDER_PAD + math.ceil(10.0 * math.log1p(z))
+    order = _padded_order(z)
     while True:
         values = bessel_row(order, z).values
         # tail[k] = 2 * sum_{j>=k} |J_j(z)| over the evaluated row
@@ -103,23 +133,21 @@ def _truncated_row(z: float) -> np.ndarray:
 
 
 def chebyshev_order(b: float, delta_t: float) -> int:
-    """Order K of the step: the first K whose tail 2 * sum_{k>K} |J_k(b|dt|)| is <= TAIL_TOLERANCE.
+    """Order K for one offset: the first K whose tail 2 * sum_{k>K} |J_k(b|dt|)| is <= TAIL_TOLERANCE.
 
-    At the desk step (z = b|dt| ~ 1.08) that is K = 15.  Up to z ~ 1000, K
-    never exceeds the padded order ceil(z) + 40 + ceil(10 ln(1 + z)) the row
-    is first evaluated at; past that the padding falls short of the
-    tolerance and the row is lengthened.
+    At the desk step (z = b|dt| ~ 1.08) that is K = 15, and over a desk block
+    (z ~ 17.2) K = 47.  Up to z ~ 1000, K never exceeds the padded order
+    ceil(z) + 40 + ceil(10 ln(1 + z)) the row is first evaluated at; past
+    that the padding falls short of the tolerance and the row is lengthened.
     """
     return len(_truncated_row(b * abs(delta_t))) - 1
 
 
 class _Kernel:
-    """The windowed Chebyshev step for one Hamiltonian.
+    """The windowed block Chebyshev expansion for one Hamiltonian.
 
-    The rescaled operator is set up once, and each distinct step size gets
-    its coefficients once, so a linear time grid evaluates one Bessel row.
-    States are full-chain complex arrays paired with their support (lo, hi),
-    the first and last nonzero site, or None for the zero vector.
+    The rescaled operator is set up once, and the coefficient rows of the
+    last two distinct blocks are kept: a linear grid evaluates them once.
     """
 
     def __init__(self, h: Hamiltonian):
@@ -128,92 +156,93 @@ class _Kernel:
         self.center = 0.5 * (emax + emin)
         self.half_width = 0.5 * (emax - emin)
         if self.half_width > 0.0:
-            # 2 Hs, so each recurrence order is one matvec and one subtraction.
+            # 2 Hs, so each recurrence order is one matvec and one addition.
             self.diag2 = 2.0 * (h.diag - self.center) / self.half_width
             self.off2 = 2.0 * h.offdiag / self.half_width
-        self._steps: dict[float, tuple[list[float], complex]] = {}
+        self._blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
-    def _weights(self, delta_t: float) -> tuple[list[float], complex]:
-        """Real per-order weights and the global phase of one step.
+    def plan(self, width: int, offsets: np.ndarray) -> tuple[int, int]:
+        """Samples S and ring length of the next block from a `width`-site support.
 
-        The term of order k is (2 - delta_k0) J_k(z) s^k T_k psi with
-        s = -i sign(dt).  For even k, s^k = (-1)^(k/2) is real; for odd k,
-        s^k = -i * sign(dt) (-1)^((k-1)/2), and the common factor -i is applied
-        once to the summed odd orders.
+        S counts the ascending `offsets` within BLOCK_Z_SPAN, cut so that S
+        sample and coefficient rows fit WORKSPACE_BYTES beside the ring and
+        three scratch rows on a window sized by the padded order, then evened
+        over the remaining offsets, so blocks of a linear grid repeat them.
         """
-        cached = self._steps.get(delta_t)
-        if cached is None:
-            row = _truncated_row(self.half_width * abs(delta_t))
-            sign = 1.0 if delta_t > 0 else -1.0
-            weights = [float(row[0])]
-            for k in range(1, len(row)):
-                flip = -1.0 if (k // 2) & 1 else 1.0
-                weights.append(2.0 * float(row[k]) * flip * (sign if k & 1 else 1.0))
-            cached = (weights, cmath.exp(-1j * self.center * delta_t))
-            self._steps[delta_t] = cached
-        return cached
+        z = self.half_width * np.abs(offsets)
+        count = max(int(np.searchsorted(z, BLOCK_Z_SPAN, side="right")), 1)
+        orders = _padded_order(float(z[count - 1])) + 1
+        window = min(width + 2 * orders, self.num_sites)
+        slots = min(_RING_ORDERS, max(3, WORKSPACE_BYTES // (32 * window)))
+        free = WORKSPACE_BYTES - 16 * window * (slots + 3)
+        count = max(1, min(count, free // (16 * window + 32 * orders)))
+        return -(-len(offsets) // -(-len(offsets) // count)), slots
 
-    def step(self, amps: np.ndarray, support, delta_t: float):
-        """Advance `amps` in place by delta_t; returns the new support."""
-        if support is None:
-            return None
-        if self.half_width == 0.0:
-            # H is a multiple of the identity: pure phase.
-            amps *= cmath.exp(-1j * self.center * delta_t)
-            return support
-        weights, phase = self._weights(delta_t)
-        order = len(weights) - 1
-        lo = max(support[0] - order, 0)
-        hi = min(support[1] + order, self.num_sites - 1) + 1
-        diag2 = self.diag2[lo:hi]
-        off2 = self.off2[lo : hi - 1]
+    def _coefficients(self, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Real rows c_k(tau_s), k = 0..K, and phases exp(-i a tau_s) of a block."""
+        for kept, coeffs, phases in self._blocks:
+            if np.array_equal(kept, offsets):
+                return coeffs, phases
+        z = self.half_width * np.abs(offsets)
+        coeffs = bessel_rows(len(_truncated_row(float(z.max()))) - 1, z)
+        coeffs[:, 1:] *= 2.0
+        coeffs[:, 1::2] *= np.sign(offsets)[:, None]
+        phases = np.exp(-1j * self.center * offsets)
+        self._blocks = [*self._blocks[-1:], (offsets.copy(), coeffs, phases)]
+        return coeffs, phases
 
-        def apply_2hs(vec, out, tmp):
-            np.multiply(diag2, vec, out=out)
-            np.multiply(off2, vec[:, 1:], out=tmp)
-            out[:, :-1] += tmp
-            np.multiply(off2, vec[:, :-1], out=tmp)
-            out[:, 1:] += tmp
+    def block(self, seed: np.ndarray, lo: int, offsets: np.ndarray, slots: int):
+        """Yield (amplitudes, support) of the state `seed` on [lo, lo + len(seed)) at each offset.
 
-        # Real and imaginary parts as rows: Hs is real, so they recur apart.
-        window = amps[lo:hi]
-        prev = np.stack((window.real, window.imag))
-        even = weights[0] * prev
-        odd = np.zeros_like(prev)
-        tmp = np.empty((2, hi - lo - 1))
-        scaled = np.empty_like(prev)
+        Offsets (nonzero) and ring length come from `plan`; support is None
+        for a state flushed to zero.
+        """
+        coeffs, phases = self._coefficients(offsets)
+        order = coeffs.shape[1] - 1
+        start = max(lo - order, 0)
+        stop = min(lo + len(seed) + order, self.num_sites)
+        width = stop - start
+        # Slot k % slots holds U_k; the zero last slot stands in for U_{-1}.
+        ring = np.zeros((slots, 2, width))
+        ring[0, :, lo - start : lo - start + len(seed)] = seed.real, seed.imag
+        rows = np.empty((len(offsets), 2 * width))
         if order >= 1:
-            cur = np.empty_like(prev)
-            apply_2hs(prev, cur, tmp)
-            cur *= 0.5
-            np.multiply(cur, weights[1], out=scaled)
-            odd += scaled
-            nxt = np.empty_like(prev)
-            for k in range(2, order + 1):
-                apply_2hs(cur, nxt, tmp)
-                nxt -= prev
-                np.multiply(nxt, weights[k], out=scaled)
-                if k & 1:
-                    odd += scaled
-                else:
-                    even += scaled
-                prev, cur, nxt = cur, nxt, prev
+            diag2 = self.diag2[start:stop]
+            off2 = self.off2[start : stop - 1]
+            tmp = np.empty((2, width - 1))
+        done = 0
+        for k in range(order + 1):
+            slot = k % slots
+            if k >= 1:
+                # U_k = -2i Hs U_{k-1} + U_{k-2}: 2 Hs on the swapped rows of
+                # U_{k-1}, then (2Hs im + prev re, prev im - 2Hs re).
+                cur, prev, nxt = ring[(k - 1) % slots, ::-1], ring[(k - 2) % slots], ring[slot]
+                np.multiply(diag2, cur, out=nxt)
+                np.multiply(off2, cur[:, 1:], out=tmp)
+                nxt[:, :-1] += tmp
+                np.multiply(off2, cur[:, :-1], out=tmp)
+                nxt[:, 1:] += tmp
+                nxt[0] += prev[0]
+                np.subtract(prev[1], nxt[1], out=nxt[1])
+                if k == 1:
+                    nxt *= 0.5
+            if slot == slots - 1 or k == order:
+                # rows (+)= coeffs[:, done:k+1] @ ring[:slot+1], in place.
+                stored = ring[: slot + 1].reshape(slot + 1, -1).T
+                dgemm(1.0, stored, coeffs[:, done : k + 1], beta=float(done > 0), c=rows.T,
+                      trans_b=1, overwrite_c=1)
+                done = k + 1
 
-        # sum = even - i * odd, then the global phase.
-        window.real = even[0] + odd[1]
-        window.imag = even[1] - odd[0]
-        window *= phase
-        small = np.abs(window) < FLUSH_THRESHOLD
-        window[small] = 0.0
-        alive = np.flatnonzero(~small)
-        if alive.size == 0:
-            return None
-        return lo + int(alive[0]), lo + int(alive[-1])
-
-
-def _support(amps: np.ndarray):
-    nonzero = np.flatnonzero(amps)
-    return (int(nonzero[0]), int(nonzero[-1])) if nonzero.size else None
+        for row, phase in zip(rows.reshape(len(offsets), 2, width), phases):
+            amps = np.zeros(self.num_sites, dtype=complex)
+            window = amps[start:stop]
+            window.real = row[0]
+            window.imag = row[1]
+            window *= phase
+            small = np.abs(window) < FLUSH_THRESHOLD
+            window[small] = 0.0
+            alive = np.flatnonzero(~small)
+            yield amps, (start + int(alive[0]), start + int(alive[-1])) if alive.size else None
 
 
 def evolve_chebyshev(h: Hamiltonian, initial: WaveState, delta_t: float) -> WaveState:
@@ -227,9 +256,13 @@ def evolve_chebyshev(h: Hamiltonian, initial: WaveState, delta_t: float) -> Wave
         raise ValueError("state amplitudes must be finite")
 
     amps = initial.amplitudes.astype(complex, copy=True)
-    if delta_t != 0.0:
-        _Kernel(h).step(amps, _support(amps), delta_t)
-    return WaveState(amps, initial.time + delta_t, initial.origin)
+    nonzero = np.flatnonzero(amps)
+    support = (int(nonzero[0]), int(nonzero[-1])) if nonzero.size else None
+    if delta_t != 0.0 and support is not None:
+        kernel, (lo, hi), offsets = _Kernel(h), support, np.array([delta_t])
+        slots = kernel.plan(hi - lo + 1, offsets)[1]
+        amps, support = next(kernel.block(amps[lo : hi + 1], lo, offsets, slots))
+    return WaveState(amps, initial.time + delta_t, initial.origin, support)
 
 
 def evolve_diagonalization(h: Hamiltonian, initial: WaveState, delta_t: float) -> WaveState:
@@ -284,13 +317,14 @@ def evolve_series(
     times: np.ndarray,
     disorder_half_width: int = 0,
 ):
-    """Yield the state at each sample time, chaining Chebyshev steps between samples.
+    """Yield the state at each sample time, chaining Chebyshev blocks between samples.
 
     Starts from the unit excitation at `origin` at t = 0 and never restarts
     from scratch, so total work scales with the final time rather than the
-    sum of sample times.  Yields lazily: a long scan over a big chain never
-    holds more than one state in memory.  The front speed 2 gamma of the
-    reflection check reads gamma as the largest |hopping| of the chain.
+    sum of sample times.  Yields lazily: a long scan over a big chain holds
+    one block's workspace and the states its caller keeps.  The front speed
+    2 gamma of the reflection check reads gamma as the largest |hopping| of
+    the chain.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -310,14 +344,19 @@ def evolve_series(
         )
 
     kernel = _Kernel(h)
-    amps = basis_state(h.num_sites, origin).amplitudes
-    support = (origin, origin)
-    now = 0.0
-    for t in times:
-        gap = float(t) - now
-        if gap != 0.0:
-            support = kernel.step(amps, support, gap)
-        # Label with the exact grid value; the evolved duration is the sum of
-        # the gaps, which telescopes to t exactly.
-        now = float(t)
-        yield WaveState(amps.copy(), now, origin)
+    seed, lo, now = np.ones(1, dtype=complex), origin, 0.0
+    done = int(times[0] == 0.0)
+    if done:
+        yield basis_state(h.num_sites, origin)
+    while done < times.size:
+        count, slots = kernel.plan(len(seed), times[done:] - now)
+        samples = times[done : done + count]
+        for s, (amps, support) in enumerate(kernel.block(seed, lo, samples - now, slots)):
+            if s == count - 1:
+                # The next block starts from a private copy of this state.
+                lo, hi = support or (0, 0)
+                seed = amps[lo : hi + 1].copy()
+            # Label with the exact grid value; the evolved duration is the sum
+            # of the block offsets, which telescopes to t exactly.
+            yield WaveState(amps, float(samples[s]), origin, support)
+        done, now = done + count, float(samples[-1])

@@ -217,6 +217,20 @@ class TestMoments:
         b = moment_m(padded, 3)
         assert b.m == pytest.approx(a.m, rel=1e-14)
         assert b.m_d == pytest.approx(a.m_d, rel=1e-14)
+        # A state with its support set gives the row of the same state without it.
+        supported = WaveState(padded.amplitudes, 0.0, 15, support=(5, 25))
+        for half_width in (0, 3, 30):
+            full = moment_m(padded, half_width)
+            windowed = moment_m(supported, half_width)
+            for field in ("m", "w", "alpha0_abs", "m_o", "m_d", "norm_error"):
+                assert getattr(windowed, field) == pytest.approx(getattr(full, field), rel=1e-14, abs=1e-300)
+
+    def test_support_outside_the_chain_rejected(self, rng):
+        amps = random_unit_state(rng, 11).amplitudes
+        for support in ((-1, 5), (2, 11), (6, 5)):
+            with pytest.raises(ValueError, match="support"):
+                WaveState(amps, 0.0, 5, support=support)
+        assert WaveState(amps, 0.0, 5, support=(0, 10)).support == (0, 10)
 
     def test_reflection_symmetric_split(self):
         state = infinite_state(2.0)

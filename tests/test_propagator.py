@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from entspread.chain import ChainSpec, DisorderSpec, Hamiltonian, build_hamilton
 from entspread.propagator import (
     DIAGONALIZATION_MAX_SITES,
     TAIL_TOLERANCE,
+    WORKSPACE_BYTES,
     ReflectionBudgetWarning,
     WaveState,
     basis_state,
@@ -219,6 +221,117 @@ class TestWindowedStep:
         mags = np.abs(state.amplitudes)
         assert np.all((mags == 0.0) | (mags >= 1e-300))
         assert mags[0] == 0.0 and mags[-1] == 0.0
+
+
+@st.composite
+def chains_and_grids(draw):
+    """A random chain, an origin that may touch either end, and a time grid of a drawn kind."""
+    n = draw(st.integers(3, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = Hamiltonian(diag=rng.uniform(-2.5, 2.5, n), offdiag=rng.uniform(0.2, 1.5, n - 1))
+    origin = draw(st.sampled_from([0, n - 1, int(rng.integers(0, n))]))
+    t_start = 0.0 if draw(st.booleans()) else draw(st.floats(0.01, 3.0))
+    t_end = t_start + draw(st.floats(0.5, 30.0))
+    count = draw(st.integers(2, 40))
+    kind = draw(st.sampled_from(["linear", "log", "irregular", "single"]))
+    if kind == "linear":
+        times = np.linspace(t_start, t_end, count)
+    elif kind == "log":
+        times = np.geomspace(max(t_start, 1e-3), t_end, count)
+        times = np.r_[0.0, times] if t_start == 0.0 else times
+    elif kind == "irregular":
+        times = np.unique(np.r_[t_start, t_end, rng.uniform(t_start, t_end, count)])
+    else:
+        times = np.array([t_end])
+    return h, origin, times
+
+
+class TestBlockSeries:
+    @pytest.mark.filterwarnings("ignore::entspread.propagator.ReflectionBudgetWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(chains_and_grids())
+    def test_series_matches_oracle_across_blocks(self, case):
+        h, origin, times = case
+        init = basis_state(h.num_sites, origin)
+        states = list(evolve_series(h, origin, times))
+        assert [s.time for s in states] == list(times)
+        for state in states:
+            exact = evolve_diagonalization(h, init, state.time).amplitudes
+            assert np.max(np.abs(state.amplitudes - exact)) <= 1e-12
+            lo, hi = state.support
+            assert not np.any(state.amplitudes[:lo]) and not np.any(state.amplitudes[hi + 1 :])
+
+    def test_writes_to_a_yielded_state_do_not_reach_later_states(self):
+        h, times = disordered64(), 0.25 * np.arange(1, 41)
+        clean = [state.amplitudes.copy() for state in evolve_series(h, 31, times)]
+        for state, expected in zip(evolve_series(h, 31, times), clean):
+            np.testing.assert_array_equal(state.amplitudes, expected)
+            state.amplitudes[:] = 0.0
+
+    def test_zero_hopping_constant_diagonal_is_a_pure_phase(self):
+        # b = 0: every block is a phase, however many samples it spans
+        h = Hamiltonian(diag=np.full(41, 0.7), offdiag=np.zeros(40))
+        times = np.linspace(0.0, 1000.0, 4001)
+        for state in evolve_series(h, 20, times):
+            assert state.support == (20, 20)
+            assert abs(state.amplitudes[20] - np.exp(-0.7j * state.time)) <= 1e-12
+            assert np.count_nonzero(state.amplitudes) == 1
+
+    def test_log_grid_keeps_a_bounded_cache(self, monkeypatch):
+        calls = {"bessel_row": 0, "blocks": 0}
+        kernels = []
+        original_row = entspread.propagator.bessel_row
+        original_block = entspread.propagator._Kernel.block
+
+        def counted_row(*args):
+            calls["bessel_row"] += 1
+            return original_row(*args)
+
+        def counted_block(kernel, *args):
+            calls["blocks"] += 1
+            kernels.append(kernel)
+            return original_block(kernel, *args)
+
+        monkeypatch.setattr(entspread.propagator, "bessel_row", counted_row)
+        monkeypatch.setattr(entspread.propagator._Kernel, "block", counted_block)
+        rng = np.random.Generator(np.random.PCG64(derive_seed(3, 0)))
+        h = Hamiltonian(diag=rng.uniform(0.0, 2.5, 601), offdiag=np.ones(600))
+        for _ in evolve_series(h, 300, np.geomspace(0.01, 100.0, 2001)):
+            assert len(kernels[-1]._blocks) <= 2
+        assert 1 < calls["blocks"] < 2001
+        assert calls["bessel_row"] <= calls["blocks"]
+
+    @pytest.mark.parametrize("cap", [WORKSPACE_BYTES, 1 << 20], ids=["module_cap", "1MiB_cap"])
+    @pytest.mark.parametrize(
+        "num_sites, times",
+        [(4001, 1e-3 * np.arange(4001)), (4223, np.linspace(0.0, 1000.0, 4001))],
+        ids=["dense_grid", "desk_like"],
+    )
+    def test_workspace_within_byte_cap(self, monkeypatch, num_sites, times, cap):
+        # Unbounded, these runs stay under the module cap; the 1 MiB cap binds
+        # on both, so it checks that blocks are cut to fit.
+        monkeypatch.setattr(entspread.propagator, "WORKSPACE_BYTES", cap)
+        growth = []
+        original_block = entspread.propagator._Kernel.block
+
+        def measured_block(kernel, *args):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            for amps, support in original_block(kernel, *args):
+                growth.append(tracemalloc.get_traced_memory()[1] - before)
+                yield amps, support
+
+        monkeypatch.setattr(entspread.propagator._Kernel, "block", measured_block)
+        core = DisorderSpec(mode="jz_coupling", half_width=50, low=0.0, high=2.5, diag_sign="plus")
+        h = build_hamiltonian(ChainSpec(num_sites=num_sites, disorder=core), 0)
+        tracemalloc.start()
+        try:
+            for state in evolve_series(h, num_sites // 2, times, 50):
+                pass
+        finally:
+            tracemalloc.stop()
+        # What a block allocates, less the one full-chain state it hands out.
+        assert max(growth) - 16 * num_sites <= cap
 
 
 class TestDiagonalization:
