@@ -43,7 +43,6 @@ from .observables import (
     MomentSample,
     concurrence_pair,
     moment_m,
-    moment_w,
     reduced_density_pair,
     wootters_concurrence,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "reduced_density_pair",
     "wootters_concurrence",
     "concurrence_pair",
-    "moment_w",
     "moment_m",
     "MomentSeries",
     "PowerLawFit",

@@ -45,6 +45,15 @@ def derive_seed(seed: int, realization_index: int) -> int:
     return z ^ (z >> 31)
 
 
+class ConfigError(ValueError):
+    """Invalid spec value; `where` is the dotted path of the offending field."""
+
+    def __init__(self, where: str, message: str):
+        self.where = where
+        self.message = message
+        super().__init__(f"{where}: {message}")
+
+
 @dataclass(frozen=True)
 class DisorderSpec:
     """Uniformly random couplings or fields on sites -L..+L around the origin.
@@ -56,27 +65,26 @@ class DisorderSpec:
     units that put the hopping element at gamma instead of 2*gamma; the
     uniform additive constant of the sigma_z sigma_z sum is dropped as a
     global phase.  mode "onsite_field" draws local fields placed directly on
-    the 2L+1 region sites.
+    the 2L+1 region sites.  A config never sets `seed`: it is the ensemble's
+    base seed, which is range-checked there.
     """
 
     mode: str = "jz_coupling"
     half_width: int = 0
     low: float = 0.0
     high: float = 0.0
-    seed: int = 0
+    seed: int = field(default=0, metadata={"derived": True})
     diag_sign: str = "plus"
 
     def __post_init__(self):
         if self.mode not in DISORDER_MODES:
-            raise ValueError(f"disorder mode must be one of {DISORDER_MODES}, got {self.mode!r}")
+            raise ConfigError("mode", f"expected one of {DISORDER_MODES}, got {self.mode!r}")
         if self.diag_sign not in DIAG_SIGNS:
-            raise ValueError(f"diag_sign must be one of {DIAG_SIGNS}, got {self.diag_sign!r}")
+            raise ConfigError("diag_sign", f"expected one of {DIAG_SIGNS}, got {self.diag_sign!r}")
         if self.half_width < 0:
-            raise ValueError(f"half_width must be >= 0, got {self.half_width}")
-        if not self.low <= self.high:
-            raise ValueError(f"need low <= high, got low={self.low}, high={self.high}")
-        if not 0 <= self.seed <= _MASK64:
-            raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
+            raise ConfigError("half_width", f"must be >= 0, got {self.half_width}")
+        if not -np.inf < self.low <= self.high < np.inf:
+            raise ConfigError("high", f"need finite low <= high, got low={self.low}, high={self.high}")
 
     @property
     def is_ordered(self) -> bool:
@@ -96,11 +104,14 @@ class ChainSpec:
 
     def __post_init__(self):
         if self.num_sites < 1 or self.num_sites % 2 == 0:
-            raise ValueError(f"num_sites must be odd and positive, got {self.num_sites}")
+            raise ConfigError("num_sites", f"must be odd and positive, got {self.num_sites}")
+        if not np.isfinite(self.gamma):
+            raise ConfigError("gamma", f"must be finite, got {self.gamma}")
         if 2 * self.disorder.half_width + 1 > self.num_sites:
-            raise ValueError(
+            raise ConfigError(
+                "disorder.half_width",
                 f"disordered region ({2 * self.disorder.half_width + 1} sites) exceeds "
-                f"chain length {self.num_sites}"
+                f"chain length {self.num_sites}",
             )
 
     @property

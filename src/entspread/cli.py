@@ -30,7 +30,7 @@ from .analysis import (
     time_average,
     verify_bounds,
 )
-from .analytic import asymptotes_ordered, w_bounds_ordered
+from .analytic import TRUNCATION_PAD, asymptotes_ordered, w_bounds_ordered
 from .bessel import bessel_row, bessel_rows
 from .chain import build_hamiltonian
 from .config import (
@@ -149,7 +149,7 @@ def analytic_series(config: ExperimentConfig) -> tuple[MomentSeries, dict[str, n
     chunks = []
     for lo in range(0, len(times), _ANALYTIC_CHUNK):
         chunk = times[lo : lo + _ANALYTIC_CHUNK]
-        order_max = math.ceil(2.0 * float(chunk[-1])) + 60
+        order_max = math.ceil(2.0 * float(chunk[-1])) + TRUNCATION_PAD
         rows = bessel_rows(order_max, 2.0 * chunk)
         absrows = np.abs(rows)
         x2 = np.arange(order_max + 1, dtype=float) ** 2
@@ -183,6 +183,8 @@ def run_simulate(
     jobs: int = 1,
 ) -> dict:
     """Simulate every realization in the ensemble; returns the manifest."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     config = _with_seed(config, seed_override)
     _check_budget(config, allow_reflections)
     out_dir = Path(out_dir)
@@ -214,6 +216,11 @@ def run_analytic(
     return _manifest("analytic", config, out_dir, [record], started)
 
 
+def _check_average_window(average_window: float) -> None:
+    if not 0.0 <= average_window < math.inf:
+        raise ValueError(f"average_window must be finite and >= 0, got {average_window}")
+
+
 def fit_series(
     series: MomentSeries,
     window: tuple[float, float],
@@ -225,6 +232,7 @@ def fit_series(
     average_window = 0 skips the smoothing pass (useful for data that is
     already smooth, where the window's curvature bias would dominate).
     """
+    _check_average_window(average_window)
     averaged = time_average(series, average_window) if average_window > 0 else series
     fit = fit_power_law(averaged, field_name, window)
     local = local_exponent(averaged, field_name)
@@ -339,6 +347,7 @@ def run_sweep(
     A realization whose series cannot be read or fitted is recorded under
     `failures` and does not stop the sweep.
     """
+    _check_average_window(average_window)
     manifest = run_simulate(config, out_dir, allow_reflections, seed_override, jobs)
     out_dir = Path(out_dir)
     if window is None:

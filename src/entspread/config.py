@@ -1,31 +1,29 @@
 """Experiment configuration: versioned JSON schema with fail-fast validation.
 
-Unknown keys are rejected at every level so typos never silently fall back to
-defaults.  Validation errors carry the dotted field path for the CLI to echo.
+The spec dataclasses are the schema.  Their fields name the keys, their
+defaults fill omitted keys, their annotations fix the JSON types, and their
+`__post_init__` checks hold for specs built in code as well.  Unknown keys are
+rejected at every level so typos never silently fall back to defaults.
+Validation errors carry the dotted field path for the CLI to echo.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from functools import cache
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
-from .chain import DIAG_SIGNS, DISORDER_MODES, ChainSpec, DisorderSpec
+from .chain import ChainSpec, ConfigError
 
 SCHEMA_VERSION = 1
 SPACINGS = ("linear", "log")
 OUTPUT_FORMATS = ("csv", "json")
-
-
-class ConfigError(ValueError):
-    """Invalid configuration; `where` is the dotted path of the offending field."""
-
-    def __init__(self, where: str, message: str):
-        self.where = where
-        super().__init__(f"{where}: {message}")
 
 
 @dataclass(frozen=True)
@@ -34,6 +32,22 @@ class TimesSpec:
     t_end: float
     num_samples: int
     spacing: str = "linear"
+
+    def __post_init__(self):
+        if self.spacing not in SPACINGS:
+            raise ConfigError("spacing", f"expected one of {SPACINGS}, got {self.spacing!r}")
+        if not self.t_start >= 0.0:
+            raise ConfigError("t_start", f"must be >= 0, got {self.t_start}")
+        if self.num_samples < 1:
+            raise ConfigError("num_samples", f"must be >= 1, got {self.num_samples}")
+        if self.num_samples == 1 and not self.t_end >= self.t_start:
+            raise ConfigError("t_end", f"must be >= t_start, got {self.t_end} < {self.t_start}")
+        if self.num_samples > 1 and not self.t_end > self.t_start:
+            raise ConfigError("t_end", f"must be > t_start, got {self.t_end} <= {self.t_start}")
+        if not math.isfinite(self.t_end):
+            raise ConfigError("t_end", f"must be finite, got {self.t_end}")
+        if self.spacing == "log" and self.t_start <= 0.0:
+            raise ConfigError("t_start", "log spacing requires t_start > 0")
 
     def grid(self) -> np.ndarray:
         if self.spacing == "log":
@@ -46,11 +60,24 @@ class EnsembleSpec:
     num_realizations: int = 1
     base_seed: int = 0
 
+    def __post_init__(self):
+        if self.num_realizations < 1:
+            raise ConfigError("num_realizations", f"must be >= 1, got {self.num_realizations}")
+        if not 0 <= self.base_seed < 2**64:
+            raise ConfigError("base_seed", f"must lie in [0, 2**64), got {self.base_seed}")
+
 
 @dataclass(frozen=True)
 class OutputSpec:
     directory: str = "runs/out"
     formats: tuple[str, ...] = OUTPUT_FORMATS
+
+    def __post_init__(self):
+        for fmt in self.formats:
+            if fmt not in OUTPUT_FORMATS:
+                raise ConfigError("formats", f"expected entries from {OUTPUT_FORMATS}, got {fmt!r}")
+        if "csv" not in self.formats:
+            raise ConfigError("formats", "must include 'csv': series CSVs are always written")
 
 
 @dataclass(frozen=True)
@@ -62,142 +89,69 @@ class ExperimentConfig:
     description: str = ""
 
 
-def _require_keys(obj: dict, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):
-    if not isinstance(obj, dict):
-        raise ConfigError(where, f"expected an object, got {type(obj).__name__}")
-    unknown = set(obj) - set(required) - set(optional)
+# Accepted JSON types and their name in errors, per scalar annotation.
+_SCALARS = {float: ((int, float), "a number"), int: (int, "an integer"), str: (str, "a string")}
+
+
+_type_hints = cache(get_type_hints)  # resolving string annotations is slow
+
+
+def _object(raw, where: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ConfigError(where, f"expected an object, got {type(raw).__name__}")
+    return raw
+
+
+def _value(hint, raw, where: str):
+    """One field's JSON value, checked against and converted to its annotation."""
+    if is_dataclass(hint):
+        return _parse(hint, raw, where)
+    if hint == tuple[str, ...]:
+        if isinstance(raw, list) and all(isinstance(item, str) for item in raw):
+            return tuple(raw)
+        raise ConfigError(where, f"expected a list of strings, got {raw!r}")
+    accepted, noun = _SCALARS[hint]
+    if not isinstance(raw, accepted) or isinstance(raw, bool):
+        raise ConfigError(where, f"expected {noun}, got {raw!r}")
+    try:
+        return hint(raw)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ConfigError(where, f"expected {noun} within float range") from None
+
+
+def _parse(spec: type, raw, where: str):
+    """Build `spec` from a JSON object whose keys are its fields.
+
+    Omitted keys take the field defaults; fields marked `derived` are not keys.
+    """
+    raw = _object(raw, where)
+    keys = [f for f in fields(spec) if not f.metadata.get("derived")]
+    unknown = set(raw) - {f.name for f in keys}
     if unknown:
         raise ConfigError(where, f"unknown keys {sorted(unknown)}")
-    missing = [k for k in required if k not in obj]
+    required = [f.name for f in keys if f.default is MISSING and f.default_factory is MISSING]
+    missing = [name for name in required if name not in raw]
     if missing:
         raise ConfigError(where, f"missing required keys {missing}")
-
-
-def _number(obj: dict, where: str, key: str, default=None) -> float:
-    value = obj.get(key, default)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{where}.{key}", f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _integer(obj: dict, where: str, key: str, default=None) -> int:
-    value = obj.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{where}.{key}", f"expected an integer, got {value!r}")
-    return value
-
-
-def _string(obj: dict, where: str, key: str, default=None) -> str:
-    value = obj.get(key, default)
-    if not isinstance(value, str):
-        raise ConfigError(f"{where}.{key}", f"expected a string, got {value!r}")
-    return value
-
-
-def _parse_disorder(obj: dict, where: str, seed: int) -> DisorderSpec:
-    _require_keys(obj, where, (), ("mode", "half_width", "low", "high", "diag_sign"))
-    mode = _string(obj, where, "mode", "jz_coupling")
-    if mode not in DISORDER_MODES:
-        raise ConfigError(f"{where}.mode", f"expected one of {DISORDER_MODES}, got {mode!r}")
-    diag_sign = _string(obj, where, "diag_sign", "plus")
-    if diag_sign not in DIAG_SIGNS:
-        raise ConfigError(f"{where}.diag_sign", f"expected one of {DIAG_SIGNS}, got {diag_sign!r}")
+    hints = _type_hints(spec)
+    values = {name: _value(hints[name], value, f"{where}.{name}") for name, value in raw.items()}
     try:
-        return DisorderSpec(
-            mode=mode,
-            half_width=_integer(obj, where, "half_width", 0),
-            low=_number(obj, where, "low", 0.0),
-            high=_number(obj, where, "high", 0.0),
-            seed=seed,
-            diag_sign=diag_sign,
-        )
-    except ValueError as exc:
-        raise ConfigError(where, str(exc)) from exc
-
-
-def _parse_chain(obj: dict, where: str, seed: int) -> ChainSpec:
-    _require_keys(obj, where, ("num_sites",), ("gamma", "disorder"))
-    disorder = _parse_disorder(obj.get("disorder", {}), f"{where}.disorder", seed)
-    try:
-        return ChainSpec(
-            num_sites=_integer(obj, where, "num_sites"),
-            gamma=_number(obj, where, "gamma", 1.0),
-            disorder=disorder,
-        )
-    except ValueError as exc:
-        raise ConfigError(where, str(exc)) from exc
-
-
-def _parse_times(obj: dict, where: str) -> TimesSpec:
-    _require_keys(obj, where, ("t_start", "t_end", "num_samples"), ("spacing",))
-    t_start = _number(obj, where, "t_start")
-    t_end = _number(obj, where, "t_end")
-    num_samples = _integer(obj, where, "num_samples")
-    spacing = _string(obj, where, "spacing", "linear")
-    if spacing not in SPACINGS:
-        raise ConfigError(f"{where}.spacing", f"expected one of {SPACINGS}, got {spacing!r}")
-    if t_start < 0.0:
-        raise ConfigError(f"{where}.t_start", f"must be >= 0, got {t_start}")
-    if num_samples < 1:
-        raise ConfigError(f"{where}.num_samples", f"must be >= 1, got {num_samples}")
-    if num_samples == 1:
-        if t_end < t_start:
-            raise ConfigError(f"{where}.t_end", f"must be >= t_start, got {t_end} < {t_start}")
-    elif t_end <= t_start:
-        raise ConfigError(f"{where}.t_end", f"must be > t_start, got {t_end} <= {t_start}")
-    if spacing == "log" and t_start <= 0.0:
-        raise ConfigError(f"{where}.t_start", "log spacing requires t_start > 0")
-    return TimesSpec(t_start=t_start, t_end=t_end, num_samples=num_samples, spacing=spacing)
-
-
-def _parse_ensemble(obj: dict, where: str) -> EnsembleSpec:
-    _require_keys(obj, where, (), ("num_realizations", "base_seed"))
-    num = _integer(obj, where, "num_realizations", 1)
-    seed = _integer(obj, where, "base_seed", 0)
-    if num < 1:
-        raise ConfigError(f"{where}.num_realizations", f"must be >= 1, got {num}")
-    if seed < 0:
-        raise ConfigError(f"{where}.base_seed", f"must be >= 0, got {seed}")
-    return EnsembleSpec(num_realizations=num, base_seed=seed)
-
-
-def _parse_outputs(obj: dict, where: str) -> OutputSpec:
-    _require_keys(obj, where, (), ("directory", "formats"))
-    directory = _string(obj, where, "directory", "runs/out")
-    formats = obj.get("formats", list(OUTPUT_FORMATS))
-    if not isinstance(formats, list) or not formats:
-        raise ConfigError(f"{where}.formats", f"expected a non-empty list, got {formats!r}")
-    for fmt in formats:
-        if fmt not in OUTPUT_FORMATS:
-            raise ConfigError(f"{where}.formats", f"expected entries from {OUTPUT_FORMATS}, got {fmt!r}")
-    if "csv" not in formats:
-        raise ConfigError(f"{where}.formats", "must include 'csv': series CSVs are always written")
-    return OutputSpec(directory=directory, formats=tuple(formats))
+        return spec(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}.{exc.where}", exc.message) from exc
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Parse and validate a raw config dict; note the disorder seed comes from ensemble.base_seed."""
-    _require_keys(
-        raw,
-        "config",
-        ("schema_version", "chain", "times"),
-        ("ensemble", "outputs", "description"),
-    )
-    version = raw["schema_version"]
+    body = dict(_object(raw, "config"))
+    if "schema_version" not in body:
+        raise ConfigError("config", "missing required keys ['schema_version']")
+    version = body.pop("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError("config.schema_version", f"expected {SCHEMA_VERSION}, got {version!r}")
-    ensemble = _parse_ensemble(raw.get("ensemble", {}), "config.ensemble")
-    chain = _parse_chain(raw["chain"], "config.chain", seed=ensemble.base_seed)
-    times = _parse_times(raw["times"], "config.times")
-    outputs = _parse_outputs(raw.get("outputs", {}), "config.outputs")
-    description = _string(raw, "config", "description", "")
-    return ExperimentConfig(
-        chain=chain,
-        times=times,
-        ensemble=ensemble,
-        outputs=outputs,
-        description=description,
-    )
+    config = _parse(ExperimentConfig, body, "config")
+    disorder = replace(config.chain.disorder, seed=config.ensemble.base_seed)
+    return replace(config, chain=replace(config.chain, disorder=disorder))
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

@@ -118,11 +118,6 @@ def concurrence_pair(state: WaveState, i: int, j: int) -> float:
     return 2.0 * abs(state.amplitudes[i]) * abs(state.amplitudes[j])
 
 
-def moment_w(state: WaveState) -> float:
-    """W = sum_{x != 0} x^2 |a_{origin+x}| over all sites of the state."""
-    return moment_m(state).w
-
-
 def moment_m(state: WaveState, half_width: int = 0) -> MomentSample:
     """Full moment row at the state's time, split at the region half-width.
 

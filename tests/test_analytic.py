@@ -18,7 +18,7 @@ from entspread.analytic import (
     wavefront_approximation,
 )
 from entspread.bessel import bessel_j, bessel_row
-from entspread.observables import moment_w
+from entspread.observables import moment_m
 
 # Extended-precision series references.
 J0_2 = 0.22389077914123567
@@ -144,7 +144,7 @@ class TestBoundsAndAsymptotes:
     def test_lower_bound_against_exact_moment(self):
         # W(t) >= 2 t^2 holds for the exact profile at every t
         for t in (1.0, 5.0, 25.0):
-            assert moment_w(infinite_state(t)) >= 2.0 * t * t - 1e-9
+            assert moment_m(infinite_state(t)).w >= 2.0 * t * t - 1e-9
 
     def test_asymptote_values(self):
         # Leading coefficient: the Debye envelope's 3 int mu^2 (1-mu^2)^-1/4
@@ -189,7 +189,7 @@ class TestBoundsAndAsymptotes:
         # test, then check the two-term law that accounts for both.
         t = 100.0
         ts = np.arange(t - math.pi / 2, t + math.pi / 2, 0.05)
-        w_avg = float(np.mean([moment_w(infinite_state(float(u))) for u in ts]))
+        w_avg = float(np.mean([moment_m(infinite_state(float(u))).w for u in ts]))
         ratio = w_avg / (32.0 / (3.0 * math.pi**1.5) * t**2.5)
         assert 1.4 <= ratio <= 1.7
         assert w_avg == pytest.approx(asymptotes_ordered(t)[0], rel=0.01)

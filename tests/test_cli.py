@@ -435,6 +435,37 @@ class TestCommandLine:
         result = CliRunner().invoke(main, ["fit", str(path), "--window", "oops"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("avg_window", ["-1", "nan", "inf"])
+    def test_fit_rejects_bad_average_window(self, tmp_path, avg_window):
+        path = tmp_path / "s.csv"
+        synthetic_power_law_csv(path)
+        args = ["fit", str(path), "--window", "10:100", "--avg-window", avg_window]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "average_window must be finite and >= 0" in result.output
+
+    def test_sweep_rejects_bad_average_window_before_simulating(self, tmp_path):
+        path = write_config(tmp_path, make_config())
+        out = tmp_path / "out"
+        args = ["sweep", "--config", str(path), "--out", str(out), "--avg-window", "-1"]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, jobs", [("simulate", "0"), ("sweep", "-2")])
+    def test_jobs_below_one_exit_code(self, tmp_path, command, jobs):
+        path = write_config(tmp_path, make_config())
+        out = tmp_path / "out"
+        args = [command, "--config", str(path), "--out", str(out), "--jobs", jobs]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "jobs must be >= 1" in result.output
+        assert not out.exists()
+
+    def test_run_simulate_rejects_zero_jobs(self, tmp_path):
+        with pytest.raises(ValueError, match="jobs must be >= 1, got 0"):
+            run_simulate(config_from_dict(make_config()), tmp_path, jobs=0)
+
     def test_verify_pass_and_fail_exit_codes(self, tmp_path):
         raw = make_config(
             chain={"num_sites": 901},

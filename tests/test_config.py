@@ -1,11 +1,17 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
 
+from entspread.chain import ChainSpec
 from entspread.config import (
     SCHEMA_VERSION,
     ConfigError,
+    EnsembleSpec,
+    ExperimentConfig,
+    OutputSpec,
+    TimesSpec,
     config_digest,
     config_from_dict,
     config_to_dict,
@@ -86,6 +92,24 @@ class TestSchema:
         with pytest.raises(ConfigError, match="config.chain.num_sites"):
             config_from_dict(raw)
 
+    def test_integer_beyond_float_range_rejected(self):
+        raw = base_config()
+        raw["chain"]["gamma"] = 10**400
+        with pytest.raises(ConfigError, match="config.chain.gamma: expected a number within float range"):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "block, key, value",
+        [("chain", "gamma", math.nan), ("chain", "gamma", math.inf), ("disorder", "low", -math.inf),
+         ("disorder", "high", math.inf), ("disorder", "low", math.nan)],
+    )
+    def test_non_finite_chain_values_rejected(self, block, key, value):
+        raw = base_config()
+        target = raw["chain"] if block == "chain" else raw["chain"]["disorder"]
+        target[key] = value
+        with pytest.raises(ConfigError, match=r"^config\.chain\."):
+            config_from_dict(raw)
+
     def test_emission_key_rejected_as_unknown(self):
         # no command reads an emission model from a config, so the key is gone
         with pytest.raises(ConfigError, match="unknown keys.*emission"):
@@ -106,6 +130,71 @@ class TestSchema:
         raw["chain"]["num_sites"] = 100
         with pytest.raises(ConfigError, match="config.chain"):
             config_from_dict(raw)
+
+
+class TestSpecsInCode:
+    """The spec dataclasses are the schema: specs built in code obey the parser's rules."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (5.0, 1.0, 0),  # no samples
+            (5.0, 1.0, 10),  # t_end before t_start
+            (1.0, 1.0, 10),  # empty span for several samples
+            (-1.0, 1.0, 10),
+            (math.nan, 1.0, 10),
+            (0.0, math.nan, 10),
+            (0.0, math.inf, 10),
+            (0.0, 1.0, 10, "log"),
+            (1.0, 2.0, 10, "cubic"),
+        ],
+    )
+    def test_bad_times_rejected(self, args):
+        with pytest.raises(ConfigError):
+            TimesSpec(*args)
+
+    @pytest.mark.parametrize("args", [(0, 1), (1, -3), (1, 2**64)])
+    def test_bad_ensemble_rejected(self, args):
+        with pytest.raises(ConfigError):
+            EnsembleSpec(*args)
+
+    @pytest.mark.parametrize("formats", [("xml",), ("json",), (), ("csv", "xml")])
+    def test_bad_output_formats_rejected(self, formats):
+        with pytest.raises(ConfigError, match="formats"):
+            OutputSpec(formats=formats)
+
+    def test_base_seed_range_names_the_ensemble(self):
+        raw = base_config(ensemble={"num_realizations": 1, "base_seed": 2**64})
+        with pytest.raises(ConfigError, match=r"^config\.ensemble\.base_seed: "):
+            config_from_dict(raw)
+        raw["ensemble"]["base_seed"] = 2**64 - 1
+        assert config_from_dict(raw).chain.disorder.seed == 2**64 - 1
+
+    def test_spec_errors_carry_the_field_path(self):
+        raw = base_config()
+        raw["chain"]["disorder"]["half_width"] = -1
+        with pytest.raises(ConfigError, match=r"^config\.chain\.disorder\.half_width: must be >= 0"):
+            config_from_dict(raw)
+
+    def test_minimal_config_takes_the_dataclass_defaults(self):
+        raw = {
+            "schema_version": SCHEMA_VERSION,
+            "chain": {"num_sites": 11},
+            "times": {"t_start": 0, "t_end": 2, "num_samples": 3},
+        }
+        expected = ExperimentConfig(chain=ChainSpec(num_sites=11), times=TimesSpec(0.0, 2.0, 3))
+        assert config_from_dict(raw) == expected
+
+    def test_seed_is_not_a_key(self):
+        raw = base_config()
+        raw["chain"]["disorder"]["seed"] = 5
+        with pytest.raises(ConfigError, match="config.chain.disorder: unknown keys.*seed"):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
+    def test_committed_configs_round_trip(self, name):
+        config = load_config(CONFIGS / name)
+        assert config_from_dict(config_to_dict(config)) == config
 
 
 class TestLoadAndDigest:

@@ -6,7 +6,6 @@ from entspread.observables import (
     MomentSample,
     concurrence_pair,
     moment_m,
-    moment_w,
     reduced_density_pair,
     wootters_concurrence,
 )
@@ -172,7 +171,7 @@ class TestMoments:
         assert sample.norm_error == 0.0
 
     def test_moment_w_frozen_value(self):
-        assert moment_w(infinite_state(1.0)) == pytest.approx(W_AT_1, abs=1e-9)
+        assert moment_m(infinite_state(1.0)).w == pytest.approx(W_AT_1, abs=1e-9)
 
     def test_moment_m_frozen_value(self):
         sample = moment_m(infinite_state(1.0))
@@ -212,7 +211,7 @@ class TestMoments:
         padded = WaveState(
             np.concatenate([np.zeros(5), state.amplitudes, np.zeros(5)]), 0.0, 15
         )
-        assert moment_w(padded) == pytest.approx(moment_w(state), rel=1e-14)
+        assert moment_m(padded).w == pytest.approx(moment_m(state).w, rel=1e-14)
         a = moment_m(state, 3)
         b = moment_m(padded, 3)
         assert b.m == pytest.approx(a.m, rel=1e-14)
