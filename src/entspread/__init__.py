@@ -11,23 +11,18 @@ from .analysis import (
     BoundsReport,
     MomentSeries,
     PowerLawFit,
-    fit_emission,
     fit_power_law,
     local_exponent,
     time_average,
     verify_bounds,
 )
 from .analytic import (
-    EmissionModel,
     asymptotes_ordered,
-    emission_amplitude,
+    impurity_origin_amplitude,
     infinite_amplitude,
     infinite_state,
-    m_d_bound,
-    m_o_asymptote,
     semi_infinite_amplitude,
     w_bounds_ordered,
-    wavefront_approximation,
 )
 from .bessel import BesselRow, bessel_j, bessel_j_series_oracle, bessel_row, bessel_rows
 from .chain import (
@@ -75,16 +70,12 @@ __all__ = [
     "evolve_diagonalization",
     "evolve_series",
     "ReflectionBudgetWarning",
-    "EmissionModel",
     "infinite_amplitude",
     "infinite_state",
     "semi_infinite_amplitude",
-    "emission_amplitude",
+    "impurity_origin_amplitude",
     "w_bounds_ordered",
     "asymptotes_ordered",
-    "m_o_asymptote",
-    "m_d_bound",
-    "wavefront_approximation",
     "MomentSample",
     "reduced_density_pair",
     "wootters_concurrence",
@@ -97,5 +88,4 @@ __all__ = [
     "fit_power_law",
     "local_exponent",
     "verify_bounds",
-    "fit_emission",
 ]

@@ -3,23 +3,19 @@
 The raw moment of concurrence oscillates hard (the origin amplitude passes
 through zeros), so exponent work always goes through a centered moving
 average first; the default window of pi spans at least two full oscillation
-periods.  Power laws are fitted by ordinary least squares in log-log space,
-and the delta-emission model is fitted by profiling: the emission amplitude
-enters linearly, so each candidate release time has a closed-form amplitude,
-and the release time itself is found by a grid scan plus golden-section
-refinement.
+periods.  Power laws are fitted by ordinary least squares in log-log space.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import attrgetter
 
 import numpy as np
 
-from .analytic import EmissionModel, emission_magnitude_profile, w_bounds_ordered
+from .analytic import w_bounds_ordered
 from .observables import MOMENT_COLUMNS, MomentSample
 
 AVERAGE_WINDOW_DEFAULT = math.pi
@@ -126,12 +122,18 @@ def time_average(series: MomentSeries, window_width: float = AVERAGE_WINDOW_DEFA
     return MomentSeries.from_table(averaged, series.spec_digest)
 
 
-def _fit_window_values(series: MomentSeries, field_name: str, window: tuple[float, float]):
-    if field_name not in FIT_FIELDS:
-        raise ValueError(f"fit field must be one of {FIT_FIELDS}, got {field_name!r}")
+def check_window(window: tuple[float, float]) -> None:
+    """Reject a fit window unless t_lo < t_hi (so a NaN end fails too)."""
     t_lo, t_hi = window
     if not t_lo < t_hi:
         raise ValueError(f"need t_lo < t_hi, got window {window}")
+
+
+def _fit_window_values(series: MomentSeries, field_name: str, window: tuple[float, float]):
+    if field_name not in FIT_FIELDS:
+        raise ValueError(f"fit field must be one of {FIT_FIELDS}, got {field_name!r}")
+    check_window(window)
+    t_lo, t_hi = window
     times = series.times()
     mask = (times >= t_lo) & (times <= t_hi)
     if np.count_nonzero(mask) < 2:
@@ -233,82 +235,3 @@ def verify_bounds(series: MomentSeries) -> BoundsReport:
             )
         )
     return BoundsReport(checks=tuple(checks))
-
-
-def _emission_sse(
-    tau: float, times: np.ndarray, amplitudes: np.ndarray, site_offset: int
-) -> tuple[float, float]:
-    """(sum of squared residuals, best amplitude) for one candidate release time."""
-    g = emission_magnitude_profile(site_offset, times - tau)
-    gg = float(np.dot(g, g))
-    if gg == 0.0:
-        return float(np.dot(amplitudes, amplitudes)), 0.0
-    beta = max(float(np.dot(amplitudes, g)) / gg, 0.0)
-    resid = amplitudes - beta * g
-    return float(np.dot(resid, resid)), beta
-
-
-def fit_emission(
-    times: np.ndarray,
-    amplitudes: np.ndarray,
-    site_offset: int,
-    model_init: EmissionModel,
-    origin_amplitudes: np.ndarray | None = None,
-    tau_grid_points: int = 160,
-) -> EmissionModel:
-    """Fit (|beta|, tau) of the delta-emission model to |amplitude| data.
-
-    `amplitudes` holds |a(t)| at a fixed small offset past the interface.
-    beta enters linearly, so each candidate tau has a closed-form amplitude;
-    tau starts on a coarse grid over the trace and is then refined by
-    golden-section search on the profiled objective.  Phases of beta and the
-    origin factor are unobservable in magnitude data: the returned beta is
-    real nonnegative.  When the origin magnitude trace is supplied,
-    gamma_mag is set to its time average divided by sqrt(1 - 2 beta^2).
-    """
-    times = np.asarray(times, dtype=float)
-    amplitudes = np.asarray(amplitudes, dtype=float)
-    if times.ndim != 1 or times.shape != amplitudes.shape or times.size < 3:
-        raise ValueError("need matching 1-d time/amplitude arrays with >= 3 samples")
-    if np.any(np.diff(times) <= 0.0):
-        raise ValueError("times must be strictly ascending")
-    if not np.any(amplitudes > 0.0):
-        raise ValueError("amplitude trace is identically zero, nothing to fit")
-    if site_offset < 1:
-        raise ValueError(f"site_offset must be >= 1, got {site_offset}")
-
-    t_lo, t_hi = float(times[0]), float(times[-1])
-    tau_max = max(t_lo, t_hi - 0.1 * (t_hi - t_lo))
-    grid = np.linspace(0.0, tau_max, tau_grid_points)
-    sse = np.array([_emission_sse(tau, times, amplitudes, site_offset)[0] for tau in grid])
-    k = int(np.argmin(sse))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
-
-    # Golden-section refinement of the profiled objective.
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc = _emission_sse(c, times, amplitudes, site_offset)[0]
-    fd = _emission_sse(d, times, amplitudes, site_offset)[0]
-    while hi - lo > 1e-10:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = _emission_sse(c, times, amplitudes, site_offset)[0]
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = _emission_sse(d, times, amplitudes, site_offset)[0]
-    tau_hat = 0.5 * (lo + hi)
-    _, beta_hat = _emission_sse(tau_hat, times, amplitudes, site_offset)
-
-    gamma = model_init.gamma_mag
-    if origin_amplitudes is not None:
-        origin_amplitudes = np.asarray(origin_amplitudes, dtype=float)
-        if origin_amplitudes.shape != times.shape:
-            raise ValueError("origin trace must match the fit times")
-        retained = math.sqrt(max(1.0 - 2.0 * beta_hat**2, 1e-300))
-        gamma = min(max(float(np.mean(origin_amplitudes)) / retained, 0.0), 1.0)
-
-    return replace(model_init, beta=beta_hat, tau=tau_hat, gamma_mag=gamma)

@@ -2,20 +2,20 @@
 
 Covers the three exactly solvable situations the simulator is checked
 against: the infinite ordered chain launched from the origin, the ordered
-semi-infinite chain launched from its end site, and the delta-emission model
-of a finite disordered core leaking into ordered leads.  Infinite sums are
-truncated at |x| <= ceil(2t) + TRUNCATION_PAD, past the superexponential
-falloff of the wavefront.
+semi-infinite chain launched from its end site, and the infinite chain with
+a single-site core (one on-site field at the origin) leaking into ordered
+leads.  Infinite sums are truncated at |x| <= ceil(2t) + TRUNCATION_PAD,
+past the superexponential falloff of the wavefront.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import bessel_j, bessel_row, bessel_rows
+from .bessel import bessel_j, bessel_row
 from .propagator import WaveState
 
 # Sites kept past the |x| = 2t wavefront when truncating infinite sums;
@@ -28,37 +28,6 @@ _PHASES = (1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j)
 
 def _phase(x: int) -> complex:
     return _PHASES[x % 4]
-
-
-@dataclass(frozen=True)
-class EmissionModel:
-    """Single delta-pulse emission from a disordered core of half-width L.
-
-    An excitation of amplitude beta leaves the region at time tau into each
-    ordered lead; the residual origin amplitude is gamma_mag * sqrt(1 -
-    2|beta|^2), so |beta| <= 1/sqrt(2) keeps the retained probability
-    nonnegative.
-    """
-
-    beta: complex = 0.0
-    tau: float = 0.0
-    gamma_mag: float = 1.0
-    half_width: int = 0
-
-    def __post_init__(self):
-        if abs(self.beta) > 1.0 / math.sqrt(2.0) + 1e-12:
-            raise ValueError(f"need |beta| <= 1/sqrt(2), got |beta| = {abs(self.beta)}")
-        if self.tau < 0.0:
-            raise ValueError(f"tau must be >= 0, got {self.tau}")
-        if not 0.0 <= self.gamma_mag <= 1.0:
-            raise ValueError(f"gamma_mag must be in [0, 1], got {self.gamma_mag}")
-        if self.half_width < 0:
-            raise ValueError(f"half_width must be >= 0, got {self.half_width}")
-
-    @property
-    def retained(self) -> float:
-        """sqrt(1 - 2|beta|^2), the origin-amplitude suppression factor."""
-        return math.sqrt(max(1.0 - 2.0 * abs(self.beta) ** 2, 0.0))
 
 
 def infinite_amplitude(x: int, t: float) -> complex:
@@ -94,35 +63,40 @@ def semi_infinite_amplitude(x: int, t: float) -> complex:
     return _phase(x) * (x + 1) / t * bessel_j(x + 1, 2.0 * t)
 
 
-def emission_amplitude(x: int, t: float, model: EmissionModel) -> complex:
-    """Lead amplitude beta (-i)^(x-1) x/(t-tau) J_x(2(t-tau)) at offset x >= 1 past the interface."""
-    if x < 1:
-        raise ValueError(f"emission offsets start at 1, got x = {x}")
-    if t <= model.tau:
-        return 0.0j
-    u = t - model.tau
-    return model.beta * _phase(x - 1) * x / u * bessel_j(x, 2.0 * u)
+def impurity_origin_amplitude(epsilon: float, t: float) -> complex:
+    """Origin amplitude a_0(t) on the infinite unit-hopping chain with field epsilon at the origin.
 
+    The exact single-impurity solution (e.g. Economou, Green's Functions in
+    Quantum Physics, ch. 6): G_00(E) = 1 / (sqrt(E^2 - 4) - epsilon) has a
+    bound state at E_b = sign(epsilon) sqrt(epsilon^2 + 4) of weight
+    w_b = |epsilon| / sqrt(epsilon^2 + 4), and the band density
+    rho(E) = sqrt(4 - E^2) / (pi (epsilon^2 + 4 - E^2)) on [-2, 2], so
 
-def emission_magnitude_profile(x: int, elapsed: np.ndarray) -> np.ndarray:
-    """|x/u J_x(2u)| for an array of elapsed times u = t - tau (unit beta).
+        a_0(t) = w_b exp(-i E_b t) + int rho(E) exp(-i E t) dE.
 
-    Vectorized helper for emission fitting; entries with u <= 0 are 0.  Tiny
-    positive u are closed out by the series limit x u^(x-1) / x! to avoid the
-    0/0 at the interface.
+    With E = 2 cos(theta) the band term is the mean over one period of
+    4 sin^2 / (epsilon^2 + 4 sin^2) * exp(-2it cos), which the periodic
+    trapezoid rule on n points integrates to ~1e-15 once n exceeds both 8t
+    (the oscillation) and 80/|epsilon| (the band-edge dip of width
+    |epsilon|/2).  The second demand is capped at 2^20 points, so below
+    |epsilon| = 1e-4 the error grows (5e-8 at |epsilon| = 1e-5).  At
+    epsilon = 0 this is J_0(2t).
     """
-    if x < 1:
-        raise ValueError(f"emission offsets start at 1, got x = {x}")
-    u = np.asarray(elapsed, dtype=float)
-    out = np.zeros_like(u)
-    tiny = (u > 0.0) & (u < 1e-12)
-    if np.any(tiny):
-        out[tiny] = x * u[tiny] ** (x - 1) / math.factorial(x)
-    live = u >= 1e-12
-    if np.any(live):
-        rows = bessel_rows(x, 2.0 * u[live])
-        out[live] = np.abs(x / u[live] * rows[:, x])
-    return out
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and >= 0, got {t}")
+    dip = min(80.0 / abs(epsilon), 2.0**20) if epsilon else 0.0
+    n = 2 ** math.ceil(math.log2(max(2.0**13, 8.0 * t, dip)))
+    # The integrand is even in theta: the midpoints of [0, pi] carry the period.
+    theta = (np.arange(n // 2) + 0.5) * (2.0 * math.pi / n)
+    sin2 = 4.0 * np.sin(theta) ** 2
+    weights = sin2 / ((n // 2) * (epsilon * epsilon + sin2))
+    phase = 2.0 * t * np.cos(theta)
+    band = weights @ np.cos(phase) - 1j * (weights @ np.sin(phase))
+    e_bound = math.copysign(math.sqrt(epsilon * epsilon + 4.0), epsilon)
+    # w_b = |epsilon| / sqrt(epsilon^2 + 4) = epsilon / E_b
+    return epsilon / e_bound * cmath.exp(-1j * e_bound * t) + complex(band)
 
 
 def w_bounds_ordered(t: float) -> tuple[float, float]:
@@ -167,56 +141,3 @@ def asymptotes_ordered(t: float) -> tuple[float, float]:
     root = math.sqrt(t)
     w_avg = t * t * (W_LEAD * root + W_CAUSTIC)
     return w_avg, M_PER_W / root * w_avg
-
-
-def m_o_asymptote(t: float, model: EmissionModel, full: bool = False) -> float:
-    """Ordered-lead moment 32 |beta gamma| sqrt(1-2|beta|^2) / pi^1.5 (t-tau)^2.5.
-
-    With full=True the subleading polynomial (in T = t - tau, for a core of
-    half-width L) is kept:
-
-        4 |beta gamma| sqrt(1-2|beta|^2) / (T^1.5 pi^1.5) *
-        (8 T^4 + (32L/3 - 8) T^3 + (4L^2 - 8L + 3) T^2
-         + (4L - 2 - 2L^2) T - (18 + 16L/3 + 2L^2))
-
-    which is an asymptotic intermediate: trustworthy for T >> 1 only and
-    negative near T = 0.
-
-    The leading law is a flat-envelope law: it replaces |J_x(2T)| by
-    sqrt(1/(pi T)) across the light cone.  The Debye envelope used by
-    asymptotes_ordered would raise its large-T coefficient by exactly
-    4 int_0^1 mu^3 (1 - mu^2)^-1/4 dmu = 32/21; the value returned here is
-    the flat-envelope one.
-    """
-    if t <= model.tau:
-        raise ValueError(f"need t > tau, got t = {t}, tau = {model.tau}")
-    big_t = t - model.tau
-    front = abs(model.beta) * model.gamma_mag * model.retained
-    if not full:
-        return 32.0 * front / math.pi ** 1.5 * big_t ** 2.5
-    ell = model.half_width
-    poly = (
-        8.0 * big_t**4
-        + (32.0 * ell / 3.0 - 8.0) * big_t**3
-        + (4.0 * ell**2 - 8.0 * ell + 3.0) * big_t**2
-        + (4.0 * ell - 2.0 - 2.0 * ell**2) * big_t
-        - (18.0 + 16.0 * ell / 3.0 + 2.0 * ell**2)
-    )
-    return 4.0 * front / (big_t**1.5 * math.pi**1.5) * poly
-
-
-def m_d_bound(model: EmissionModel) -> float:
-    """Cap 4 |gamma| sqrt(1-2|beta|^2) L^2 on the disordered-region moment."""
-    return 4.0 * model.gamma_mag * model.retained * model.half_width**2
-
-
-def wavefront_approximation(x: int, z: float) -> float:
-    """Traveling-wave form sqrt(2/(pi z)) cos(z - x pi/2 - pi/4) inside the light cone.
-
-    Returns 0 outside |x| <= z, where J_x(z) is superexponentially small.
-    """
-    if z <= 0.0:
-        raise ValueError(f"z must be > 0, got {z}")
-    if abs(x) > z:
-        return 0.0
-    return math.sqrt(2.0 / (math.pi * z)) * math.cos(z - x * math.pi / 2.0 - math.pi / 4.0)

@@ -20,7 +20,9 @@ import numpy as np
 DISORDER_MODES = ("jz_coupling", "onsite_field")
 DIAG_SIGNS = ("plus", "minus")
 
-_MASK64 = (1 << 64) - 1
+# Seeds are 64-bit: derive_seed works mod 2**64, so larger ones would alias.
+SEED_LIMIT = 1 << 64
+_MASK64 = SEED_LIMIT - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 
 
@@ -66,7 +68,7 @@ class DisorderSpec:
     uniform additive constant of the sigma_z sigma_z sum is dropped as a
     global phase.  mode "onsite_field" draws local fields placed directly on
     the 2L+1 region sites.  A config never sets `seed`: it is the ensemble's
-    base seed, which is range-checked there.
+    base seed.  Both lie in [0, SEED_LIMIT).
     """
 
     mode: str = "jz_coupling"
@@ -85,6 +87,8 @@ class DisorderSpec:
             raise ConfigError("half_width", f"must be >= 0, got {self.half_width}")
         if not -np.inf < self.low <= self.high < np.inf:
             raise ConfigError("high", f"need finite low <= high, got low={self.low}, high={self.high}")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ConfigError("seed", f"must lie in [0, 2**64), got {self.seed}")
 
     @property
     def is_ordered(self) -> bool:

@@ -25,6 +25,7 @@ from . import __version__
 from .analysis import (
     AVERAGE_WINDOW_DEFAULT,
     MomentSeries,
+    check_window,
     fit_power_law,
     local_exponent,
     time_average,
@@ -348,10 +349,11 @@ def run_sweep(
     `failures` and does not stop the sweep.
     """
     _check_average_window(average_window)
-    manifest = run_simulate(config, out_dir, allow_reflections, seed_override, jobs)
-    out_dir = Path(out_dir)
     if window is None:
         window = (config.times.t_end / 5.0, config.times.t_end)
+    check_window(window)
+    manifest = run_simulate(config, out_dir, allow_reflections, seed_override, jobs)
+    out_dir = Path(out_dir)
 
     entries = []
     failures = []

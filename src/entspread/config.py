@@ -19,7 +19,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .chain import ChainSpec, ConfigError
+from .chain import SEED_LIMIT, ChainSpec, ConfigError
 
 SCHEMA_VERSION = 1
 SPACINGS = ("linear", "log")
@@ -63,7 +63,7 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.num_realizations < 1:
             raise ConfigError("num_realizations", f"must be >= 1, got {self.num_realizations}")
-        if not 0 <= self.base_seed < 2**64:
+        if not 0 <= self.base_seed < SEED_LIMIT:
             raise ConfigError("base_seed", f"must lie in [0, 2**64), got {self.base_seed}")
 
 

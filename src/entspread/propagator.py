@@ -329,6 +329,8 @@ def evolve_series(
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a non-empty 1-d array")
+    if not np.all(np.isfinite(times)):
+        raise ValueError(f"times must be finite, got {times[~np.isfinite(times)][0]}")
     if times[0] < 0.0:
         raise ValueError(f"times must start at >= 0, got {times[0]}")
     if times.size > 1 and not np.all(np.diff(times) > 0.0):

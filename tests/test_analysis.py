@@ -3,18 +3,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from entspread.analysis import (
     MomentSeries,
-    fit_emission,
     fit_power_law,
     local_exponent,
     time_average,
     verify_bounds,
 )
-from entspread.analytic import EmissionModel, emission_amplitude, infinite_state
+from entspread.analytic import infinite_state
 from entspread.observables import MOMENT_COLUMNS, MomentSample, moment_m
 
 
@@ -171,59 +168,6 @@ class TestVerifyBounds:
         report = verify_bounds(halved)
         assert report.lower_failures > 0
         assert not report.passed
-
-
-def emission_trace(beta, tau, x=2, t_max=60.0, dt=0.1, noise=0.0, rng=None):
-    model = EmissionModel(beta=beta, tau=tau)
-    times = np.arange(dt, t_max, dt)
-    amps = np.array([abs(emission_amplitude(x, float(t), model)) for t in times])
-    if noise:
-        amps = np.abs(amps + rng.normal(scale=noise, size=len(amps)))
-    return times, amps
-
-
-class TestFitEmission:
-    def test_round_trip_noiseless(self):
-        times, amps = emission_trace(0.3, 5.0)
-        fitted = fit_emission(times, amps, 2, EmissionModel())
-        assert abs(fitted.beta) == pytest.approx(0.3, abs=1e-6)
-        assert fitted.tau == pytest.approx(5.0, abs=1e-6)
-
-    @settings(max_examples=15, deadline=None)
-    @given(
-        beta=st.floats(min_value=0.05, max_value=0.65),
-        tau=st.floats(min_value=0.1, max_value=19.0),
-    )
-    def test_round_trip_property(self, beta, tau):
-        times, amps = emission_trace(beta, tau)
-        fitted = fit_emission(times, amps, 2, EmissionModel())
-        assert abs(fitted.beta) == pytest.approx(beta, abs=1e-5)
-        assert fitted.tau == pytest.approx(tau, abs=1e-5)
-
-    def test_robust_to_small_noise(self, rng):
-        times, amps = emission_trace(0.3, 5.0, noise=1e-3, rng=rng)
-        fitted = fit_emission(times, amps, 2, EmissionModel())
-        assert abs(fitted.beta) == pytest.approx(0.3, rel=0.01)
-        assert fitted.tau == pytest.approx(5.0, abs=0.1)
-
-    def test_gamma_from_origin_trace(self):
-        times, amps = emission_trace(0.3, 5.0)
-        retained = math.sqrt(1.0 - 2.0 * 0.3**2)
-        origin = np.full(len(times), 0.8 * retained)
-        fitted = fit_emission(times, amps, 2, EmissionModel(), origin_amplitudes=origin)
-        assert fitted.gamma_mag == pytest.approx(0.8, abs=1e-4)
-
-    def test_all_zero_trace_rejected(self):
-        times = np.linspace(1, 10, 50)
-        with pytest.raises(ValueError):
-            fit_emission(times, np.zeros(50), 2, EmissionModel())
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            fit_emission(np.array([1.0, 2.0]), np.array([0.1, 0.2]), 2, EmissionModel())
-        times = np.linspace(1, 10, 20)
-        with pytest.raises(ValueError):
-            fit_emission(times, np.ones(20), 0, EmissionModel())
 
 
 class TestMomentSeries:

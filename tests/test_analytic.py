@@ -5,26 +5,22 @@ import pytest
 import scipy.special
 
 from entspread.analytic import (
-    EmissionModel,
     asymptotes_ordered,
-    emission_amplitude,
-    emission_magnitude_profile,
+    impurity_origin_amplitude,
     infinite_amplitude,
     infinite_state,
-    m_d_bound,
-    m_o_asymptote,
     semi_infinite_amplitude,
     w_bounds_ordered,
-    wavefront_approximation,
 )
-from entspread.bessel import bessel_j, bessel_row
+from entspread.bessel import bessel_row, bessel_rows
+from entspread.chain import Hamiltonian
 from entspread.observables import moment_m
+from entspread.propagator import basis_state, evolve_diagonalization
 
 # Extended-precision series references.
 J0_2 = 0.22389077914123567
 J1_2 = 0.57672480775687339
 J2_2 = 0.35283402861563772
-J4_20 = 0.13067093355486325
 
 
 class TestInfiniteChain:
@@ -80,51 +76,6 @@ class TestSemiInfiniteChain:
     def test_negative_offset_rejected(self):
         with pytest.raises(ValueError):
             semi_infinite_amplitude(-1, 1.0)
-
-
-class TestEmissionModel:
-    def test_no_emission_before_release(self):
-        model = EmissionModel(beta=0.5, tau=2.0)
-        assert emission_amplitude(3, 2.0, model) == 0.0
-        assert emission_amplitude(3, 1.0, model) == 0.0
-
-    def test_examples(self):
-        model = EmissionModel(beta=1 / math.sqrt(2), tau=4.0)
-        one = emission_amplitude(1, 5.0, model)
-        assert one == pytest.approx(model.beta * J1_2, abs=1e-9)
-        model_half = EmissionModel(beta=0.5, tau=4.0)
-        two = emission_amplitude(2, 5.0, model_half)
-        assert two == pytest.approx(0.5 * (-1j) * 2.0 * J2_2, abs=1e-9)
-
-    def test_offset_must_be_past_interface(self):
-        with pytest.raises(ValueError):
-            emission_amplitude(0, 1.0, EmissionModel(beta=0.1))
-
-    def test_beta_bound_enforced(self):
-        with pytest.raises(ValueError):
-            EmissionModel(beta=0.9)
-        with pytest.raises(ValueError):
-            EmissionModel(beta=0.1, tau=-1.0)
-        with pytest.raises(ValueError):
-            EmissionModel(beta=0.1, gamma_mag=1.5)
-
-    def test_magnitude_profile_matches_amplitudes(self):
-        model = EmissionModel(beta=1 / math.sqrt(2), tau=0.0)
-        u = np.array([0.0, 0.5, 3.0, 20.0])
-        prof = emission_magnitude_profile(2, u)
-        for k, uk in enumerate(u):
-            if uk == 0.0:
-                assert prof[k] == 0.0
-            else:
-                expected = abs(emission_amplitude(2, uk, model)) / abs(model.beta)
-                assert prof[k] == pytest.approx(expected, abs=1e-12)
-
-    def test_magnitude_profile_interface_limit(self):
-        # x/u J_x(2u) -> x u^(x-1) / x! as u -> 0
-        prof = emission_magnitude_profile(1, np.array([1e-14]))
-        assert prof[0] == pytest.approx(1.0, abs=1e-10)
-        prof = emission_magnitude_profile(2, np.array([1e-14]))
-        assert prof[0] == pytest.approx(0.0, abs=1e-10)
 
 
 class TestBoundsAndAsymptotes:
@@ -195,85 +146,32 @@ class TestBoundsAndAsymptotes:
         assert w_avg == pytest.approx(asymptotes_ordered(t)[0], rel=0.01)
 
 
-class TestEmissionAsymptotes:
-    def test_zero_beta_gives_zero(self):
-        model = EmissionModel(beta=0.0, tau=0.0, gamma_mag=1.0)
-        assert m_o_asymptote(5.0, model) == 0.0
+class TestImpurityOriginAmplitude:
+    def test_zero_field_is_bessel_j0(self):
+        times = np.array([0.0, 0.3, 1.0, 17.5, 100.0, 333.3, 999.0, 1000.0])
+        j0 = bessel_rows(0, 2.0 * times)[:, 0]
+        for t, expected in zip(times, j0):
+            assert abs(impurity_origin_amplitude(0.0, float(t)) - expected) <= 1e-13
 
-    def test_full_escape_gives_zero(self):
-        # 1/sqrt(2) is not exactly representable, so the vanishing retained
-        # factor carries ~1e-8 of representation dust
-        model = EmissionModel(beta=1 / math.sqrt(2), tau=0.0)
-        assert m_o_asymptote(5.0, model) == pytest.approx(0.0, abs=1e-5)
+    @pytest.mark.parametrize("epsilon", [0.5, -0.5])
+    def test_matches_dense_diagonalization(self, epsilon):
+        # On 1201 sites the front reflected at the ends returns to the origin at t = 600.
+        n, origin = 1201, 600
+        diag = np.zeros(n)
+        diag[origin] = epsilon
+        h = Hamiltonian(diag=diag, offdiag=np.ones(n - 1))
+        start = basis_state(n, origin)
+        for t in (1.0, 17.5, 100.0, 250.0):
+            exact = evolve_diagonalization(h, start, t).amplitudes[origin]
+            assert abs(impurity_origin_amplitude(epsilon, t) - exact) <= 1e-11
 
-    def test_leading_coefficient(self):
-        model = EmissionModel(beta=0.5, tau=0.0, gamma_mag=1.0)
-        assert m_o_asymptote(1.0, model) == pytest.approx(2.0317963498957110, abs=1e-12)
+    def test_starts_at_one(self):
+        for epsilon in (-2.5, 0.1, 1.0):
+            assert impurity_origin_amplitude(epsilon, 0.0) == pytest.approx(1.0, abs=1e-14)
 
-    def test_requires_time_past_release(self):
-        model = EmissionModel(beta=0.5, tau=3.0)
+    @pytest.mark.parametrize(
+        "epsilon, t", [(math.nan, 1.0), (-math.inf, 1.0), (0.5, math.nan), (0.5, math.inf), (0.5, -1.0)]
+    )
+    def test_bad_inputs_rejected(self, epsilon, t):
         with pytest.raises(ValueError):
-            m_o_asymptote(3.0, model)
-
-    def test_full_polynomial_value(self):
-        model = EmissionModel(beta=0.5, tau=0.0, gamma_mag=1.0, half_width=3)
-        big_t = 10.0
-        poly = (
-            8 * big_t**4
-            + (32 * 3 / 3 - 8) * big_t**3
-            + (4 * 9 - 8 * 3 + 3) * big_t**2
-            + (4 * 3 - 2 - 2 * 9) * big_t
-            - (18 + 16 * 3 / 3 + 2 * 9)
-        )
-        front = 0.5 * 1.0 * math.sqrt(0.5)
-        expected = 4.0 * front / (big_t**1.5 * math.pi**1.5) * poly
-        assert m_o_asymptote(10.0, model, full=True) == pytest.approx(expected, rel=1e-12)
-
-    def test_full_approaches_leading_at_large_time(self):
-        model = EmissionModel(beta=0.3, tau=2.0, gamma_mag=0.8, half_width=5)
-        t = 5000.0
-        full = m_o_asymptote(t, model, full=True)
-        lead = m_o_asymptote(t, model)
-        assert full == pytest.approx(lead, rel=5e-3)
-
-    def test_matches_envelope_replaced_moment_sum(self):
-        # Rebuild the moment through the emission profile with the
-        # oscillation replaced by its 2/pi time average; the leading law
-        # should agree up to the 1/T subleading terms.
-        model = EmissionModel(beta=0.5, tau=0.0, gamma_mag=1.0, half_width=0)
-        big_t = 60.0
-        x = np.arange(1, int(2 * big_t) + 1, dtype=float)
-        envelope = (2 / math.pi) * math.sqrt(1.0 / (math.pi * big_t))
-        one_side = np.sum((x + model.half_width) ** 2 * x / big_t * abs(model.beta) * envelope)
-        replaced = 2.0 * (model.gamma_mag * model.retained) * 2.0 * one_side
-        assert m_o_asymptote(big_t, model) == pytest.approx(replaced, rel=0.05)
-
-    def test_region_moment_cap(self):
-        assert m_d_bound(EmissionModel(beta=0.3, half_width=0)) == 0.0
-        assert m_d_bound(EmissionModel(beta=0.0, gamma_mag=1.0, half_width=50)) == 10000.0
-        assert m_d_bound(
-            EmissionModel(beta=0.5, gamma_mag=0.5, half_width=10)
-        ) == pytest.approx(141.42135623730951, rel=1e-12)
-
-
-class TestWavefrontApproximation:
-    def test_outside_light_cone(self):
-        assert wavefront_approximation(10, 3.0) == 0.0
-        assert wavefront_approximation(-10, 3.0) == 0.0
-
-    def test_zero_phase_point(self):
-        z = math.pi / 4 + 2 * math.pi
-        assert wavefront_approximation(0, z) == pytest.approx(
-            math.sqrt(2.0 / (math.pi * z)), rel=1e-12
-        )
-
-    def test_against_exact_bessel(self):
-        z = 20.0
-        approx = wavefront_approximation(4, z)
-        assert approx == pytest.approx(0.16665634873713093, rel=1e-9)
-        assert abs(approx - bessel_j(4, z)) <= 0.5 * math.sqrt(2.0 / (math.pi * z))
-        assert bessel_j(4, z) == pytest.approx(J4_20, abs=1e-9)
-
-    def test_requires_positive_argument(self):
-        with pytest.raises(ValueError):
-            wavefront_approximation(2, 0.0)
+            impurity_origin_amplitude(epsilon, t)

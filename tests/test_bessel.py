@@ -15,6 +15,7 @@ from entspread.bessel import (
 J0_2 = 0.22389077914123567
 J1_2 = 0.57672480775687339
 J2_2 = 0.35283402861563772
+J4_20 = 0.13067093355486325
 
 
 class TestSeriesOracle:
@@ -51,6 +52,7 @@ class TestBesselJ:
     def test_oracle_values(self):
         assert bessel_j(0, 2.0) == pytest.approx(J0_2, abs=1e-9)
         assert bessel_j(-1, 2.0) == pytest.approx(-J1_2, abs=1e-9)
+        assert bessel_j(4, 20.0) == pytest.approx(J4_20, abs=1e-9)
 
     def test_negative_order_parity_exact(self):
         xs = [0.3, 2.0, 17.5, 100.0]

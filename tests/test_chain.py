@@ -122,6 +122,11 @@ class TestBuildHamiltonian:
             DisorderSpec(diag_sign="negative")
         with pytest.raises(ValueError):
             DisorderSpec(half_width=-1)
+        # derive_seed works mod 2**64, so seeds outside [0, 2**64) would alias
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match=r"^seed: "):
+                DisorderSpec(seed=seed)
+        assert DisorderSpec(seed=2**64 - 1).seed == 2**64 - 1
 
 
 def _pauli_site(op, site, n):

@@ -452,6 +452,16 @@ class TestCommandLine:
         assert result.exit_code == 2, result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("window", ["15:5", "nan:30"])
+    def test_sweep_rejects_bad_window_before_simulating(self, tmp_path, window):
+        path = write_config(tmp_path, make_config())
+        out = tmp_path / "out"
+        args = ["sweep", "--config", str(path), "--out", str(out), "--window", window]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "need t_lo < t_hi" in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, jobs", [("simulate", "0"), ("sweep", "-2")])
     def test_jobs_below_one_exit_code(self, tmp_path, command, jobs):
         path = write_config(tmp_path, make_config())

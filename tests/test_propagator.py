@@ -412,3 +412,6 @@ class TestEvolveSeries:
             list(evolve_series(ordered(5), 2, np.array([-1.0, 1.0])))
         with pytest.raises(ValueError):
             list(evolve_series(ordered(5), 2, np.array([])))
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="times must be finite"):
+                list(evolve_series(ordered(5), 2, np.array([0.5, bad])))
