@@ -51,7 +51,10 @@ class MomentSeries:
     def _freeze(self, table: np.ndarray, spec_digest: str) -> None:
         if table.ndim != 2 or table.shape[1] != len(MOMENT_COLUMNS):
             raise ValueError(f"table must have shape (n, {len(MOMENT_COLUMNS)}), got {table.shape}")
-        if np.any(np.diff(table[:, 0]) <= 0.0):
+        times = table[:, 0]
+        if not np.all(np.isfinite(times)):
+            raise ValueError(f"sample times must be finite, got {times[~np.isfinite(times)][0]}")
+        if np.any(np.diff(times) <= 0.0):
             raise ValueError("sample times must be strictly increasing")
         table.flags.writeable = False
         self.table = table

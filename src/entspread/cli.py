@@ -11,6 +11,7 @@ check fails.
 from __future__ import annotations
 
 import concurrent.futures
+import ctypes
 import hashlib
 import json
 import math
@@ -20,6 +21,7 @@ from pathlib import Path
 
 import click
 import numpy as np
+import scipy.linalg._fblas
 
 from . import __version__
 from .analysis import (
@@ -176,6 +178,21 @@ def _simulate_worker(config: ExperimentConfig, realization_index: int, out_dir: 
     return _record(realization_index, path, series.spec_digest, started)
 
 
+def _one_blas_thread() -> None:
+    """Pool initializer: limit scipy's bundled OpenBLAS to one thread in this worker.
+
+    Otherwise every worker starts one BLAS thread per core for the block
+    products, and `jobs` workers oversubscribe the cores.  Does nothing when
+    scipy links another BLAS.
+    """
+    try:
+        set_threads = ctypes.CDLL(scipy.linalg._fblas.__file__).scipy_openblas_set_num_threads
+    except (OSError, AttributeError):
+        return
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    set_threads(1)
+
+
 def run_simulate(
     config: ExperimentConfig,
     out_dir: str | Path,
@@ -193,7 +210,7 @@ def run_simulate(
     indices = range(config.ensemble.num_realizations)
     started = _time.perf_counter()
     if jobs > 1 and len(indices) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(jobs, initializer=_one_blas_thread) as pool:
             futures = [pool.submit(_simulate_worker, config, idx, out_dir) for idx in indices]
             # Slots are keyed by realization index, never by completion order.
             records = [future.result() for future in futures]

@@ -25,10 +25,18 @@ The coefficients are exactly the Bessel rows the bessel module provides.
 * Window.  A tridiagonal matvec widens the support of a vector by one site
   per side, so U_k lives on [lo - k, hi + k] when psi lives on [lo, hi].  A
   block runs on [lo - K, hi + K] only, which is exact: it is the discrete
-  light cone (Lieb & Robinson, Commun. Math. Phys. 28, 251 (1972)).  Sample
-  amplitudes below the bessel module's FLUSH_THRESHOLD are set to zero,
-  which keeps the support tight and the arithmetic out of subnormals, and
-  each WaveState records its support, so reductions can skip the zeros.
+  light cone (Lieb & Robinson, Commun. Math. Phys. 28, 251 (1972)).  Each
+  sample is then trimmed: its outermost sites are zeroed while their weight
+  sum |a_x|^2 stays within (TAIL_TOLERANCE / 2)^2 ||psi||^2 per side, psi
+  the block's start state.  So a sample's error is the Chebyshev tail plus
+  the trimmed edges, each at most TAIL_TOLERANCE in the 2-norm relative to
+  psi, and the next block starts from the last sample's trimmed support.
+  Halving the 2-norm budget per side, rather than its square, leaves room
+  for the error earlier trims left near the front: the exact state's weight
+  outside the support stays below TAIL_TOLERANCE^2 on a chained ordered run.
+  Kept amplitudes below the bessel module's FLUSH_THRESHOLD are zeroed,
+  which keeps the arithmetic out of subnormals, and each WaveState records
+  its support, so reductions can skip the zeros.
 * Byte cap.  Up to 8 orders sit in a ring, added into the S sample rows
   whenever it fills; S is cut so that ring, sample and coefficient rows and
   scratch fit WORKSPACE_BYTES.  Wider windows shrink the ring to as few as 3
@@ -194,8 +202,10 @@ class _Kernel:
     def block(self, seed: np.ndarray, lo: int, offsets: np.ndarray, slots: int):
         """Yield (amplitudes, support) of the state `seed` on [lo, lo + len(seed)) at each offset.
 
-        Offsets (nonzero) and ring length come from `plan`; support is None
-        for a state flushed to zero.
+        Offsets (nonzero) and ring length come from `plan`.  Each sample is
+        trimmed: its outermost sites are zeroed while their weight sum |a_x|^2
+        stays within (TAIL_TOLERANCE / 2)^2 ||seed||^2 per side, and support is
+        the rest, or None when nothing is left.
         """
         coeffs, phases = self._coefficients(offsets)
         order = coeffs.shape[1] - 1
@@ -233,16 +243,39 @@ class _Kernel:
                       trans_b=1, overwrite_c=1)
                 done = k + 1
 
-        for row, phase in zip(rows.reshape(len(offsets), 2, width), phases):
+        rows = rows.reshape(len(offsets), 2, width)
+        budget = (0.5 * TAIL_TOLERANCE) ** 2 * float(np.vdot(seed, seed).real)
+        # The cut almost always falls in the outer order + 1 sites, the ones the
+        # light cone added to the seed's support.
+        lefts = _edge_count(rows, budget, order + 1).tolist()
+        rights = _edge_count(rows[:, :, ::-1], budget, order + 1).tolist()
+        for row, phase, left, right in zip(rows, phases, lefts, rights):
             amps = np.zeros(self.num_sites, dtype=complex)
-            window = amps[start:stop]
-            window.real = row[0]
-            window.imag = row[1]
+            if left + right >= width:
+                yield amps, None
+                continue
+            window = amps[start + left : stop - right]
+            window.real = row[0, left : width - right]
+            window.imag = row[1, left : width - right]
             window *= phase
-            small = np.abs(window) < FLUSH_THRESHOLD
-            window[small] = 0.0
-            alive = np.flatnonzero(~small)
-            yield amps, (start + int(alive[0]), start + int(alive[-1])) if alive.size else None
+            window[np.abs(window) < FLUSH_THRESHOLD] = 0.0
+            yield amps, (start + left, stop - right - 1)
+
+
+def _edge_count(rows: np.ndarray, budget: float, rim: int) -> np.ndarray:
+    """Leading sites of each sample in `rows` (S, 2, width) whose summed weight is <= budget.
+
+    The search runs over the first `rim` sites and doubles them while any
+    sample's budget outlasts them.
+    """
+    width = rows.shape[2]
+    while True:
+        rim = min(rim, width)
+        weight = np.cumsum(np.square(rows[:, :, :rim]).sum(axis=1), axis=1)
+        count = np.count_nonzero(weight <= budget, axis=1)
+        if rim == width or np.all(count < rim):
+            return count
+        rim *= 2
 
 
 def evolve_chebyshev(h: Hamiltonian, initial: WaveState, delta_t: float) -> WaveState:

@@ -36,20 +36,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entspread.analysis import MomentSeries, fit_power_law, time_average, verify_bounds
+from entspread.analysis import fit_power_law, time_average, verify_bounds
 from entspread.analytic import (
     asymptotes_ordered,
     impurity_origin_amplitude,
-    infinite_state,
     semi_infinite_amplitude,
 )
-from entspread.bessel import bessel_j, bessel_j_series_oracle, bessel_row
+from entspread.bessel import bessel_j_series_oracle, bessel_row
 from entspread.chain import Hamiltonian, derive_seed
 from entspread.cli import analytic_series, fit_series, run_simulate, run_sweep
 from entspread.config import SCHEMA_VERSION, config_from_dict, load_config
 from entspread.observables import (
     concurrence_pair,
-    moment_m,
     reduced_density_pair,
     wootters_concurrence,
 )

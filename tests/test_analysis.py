@@ -177,6 +177,14 @@ class TestMomentSeries:
         with pytest.raises(ValueError):
             series_from_m([2.0, 1.0], [1.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_times(self, bad):
+        # NaN compares False, so the ascending check alone let it through
+        table = np.array(series_from_m([1.0, 2.0, 3.0], [1.0, 1.0, 1.0]).table)
+        table[1, 0] = bad
+        with pytest.raises(ValueError, match="sample times must be finite"):
+            MomentSeries.from_table(table)
+
     def test_column_access(self):
         series = series_from_m([1.0, 2.0], [3.0, 4.0])
         np.testing.assert_array_equal(series.column("m"), [3.0, 4.0])

@@ -1,11 +1,14 @@
+import ctypes
 import json
 import math
 import re
 
 import numpy as np
 import pytest
+import scipy.linalg._fblas
 from click.testing import CliRunner
 
+import entspread.cli
 from entspread.analysis import MomentSeries
 from entspread.cli import (
     BoundaryBudgetError,
@@ -41,6 +44,17 @@ def make_config(**tweaks):
     for key, value in tweaks.items():
         raw[key] = value
     return raw
+
+
+def openblas():
+    """scipy's bundled OpenBLAS, or None when scipy links another BLAS."""
+    lib = ctypes.CDLL(scipy.linalg._fblas.__file__)
+    return lib if hasattr(lib, "scipy_openblas_get_num_threads") else None
+
+
+def report_blas_threads(config, realization_index, out_dir):
+    """Stands in for the simulate worker: the manifest record of the BLAS threads it got."""
+    return {"index": realization_index, "blas_threads": openblas().scipy_openblas_get_num_threads()}
 
 
 def write_config(tmp_path, raw, name="config.json"):
@@ -166,6 +180,21 @@ class TestSimulate:
             assert (tmp_path / "serial" / name).read_bytes() == (
                 tmp_path / "par" / name
             ).read_bytes()
+
+    @pytest.mark.skipif(openblas() is None, reason="scipy does not bundle OpenBLAS")
+    def test_pool_workers_run_one_blas_thread(self, tmp_path, monkeypatch):
+        # Unset, the variable leaves OpenBLAS one thread per core, which
+        # forked workers inherit; two threads stand in for a two-core host.
+        lib = openblas()
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.setattr(entspread.cli, "_simulate_worker", report_blas_threads)
+        before = lib.scipy_openblas_get_num_threads()
+        lib.scipy_openblas_set_num_threads(2)
+        try:
+            manifest = run_simulate(config_from_dict(make_config()), tmp_path, jobs=2)
+        finally:
+            lib.scipy_openblas_set_num_threads(before)
+        assert [r["blas_threads"] for r in manifest["realizations"]] == [1, 1]
 
 
 class TestAnalytic:
@@ -428,6 +457,17 @@ class TestCommandLine:
         bad.write_text("time,m\n1.0,1.0\n2.0,4.0\n")
         result = CliRunner().invoke(main, ["fit", str(bad), "--window", "1:2"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("command", [["fit", "--window", "2:95"], ["verify", "--csv"]])
+    def test_non_finite_csv_time_exit_code(self, tmp_path, command):
+        path = tmp_path / "s.csv"
+        synthetic_power_law_csv(path)
+        lines = path.read_text().splitlines()
+        lines[500] = "nan" + lines[500][lines[500].index(",") :]
+        path.write_text("\n".join(lines) + "\n")
+        result = CliRunner().invoke(main, [*command, str(path)])
+        assert result.exit_code == 2, result.output
+        assert "sample times must be finite" in result.output
 
     def test_fit_bad_window_flag(self, tmp_path):
         path = tmp_path / "s.csv"

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,14 @@ from hypothesis import strategies as st
 
 import entspread.propagator
 from entspread.analytic import infinite_amplitude
-from entspread.chain import ChainSpec, DisorderSpec, Hamiltonian, build_hamiltonian, derive_seed
+from entspread.chain import (
+    ChainSpec,
+    DisorderSpec,
+    Hamiltonian,
+    build_hamiltonian,
+    derive_seed,
+    spectral_bounds,
+)
 from entspread.propagator import (
     DIAGONALIZATION_MAX_SITES,
     TAIL_TOLERANCE,
@@ -96,6 +104,31 @@ class TestChebyshev:
         state = evolve_chebyshev(ordered(4001), basis_state(4001, 2000), 50.0)
         for x in (-200, -37, 0, 1, 150, 200):
             assert abs(state.amplitudes[2000 + x] - infinite_amplitude(x, 50.0)) <= 1e-8
+
+    def test_trim_budget_is_relative_to_the_norm(self):
+        # a state of norm 1e-20 keeps the support of the unit state
+        h, unit = ordered(4001), basis_state(4001, 2000)
+        faint = WaveState(1e-20 * unit.amplitudes, 0.0, 2000)
+        evolved, scaled = evolve_chebyshev(h, unit, 30.0), evolve_chebyshev(h, faint, 30.0)
+        assert scaled.support == evolved.support
+        assert np.max(np.abs(scaled.amplitudes - 1e-20 * evolved.amplitudes)) <= 1e-12 * 1e-20
+
+    def test_trim_drops_a_faint_stretch_wider_than_the_light_cone(self):
+        # 1e-30 amplitudes on 26 and 27 sites beside the bulk carry far less
+        # than the trim budget, so the edge search widens past the light-cone
+        # rim and drops them
+        h = disordered64()
+        amps = np.zeros(64, dtype=complex)
+        amps[2:62] = 1e-30
+        amps[28:35] = 1.0 / math.sqrt(7.0)
+        init = WaveState(amps, 0.0, 31)
+        state = evolve_chebyshev(h, init, 0.1)
+        emin, emax = spectral_bounds(h)
+        order = chebyshev_order(0.5 * (emax - emin), 0.1)
+        lo, hi = state.support
+        assert 28 - order <= lo and hi <= 34 + order
+        exact = evolve_diagonalization(h, init, 0.1).amplitudes
+        assert np.max(np.abs(state.amplitudes - exact)) <= 1e-12
 
     def test_pure_phase_when_spectrum_degenerate(self):
         h = Hamiltonian(diag=np.full(3, 1.5), offdiag=np.zeros(2))
@@ -253,13 +286,40 @@ class TestBlockSeries:
     def test_series_matches_oracle_across_blocks(self, case):
         h, origin, times = case
         init = basis_state(h.num_sites, origin)
-        states = list(evolve_series(h, origin, times))
-        assert [s.time for s in states] == list(times)
-        for state in states:
+        blocks = []
+        original_block = entspread.propagator._Kernel.block
+
+        def counted_block(kernel, *args):
+            blocks.append(None)
+            return original_block(kernel, *args)
+
+        states = []
+        with mock.patch.object(entspread.propagator._Kernel, "block", counted_block):
+            for state in evolve_series(h, origin, times):
+                states.append((state, len(blocks)))
+        assert [s.time for s, _ in states] == list(times)
+        for state, blocks_run in states:
             exact = evolve_diagonalization(h, init, state.time).amplitudes
             assert np.max(np.abs(state.amplitudes - exact)) <= 1e-12
             lo, hi = state.support
             assert not np.any(state.amplitudes[:lo]) and not np.any(state.amplitudes[hi + 1 :])
+            # The weight the trims left outside the support.  The dense
+            # oracle's rounding alone puts up to 2e-30 there, so the reference
+            # is the unwindowed full-chain step, whose tails are exact to rounding.
+            reference = full_chain_chebyshev(h, init.amplitudes, state.time)
+            outside = np.sum(np.abs(reference[:lo]) ** 2) + np.sum(np.abs(reference[hi + 1 :]) ** 2)
+            assert outside <= TAIL_TOLERANCE**2 * blocks_run, (outside, blocks_run)
+
+    def test_chained_support_stays_as_tight_as_one_jump(self):
+        # Flushing only below 1e-300 let the tails pile up block after block
+        # (1105 sites at t = 100); the trimmed run keeps about the 529 sites
+        # of one jump, and the exact state outside them weighs 3e-33.
+        for state in evolve_series(ordered(4001), 2000, 0.25 * np.arange(401)):
+            pass
+        lo, hi = state.support
+        assert hi - lo + 1 <= 600
+        outside = np.abs(np.r_[0:lo, hi + 1 : 4001] - 2000)
+        assert np.sum(scipy.special.jv(outside, 200.0) ** 2) <= TAIL_TOLERANCE**2
 
     def test_writes_to_a_yielded_state_do_not_reach_later_states(self):
         h, times = disordered64(), 0.25 * np.arange(1, 41)
