@@ -24,7 +24,7 @@ from .analytic import (
     semi_infinite_amplitude,
     w_bounds_ordered,
 )
-from .bessel import BesselRow, bessel_j, bessel_j_series_oracle, bessel_row, bessel_rows
+from .bessel import bessel_j, bessel_j_series_oracle, bessel_row, bessel_rows
 from .chain import (
     ChainSpec,
     DisorderSpec,
@@ -52,7 +52,6 @@ from .propagator import (
 
 __all__ = [
     "__version__",
-    "BesselRow",
     "bessel_j",
     "bessel_j_series_oracle",
     "bessel_row",

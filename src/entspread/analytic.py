@@ -35,16 +35,16 @@ def infinite_amplitude(x: int, t: float) -> complex:
     return _phase(x) * bessel_j(x, 2.0 * t)
 
 
-def infinite_state(t: float, pad: int = TRUNCATION_PAD) -> WaveState:
+def infinite_state(t: float) -> WaveState:
     """The infinite-chain profile at time t as a finite WaveState.
 
-    The chain is truncated at |x| <= ceil(2t) + pad around the origin, where
-    the discarded tail is below double precision.
+    The chain is truncated at |x| <= ceil(2t) + TRUNCATION_PAD around the
+    origin, where the discarded tail is below double precision.
     """
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
-    radius = math.ceil(2.0 * t) + pad
-    row = bessel_row(radius, 2.0 * t).values
+    radius = math.ceil(2.0 * t) + TRUNCATION_PAD
+    row = bessel_row(radius, 2.0 * t)
     amplitudes = np.empty(2 * radius + 1, dtype=complex)
     phases = np.array([_phase(x) for x in range(radius + 1)])
     right = phases * row

@@ -20,7 +20,6 @@ independent cross-check; it shares no code with the recurrence path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -39,15 +38,6 @@ _RESCALE_FACTOR = 1e-250
 # sized for this box.
 ORACLE_MAX_ORDER = 40
 ORACLE_MAX_ARGUMENT = 30.0
-
-
-@dataclass(frozen=True)
-class BesselRow:
-    """Values J_0(x)..J_{order_max}(x) for one argument x."""
-
-    order_max: int
-    argument: float
-    values: np.ndarray
 
 
 def miller_start_order(order_max: int, argument: float) -> int:
@@ -72,8 +62,8 @@ def _check_argument(argument: float) -> float:
     return argument
 
 
-def bessel_row(order_max: int, argument: float) -> BesselRow:
-    """All orders 0..order_max at one argument, via normalized Miller recurrence."""
+def bessel_row(order_max: int, argument: float) -> np.ndarray:
+    """Values J_0(x)..J_{order_max}(x) at one argument x, via normalized Miller recurrence."""
     if order_max < 0:
         raise ValueError(f"order_max must be >= 0, got {order_max}")
     argument = _check_argument(argument)
@@ -81,7 +71,7 @@ def bessel_row(order_max: int, argument: float) -> BesselRow:
     if argument == 0.0:
         values = np.zeros(order_max + 1)
         values[0] = 1.0
-        return BesselRow(order_max, argument, values)
+        return values
 
     start = miller_start_order(order_max, argument)
     out = [0.0] * (order_max + 1)
@@ -110,7 +100,7 @@ def bessel_row(order_max: int, argument: float) -> BesselRow:
 
     values = np.asarray(out) / norm
     values[np.abs(values) < FLUSH_THRESHOLD] = 0.0
-    return BesselRow(order_max, argument, values)
+    return values
 
 
 def bessel_rows(order_max: int, arguments: np.ndarray) -> np.ndarray:
@@ -174,7 +164,7 @@ def bessel_j(order: int, argument: float) -> float:
     order = int(order)
     argument = _check_argument(argument)
     n = abs(order)
-    value = float(bessel_row(n, argument).values[n])
+    value = float(bessel_row(n, argument)[n])
     if order < 0 and (n & 1):
         value = -value
     return value
@@ -213,11 +203,11 @@ def bessel_j_series_oracle(order: int, argument: float, terms: int) -> float:
 
     with mpmath.workdps(50):
         half = mpmath.mpf(argument) / 2
-        total = mpmath.mpf(0)
-        sign = 1
-        for m in range(terms):
-            total += sign * half ** (2 * m + order) / (
-                mpmath.factorial(m) * mpmath.factorial(m + order)
-            )
-            sign = -sign
+        step = -half * half
+        term = half**order / mpmath.factorial(order)
+        total = term
+        for m in range(1, terms):
+            # term m from term m-1: one factor of -(x/2)^2 / (m (m + order))
+            term *= step / (m * (m + order))
+            total += term
         return float(total)

@@ -2,10 +2,10 @@
 
 Every command is a deterministic function of its config and input files;
 series CSVs from reruns are byte-identical.  Heavy work lives in plain
-functions so tests can drive them directly.  The click group maps their
-exceptions to exit codes in one place, `EXIT_CODES`: 2 for config or input
-problems, 1 for a boundary-budget violation.  `verify` also exits 1 when a
-check fails.
+functions of a loaded config, which tests drive directly; the commands apply
+`--seed` first.  The click group maps their exceptions to exit codes in one
+place, `EXIT_CODES`: 2 for config or input problems, 1 for a boundary-budget
+violation.  `verify` also exits 1 when a check fails.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import scipy.linalg._fblas
 from . import __version__
 from .analysis import (
     AVERAGE_WINDOW_DEFAULT,
+    FIT_FIELDS,
     MomentSeries,
     check_window,
     fit_power_law,
@@ -57,17 +58,12 @@ _ANALYTIC_CHUNK = 256
 
 EARLY_WINDOW_START = 1.0
 
+# Largest |1 - norm| that `verify` accepts in a series.
+UNITARITY_TOL = 1e-8
+
 
 class BoundaryBudgetError(RuntimeError):
     """Requested evolution would let the wavefront reach the chain boundary."""
-
-
-def _with_seed(config: ExperimentConfig, seed_override: int | None) -> ExperimentConfig:
-    if seed_override is None:
-        return config
-    raw = config_to_dict(config)
-    raw["ensemble"]["base_seed"] = seed_override
-    return config_from_dict(raw)
 
 
 def _check_budget(config: ExperimentConfig, allow_reflections: bool) -> None:
@@ -178,52 +174,59 @@ def _simulate_worker(config: ExperimentConfig, realization_index: int, out_dir: 
     return _record(realization_index, path, series.spec_digest, started)
 
 
-def _one_blas_thread() -> None:
-    """Pool initializer: limit scipy's bundled OpenBLAS to one thread in this worker.
+def _set_blas_threads(count: int) -> int | None:
+    """Set scipy's bundled OpenBLAS to `count` threads in this process; returns the old count.
 
-    Otherwise every worker starts one BLAS thread per core for the block
-    products, and `jobs` workers oversubscribe the cores.  Does nothing when
+    By default OpenBLAS starts one thread per core, but the block products
+    are too small to gain from them: a serial run is slower, and `jobs` pool
+    workers oversubscribe the cores.  Does nothing and returns None where
     scipy links another BLAS.
     """
     try:
-        set_threads = ctypes.CDLL(scipy.linalg._fblas.__file__).scipy_openblas_set_num_threads
+        lib = ctypes.CDLL(scipy.linalg._fblas.__file__)
+        get_threads = lib.scipy_openblas_get_num_threads
+        set_threads = lib.scipy_openblas_set_num_threads
     except (OSError, AttributeError):
-        return
+        return None
     set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    set_threads(1)
+    before = get_threads()
+    set_threads(count)
+    return before
 
 
 def run_simulate(
     config: ExperimentConfig,
     out_dir: str | Path,
     allow_reflections: bool = False,
-    seed_override: int | None = None,
     jobs: int = 1,
 ) -> dict:
     """Simulate every realization in the ensemble; returns the manifest."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    config = _with_seed(config, seed_override)
     _check_budget(config, allow_reflections)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     indices = range(config.ensemble.num_realizations)
     started = _time.perf_counter()
     if jobs > 1 and len(indices) > 1:
-        with concurrent.futures.ProcessPoolExecutor(jobs, initializer=_one_blas_thread) as pool:
+        with concurrent.futures.ProcessPoolExecutor(
+            jobs, initializer=_set_blas_threads, initargs=(1,)
+        ) as pool:
             futures = [pool.submit(_simulate_worker, config, idx, out_dir) for idx in indices]
             # Slots are keyed by realization index, never by completion order.
             records = [future.result() for future in futures]
     else:
-        records = [_simulate_worker(config, idx, out_dir) for idx in indices]
+        before = _set_blas_threads(1)
+        try:
+            records = [_simulate_worker(config, idx, out_dir) for idx in indices]
+        finally:
+            if before is not None:
+                _set_blas_threads(before)
     return _manifest("simulate", config, out_dir, records, started)
 
 
-def run_analytic(
-    config: ExperimentConfig, out_dir: str | Path, seed_override: int | None = None
-) -> dict:
+def run_analytic(config: ExperimentConfig, out_dir: str | Path) -> dict:
     """Write the analytic ordered-chain series; returns the manifest."""
-    config = _with_seed(config, seed_override)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = _time.perf_counter()
@@ -290,7 +293,7 @@ def _bessel_identity_checks() -> list[dict]:
     checks = []
     # errors are kept as Python floats so each "ok" is a bool that json can write
     for a in (2.0, 20.0, 100.0):
-        row = bessel_row(int(2 * a) + 1, a).values
+        row = bessel_row(int(2 * a) + 1, a)
         worst = 0.0
         for x in range(1, int(2 * a) + 1):
             lhs = x * row[x]
@@ -301,7 +304,7 @@ def _bessel_identity_checks() -> list[dict]:
         )
     # one-sided even-order sum: sum_{k>=1} (2k)^2 J_2k(a) = a^2 / 2
     for a, k_max in ((2.0, 42), (50.0, 140), (100.0, 140)):
-        row = bessel_row(2 * k_max, a).values
+        row = bessel_row(2 * k_max, a)
         total = sum((2 * k) ** 2 * row[2 * k] for k in range(1, k_max + 1))
         err = float(abs(total - a * a / 2.0))
         checks.append(
@@ -310,11 +313,7 @@ def _bessel_identity_checks() -> list[dict]:
     return checks
 
 
-def run_verify(
-    config: ExperimentConfig | None = None,
-    csv_path: str | Path | None = None,
-    unitarity_tol: float = 1e-8,
-) -> dict:
+def run_verify(config: ExperimentConfig | None = None, csv_path: str | Path | None = None) -> dict:
     """Bound checks on an ordered series, identity spot checks, unitarity audit."""
     if (config is None) == (csv_path is None):
         raise ValueError("provide exactly one of config or csv_path")
@@ -340,8 +339,8 @@ def run_verify(
         "bessel_identities": identities,
         "unitarity": {
             "max_norm_error": max_norm_error,
-            "tol": unitarity_tol,
-            "ok": max_norm_error <= unitarity_tol,
+            "tol": UNITARITY_TOL,
+            "ok": max_norm_error <= UNITARITY_TOL,
         },
     }
     report["passed"] = bool(
@@ -358,7 +357,6 @@ def run_sweep(
     average_window: float = AVERAGE_WINDOW_DEFAULT,
     jobs: int = 1,
     allow_reflections: bool = False,
-    seed_override: int | None = None,
 ) -> dict:
     """Simulate the ensemble, fit every realization, aggregate exponent statistics.
 
@@ -369,7 +367,7 @@ def run_sweep(
     if window is None:
         window = (config.times.t_end / 5.0, config.times.t_end)
     check_window(window)
-    manifest = run_simulate(config, out_dir, allow_reflections, seed_override, jobs)
+    manifest = run_simulate(config, out_dir, allow_reflections, jobs)
     out_dir = Path(out_dir)
 
     entries = []
@@ -428,46 +426,61 @@ def _parse_window(text: str | None) -> tuple[float, float] | None:
         raise click.UsageError(f"--window expects LO:HI, got {text!r}") from None
 
 
+def _with_seed(config: ExperimentConfig, seed: int | None) -> ExperimentConfig:
+    """The config with `--seed` as its ensemble.base_seed, when given."""
+    if seed is None:
+        return config
+    raw = config_to_dict(config)
+    raw["ensemble"]["base_seed"] = seed
+    return config_from_dict(raw)
+
+
+# Options shared by several commands, each declared once.
+_CONFIG = click.Option(
+    ["--config", "config_path"], required=True, type=click.Path(exists=True), help="Config JSON."
+)
+_OUT_DIR = click.Option(["--out", "out_dir"], help="Output directory (default from config).")
+_SEED = click.Option(["--seed"], type=int, help="Override ensemble.base_seed.")
+_JOBS = click.Option(["--jobs"], default=1, show_default=True, help="Parallel realizations.")
+_ALLOW_REFLECTIONS = click.Option(
+    ["--allow-reflections"], is_flag=True, help="Run even if the front can reach the chain ends."
+)
+_FIELD = click.Option(
+    ["--field", "field_name"], default="m", type=click.Choice(FIT_FIELDS), show_default=True
+)
+_AVG_WINDOW = click.Option(["--avg-window"], default=AVERAGE_WINDOW_DEFAULT, show_default=True)
+
+
 @click.group(cls=_Pipeline)
 @click.version_option(version=__version__)
 def main():
     """Entanglement spreading in single-excitation spin chains."""
 
 
-@main.command()
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--out", "out_dir", default=None, help="Output directory (default from config).")
-@click.option("--allow-reflections", is_flag=True, default=False)
-@click.option("--jobs", default=1, show_default=True, help="Parallel realizations.")
-@click.option("--seed", "seed_override", default=None, type=int, help="Override ensemble.base_seed.")
-def simulate(config_path, out_dir, allow_reflections, jobs, seed_override):
+@main.command(params=[_CONFIG, _OUT_DIR, _ALLOW_REFLECTIONS, _JOBS, _SEED])
+def simulate(config_path, out_dir, allow_reflections, jobs, seed):
     """Numerically evolve the configured chain and write moment CSVs."""
-    config = load_config(config_path)
+    config = _with_seed(load_config(config_path), seed)
     out = out_dir or config.outputs.directory
-    manifest = run_simulate(config, out, allow_reflections, seed_override, jobs)
+    manifest = run_simulate(config, out, allow_reflections, jobs)
     click.echo(
         f"simulate: {len(manifest['realizations'])} realization(s) -> {out} "
         f"({manifest['total_wall_time_s']:.1f} s)"
     )
 
 
-@main.command()
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--out", "out_dir", default=None)
-@click.option("--seed", "seed_override", default=None, type=int)
-def analytic(config_path, out_dir, seed_override):
+@main.command(params=[_CONFIG, _OUT_DIR, _SEED])
+def analytic(config_path, out_dir, seed):
     """Write the closed-form ordered-chain series with bound columns."""
-    config = load_config(config_path)
+    config = _with_seed(load_config(config_path), seed)
     out = out_dir or config.outputs.directory
-    manifest = run_analytic(config, out, seed_override)
+    manifest = run_analytic(config, out)
     click.echo(f"analytic: wrote {manifest['realizations'][0]['csv']} in {out}")
 
 
-@main.command()
+@main.command(params=[_FIELD, _AVG_WINDOW])
 @click.argument("csv_paths", nargs=-1, required=True, type=click.Path(exists=True))
 @click.option("--window", required=True, help="Fit window LO:HI in time units.")
-@click.option("--field", "field_name", default="m", type=click.Choice(["m", "w"]), show_default=True)
-@click.option("--avg-window", default=AVERAGE_WINDOW_DEFAULT, show_default=True)
 @click.option("--out", "report_path", default=None, help="Report JSON path (default stdout).")
 def fit(csv_paths, window, field_name, avg_window, report_path):
     """Fit power-law exponents to one or more series CSVs."""
@@ -503,18 +516,11 @@ def verify(config_path, csv_path, report_path):
         raise SystemExit(1)
 
 
-@main.command()
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--out", "out_dir", default=None)
-@click.option("--window", default=None, help="Fit window LO:HI (default t_end/5 : t_end).")
-@click.option("--field", "field_name", default="m", type=click.Choice(["m", "w"]), show_default=True)
-@click.option("--avg-window", default=AVERAGE_WINDOW_DEFAULT, show_default=True)
-@click.option("--jobs", default=1, show_default=True)
-@click.option("--allow-reflections", is_flag=True, default=False)
-@click.option("--seed", "seed_override", default=None, type=int)
-def sweep(config_path, out_dir, window, field_name, avg_window, jobs, allow_reflections, seed_override):
+@main.command(params=[_CONFIG, _OUT_DIR, _FIELD, _AVG_WINDOW, _JOBS, _ALLOW_REFLECTIONS, _SEED])
+@click.option("--window", help="Fit window LO:HI (default t_end/5 : t_end).")
+def sweep(config_path, out_dir, window, field_name, avg_window, jobs, allow_reflections, seed):
     """Run the disorder ensemble end to end and aggregate exponents."""
-    config = load_config(config_path)
+    config = _with_seed(load_config(config_path), seed)
     out = out_dir or config.outputs.directory
     aggregate = run_sweep(
         config,
@@ -524,7 +530,6 @@ def sweep(config_path, out_dir, window, field_name, avg_window, jobs, allow_refl
         average_window=avg_window,
         jobs=jobs,
         allow_reflections=allow_reflections,
-        seed_override=seed_override,
     )
     med = aggregate["ensemble"]["median_exponent"]
     click.echo(

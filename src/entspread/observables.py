@@ -9,7 +9,6 @@ simulation drivers actually record.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -129,18 +128,25 @@ def moment_m(state: WaveState, half_width: int = 0) -> MomentSample:
     if half_width < 0:
         raise ValueError(f"half_width must be >= 0, got {half_width}")
     lo, hi = state.support if state.support is not None else (0, state.num_sites - 1)
-    offsets = np.arange(lo - state.origin, hi + 1 - state.origin)
+    first = lo - state.origin
+    offsets = np.arange(first, hi + 1 - state.origin)
     absamp = np.abs(state.amplitudes[lo : hi + 1])
     weights = offsets.astype(float) ** 2 * absamp
 
     w_total = float(np.sum(weights))
-    inner = np.abs(offsets) <= half_width
-    w_inner = float(np.sum(weights[inner]))
+    # The core |x| <= half_width is one contiguous stretch of the summed sites.
+    core = slice(max(-half_width - first, 0), max(half_width - first + 1, 0))
+    w_inner = float(np.sum(weights[core]))
+    # m_o is summed, not taken as m - m_d: while the front crosses the core
+    # edge the difference is rounding noise.  Zeroing the core keeps the sum
+    # over every site, so a weightless core gives m_o == m exactly.
+    weights[core] = 0.0
+    w_outer = float(np.sum(weights))
 
     alpha0 = float(abs(state.amplitudes[state.origin]))
     m_total = 2.0 * alpha0 * w_total
     m_d = 2.0 * alpha0 * w_inner
-    m_o = max(m_total - m_d, 0.0)
+    m_o = 2.0 * alpha0 * w_outer
     norm_error = abs(1.0 - float(np.sum(absamp**2)))
     return MomentSample(
         time=state.time,

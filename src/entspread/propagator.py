@@ -129,7 +129,7 @@ def _truncated_row(z: float) -> np.ndarray:
     """J_0(z)..J_K(z) for the first K with 2 * sum_{k>K} |J_k(z)| <= TAIL_TOLERANCE."""
     order = _padded_order(z)
     while True:
-        values = bessel_row(order, z).values
+        values = bessel_row(order, z)
         # tail[k] = 2 * sum_{j>=k} |J_j(z)| over the evaluated row
         tail = 2.0 * np.cumsum(np.abs(values[::-1]))[::-1]
         # Demand one evaluated term past the cut, so the tail is not just the
@@ -335,13 +335,6 @@ def reflection_budget_violation(
     if not reach > room:
         return None
     return f"boundary budget exceeded: 2*gamma*t_max + (2L+1) = {reach:g} > (N-1)/2 - 10 = {room:g}"
-
-
-def reflection_budget_exceeded(
-    num_sites: int, t_max: float, disorder_half_width: int = 0, gamma: float = 1.0
-) -> bool:
-    """True when `reflection_budget_violation` finds the condition met."""
-    return reflection_budget_violation(num_sites, t_max, disorder_half_width, gamma) is not None
 
 
 def evolve_series(

@@ -16,7 +16,6 @@ import numpy as np
 from .analysis import MomentSeries
 from .observables import MOMENT_COLUMNS
 
-CSV_COLUMNS = MOMENT_COLUMNS
 ANALYTIC_EXTRA_COLUMNS = ("w_lower_bound", "w_upper_bound", "w_asymptote", "m_asymptote")
 
 
@@ -38,7 +37,7 @@ def write_series_csv(
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(CSV_COLUMNS) + list(extras))
+        writer.writerow(list(MOMENT_COLUMNS) + list(extras))
         table = np.column_stack((series.table, *extras.values()))
         writer.writerows([format_float(x) for x in row] for row in table.tolist())
 
@@ -57,10 +56,10 @@ def read_series_csv(path: str | Path) -> MomentSeries:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty CSV") from None
-        missing = [c for c in CSV_COLUMNS if c not in header]
+        missing = [c for c in MOMENT_COLUMNS if c not in header]
         if missing:
             raise ValueError(f"{path}: missing columns {missing}")
-        index = [header.index(name) for name in CSV_COLUMNS]
+        index = [header.index(name) for name in MOMENT_COLUMNS]
         rows = []
         for row in reader:
             if len(row) < len(header):
@@ -71,7 +70,7 @@ def read_series_csv(path: str | Path) -> MomentSeries:
                 rows.append([float(row[k]) for k in index])
             except ValueError as exc:
                 raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-    table = np.array(rows, dtype=float).reshape(len(rows), len(CSV_COLUMNS))
+    table = np.array(rows, dtype=float).reshape(len(rows), len(MOMENT_COLUMNS))
     return MomentSeries.from_table(table)
 
 

@@ -77,28 +77,28 @@ class TestBesselJ:
 class TestBesselRow:
     def test_zero_argument_row(self):
         row = bessel_row(4, 0.0)
-        assert row.values.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+        assert row.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
 
     def test_row_matches_oracle(self):
         row = bessel_row(2, 2.0)
-        np.testing.assert_allclose(row.values, [J0_2, J1_2, J2_2], atol=1e-9)
+        np.testing.assert_allclose(row, [J0_2, J1_2, J2_2], atol=1e-9)
 
     def test_row_entries_agree_with_bessel_j(self):
         row = bessel_row(30, 7.3)
         for n in (0, 1, 13, 30):
-            assert row.values[n] == pytest.approx(bessel_j(n, 7.3), abs=1e-14)
+            assert row[n] == pytest.approx(bessel_j(n, 7.3), abs=1e-14)
 
     def test_superexponential_tail(self):
         row = bessel_row(200, 2.0)
-        assert np.all(np.abs(row.values[15:]) < 1e-12)
+        assert np.all(np.abs(row[15:]) < 1e-12)
         # deep tail (J_n(2) ~ 1/n! below 1e-300 past n ~ 170) is flushed to exact zero
-        assert np.all(row.values[180:] == 0.0)
+        assert np.all(row[180:] == 0.0)
 
     def test_miller_vs_oracle_on_validity_box(self):
         for x in (0.5, 4.0, 11.5, 30.0):
             row = bessel_row(40, x)
             for n in (0, 3, 17, 40):
-                assert row.values[n] == pytest.approx(
+                assert row[n] == pytest.approx(
                     bessel_j_series_oracle(n, x, 80), abs=1e-12
                 )
 
@@ -108,17 +108,17 @@ class TestBesselRow:
         # transition zone, whose width grows like x^(1/3))
         for x in (2.0, 50.0):
             row = bessel_row(int(x) + 40, x)
-            total = row.values[0] + 2.0 * row.values[2::2].sum()
+            total = row[0] + 2.0 * row[2::2].sum()
             assert total == pytest.approx(1.0, abs=1e-12)
         for x in (100.0, 300.0, 600.0):
             order_max = int(x) + 40 + math.ceil(10 * math.sqrt(x))
             row = bessel_row(order_max, x)
-            total = row.values[0] + 2.0 * row.values[2::2].sum()
+            total = row[0] + 2.0 * row[2::2].sum()
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_three_term_recurrence(self):
         for x in (2.0, 37.0, 300.0, 600.0):
-            row = bessel_row(int(x) + 120, x).values
+            row = bessel_row(int(x) + 120, x)
             for n in range(1, len(row) - 1):
                 lhs = row[n - 1] + row[n + 1]
                 rhs = 2 * n / x * row[n]
@@ -130,7 +130,7 @@ class TestBesselRow:
     def test_moment_identity(self):
         # x J_x(a) = (a/2)(J_{x-1}(a) + J_{x+1}(a))
         for a in (2.0, 20.0, 100.0):
-            row = bessel_row(int(2 * a) + 1, a).values
+            row = bessel_row(int(2 * a) + 1, a)
             for x in range(1, int(2 * a)):
                 assert x * row[x] == pytest.approx(
                     0.5 * a * (row[x - 1] + row[x + 1]), abs=1e-10
@@ -141,21 +141,21 @@ class TestBesselRow:
         # two-sided version doubles it to a^2)
         for a in (2.0, 50.0, 100.0):
             k_max = int(a) + 40
-            row = bessel_row(2 * k_max, a).values
+            row = bessel_row(2 * k_max, a)
             total = sum((2 * k) ** 2 * row[2 * k] for k in range(1, k_max + 1))
             assert total == pytest.approx(a * a / 2.0, abs=1e-8)
 
     def test_unitarity_identity(self):
         # J_0^2 + 2 sum J_k^2 = 1
         for x in (1.0, 10.0, 100.0):
-            row = bessel_row(int(x) + 120, x).values
+            row = bessel_row(int(x) + 120, x)
             total = row[0] ** 2 + 2.0 * np.sum(row[1:] ** 2)
             assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_magnitude_bound(self):
         for x in (0.0, 1.0, 25.0, 400.0):
             row = bessel_row(int(x) + 60, x)
-            assert np.max(np.abs(row.values)) <= 1.0
+            assert np.max(np.abs(row)) <= 1.0
 
     def test_start_order_margin(self):
         assert miller_start_order(10, 2.0) == 10 + 20 + math.ceil(10 * math.sqrt(10))
@@ -186,7 +186,7 @@ class TestBesselRowsBatch:
         batch = bessel_rows(64, args)
         for i, x in enumerate(args):
             np.testing.assert_allclose(
-                batch[i], bessel_row(64, float(x)).values, rtol=0, atol=1e-13
+                batch[i], bessel_row(64, float(x)), rtol=0, atol=1e-13
             )
 
     def test_zero_arguments_embedded(self):

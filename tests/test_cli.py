@@ -1,6 +1,5 @@
 import ctypes
 import json
-import math
 import re
 
 import numpy as np
@@ -23,11 +22,7 @@ from entspread.cli import (
 )
 from entspread.config import SCHEMA_VERSION, config_from_dict
 from entspread.observables import MomentSample
-from entspread.seriesio import (
-    CSV_COLUMNS,
-    read_series_csv,
-    write_series_csv,
-)
+from entspread.seriesio import read_series_csv, write_series_csv
 
 GOLDEN_HEADER = "time,m,w,alpha0_abs,m_o,m_d,norm_error"
 GOLDEN_ANALYTIC_HEADER = GOLDEN_HEADER + ",w_lower_bound,w_upper_bound,w_asymptote,m_asymptote"
@@ -165,12 +160,16 @@ class TestSimulate:
         run_simulate(config_from_dict(raw), tmp_path, allow_reflections=True)
 
     def test_seed_override_changes_output(self, tmp_path):
-        config = config_from_dict(make_config())
-        run_simulate(config, tmp_path / "a")
-        run_simulate(config, tmp_path / "b", seed_override=123)
+        path = write_config(tmp_path, make_config())
+        for out, extra in (("a", []), ("b", ["--seed", "123"])):
+            args = ["simulate", "--config", str(path), "--out", str(tmp_path / out), *extra]
+            result = CliRunner().invoke(main, args)
+            assert result.exit_code == 0, result.output
         assert (tmp_path / "a" / "series_r0000.csv").read_bytes() != (
             tmp_path / "b" / "series_r0000.csv"
         ).read_bytes()
+        manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        assert manifest["config"]["ensemble"]["base_seed"] == 123
 
     def test_parallel_jobs_match_serial(self, tmp_path):
         config = config_from_dict(make_config())
@@ -195,6 +194,22 @@ class TestSimulate:
         finally:
             lib.scipy_openblas_set_num_threads(before)
         assert [r["blas_threads"] for r in manifest["realizations"]] == [1, 1]
+
+    @pytest.mark.skipif(openblas() is None, reason="scipy does not bundle OpenBLAS")
+    def test_serial_run_uses_one_blas_thread_and_restores_the_caller(self, tmp_path, monkeypatch):
+        # The block products are too small for a second thread; a serial run
+        # must not keep the caller's count while it works, nor change it after.
+        lib = openblas()
+        monkeypatch.setattr(entspread.cli, "_simulate_worker", report_blas_threads)
+        before = lib.scipy_openblas_get_num_threads()
+        lib.scipy_openblas_set_num_threads(2)
+        try:
+            manifest = run_simulate(config_from_dict(make_config()), tmp_path, jobs=1)
+            after = lib.scipy_openblas_get_num_threads()
+        finally:
+            lib.scipy_openblas_set_num_threads(before)
+        assert [r["blas_threads"] for r in manifest["realizations"]] == [1, 1]
+        assert after == 2
 
 
 class TestAnalytic:
@@ -404,6 +419,15 @@ class TestCommandLine:
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 2, result.output
         assert "config.ensemble.base_seed" in result.output
+
+    def test_seed_help_is_the_same_on_every_command(self):
+        lines = []
+        for command in ("simulate", "analytic", "sweep"):
+            result = CliRunner().invoke(main, [command, "--help"])
+            assert result.exit_code == 0, result.output
+            line = next(ln for ln in result.output.splitlines() if ln.strip().startswith("--seed"))
+            lines.append(" ".join(line.split()))
+        assert lines == ["--seed INTEGER Override ensemble.base_seed."] * 3
 
     def test_closed_form_rejects_gamma_two(self, tmp_path):
         # the closed form is J_x(2t), the |gamma| = 1 chain; gamma = 2 spreads twice as fast

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from entspread.analytic import infinite_state
+from entspread.chain import ChainSpec, DisorderSpec, build_hamiltonian
 from entspread.observables import (
     MomentSample,
     concurrence_pair,
@@ -9,7 +10,7 @@ from entspread.observables import (
     reduced_density_pair,
     wootters_concurrence,
 )
-from entspread.propagator import WaveState, basis_state
+from entspread.propagator import WaveState, basis_state, evolve_series
 
 from conftest import random_unit_state
 
@@ -190,6 +191,25 @@ class TestMoments:
         sample = moment_m(infinite_state(1.0), half_width=0)
         assert sample.m_d == 0.0
         assert sample.m_o == sample.m
+
+    def test_outer_share_is_summed_while_the_front_crosses_the_core_edge(self):
+        # Desk core (realization 0 of seed 20260810) on 401 sites: at t in
+        # [10, 12] m_o is 1e-15 to 1e-12 of m, so m - m_d would leave it at
+        # rounding noise.
+        disorder = DisorderSpec("jz_coupling", 50, 0.0, 2.5, seed=20260810, diag_sign="plus")
+        spec = ChainSpec(401, disorder=disorder)
+        times = np.linspace(10.0, 12.0, 9)
+        states = evolve_series(build_hamiltonian(spec, 0), spec.origin, times, 50)
+        positive = 0
+        for state in states:
+            sample = moment_m(state, 50)
+            x = np.arange(state.num_sites) - state.origin
+            outer = np.abs(x) > 50
+            amps = np.abs(state.amplitudes[outer])
+            expected = 2.0 * sample.alpha0_abs * np.sum(x[outer] ** 2.0 * amps)
+            assert sample.m_o == pytest.approx(expected, rel=1e-12, abs=0.0), state.time
+            positive += expected > 0.0
+        assert positive >= 7
 
     def test_split_partition(self, rng):
         state = random_unit_state(rng, 41)

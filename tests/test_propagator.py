@@ -29,7 +29,7 @@ from entspread.propagator import (
     evolve_chebyshev,
     evolve_diagonalization,
     evolve_series,
-    reflection_budget_exceeded,
+    reflection_budget_violation,
 )
 
 
@@ -459,8 +459,8 @@ class TestEvolveSeries:
 
     def test_budget_scales_with_hopping(self):
         # the front moves at 2 gamma: gamma = 2 on 401 sites to t = 80 reflects
-        assert not reflection_budget_exceeded(401, 80.0)
-        assert reflection_budget_exceeded(401, 80.0, gamma=2.0)
+        assert reflection_budget_violation(401, 80.0) is None
+        assert reflection_budget_violation(401, 80.0, gamma=2.0) is not None
         strong = Hamiltonian(diag=np.zeros(401), offdiag=np.full(400, 2.0))
         with pytest.warns(ReflectionBudgetWarning):
             list(evolve_series(strong, 200, np.array([80.0])))
