@@ -129,9 +129,9 @@ def moment_m(state: WaveState, half_width: int = 0) -> MomentSample:
         raise ValueError(f"half_width must be >= 0, got {half_width}")
     lo, hi = state.support if state.support is not None else (0, state.num_sites - 1)
     first = lo - state.origin
-    offsets = np.arange(first, hi + 1 - state.origin)
+    offsets = np.arange(first, hi + 1 - state.origin, dtype=float)
     absamp = np.abs(state.amplitudes[lo : hi + 1])
-    weights = offsets.astype(float) ** 2 * absamp
+    weights = offsets * offsets * absamp
 
     w_total = float(np.sum(weights))
     # The core |x| <= half_width is one contiguous stretch of the summed sites.
