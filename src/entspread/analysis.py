@@ -56,6 +56,11 @@ class MomentSeries:
             raise ValueError(f"sample times must be finite, got {times[~np.isfinite(times)][0]}")
         if np.any(np.diff(times) <= 0.0):
             raise ValueError("sample times must be strictly increasing")
+        bad = np.argwhere(~np.isfinite(table))
+        if bad.size:
+            row, col = bad[0]
+            raise ValueError(f"column {MOMENT_COLUMNS[col]!r} must be finite, "
+                             f"got {table[row, col]} at t = {times[row]:g}")
         table.flags.writeable = False
         self.table = table
         self.spec_digest = spec_digest

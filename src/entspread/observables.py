@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .propagator import WaveState
+from .propagator import Block, WaveState
 
 # sigma_y (x) sigma_y in the basis (both ground, i excited, j excited, both excited).
 _SIGMA_YY = np.array(
@@ -117,43 +117,55 @@ def concurrence_pair(state: WaveState, i: int, j: int) -> float:
     return 2.0 * abs(state.amplitudes[i]) * abs(state.amplitudes[j])
 
 
-def moment_m(state: WaveState, half_width: int = 0) -> MomentSample:
-    """Full moment row at the state's time, split at the region half-width.
+def moment_rows(times: np.ndarray, block: Block, origin: int, half_width: int = 0) -> np.ndarray:
+    """Moment rows (columns MOMENT_COLUMNS) of the block's samples at `times`.
 
-    Sums run over the state's support when it is set, else over all sites.
-    Offsets with |x| <= half_width count as the disordered-region share m_d,
-    the rest as m_o; by construction m = 2 * alpha0_abs * w and
-    m = m_o + m_d hold to rounding.
+    Each sum runs over its sample's own support, so numpy's pairwise
+    summation groups the terms as for that state alone: a sum over the block
+    window would regroup them and move the last bits.  Offsets with
+    |x| <= half_width count as the disordered-region share m_d, the rest as
+    m_o; by construction m = 2 * alpha0_abs * w and m = m_o + m_d hold to
+    rounding.
     """
     if half_width < 0:
         raise ValueError(f"half_width must be >= 0, got {half_width}")
-    lo, hi = state.support if state.support is not None else (0, state.num_sites - 1)
-    first = lo - state.origin
-    offsets = np.arange(first, hi + 1 - state.origin, dtype=float)
-    absamp = np.abs(state.amplitudes[lo : hi + 1])
-    weights = offsets * offsets * absamp
+    offsets = np.arange(block.start - origin, block.start + block.width - origin, dtype=float)
+    weights = block.magnitudes * (offsets * offsets)
+    spans = [(0, 0) if support is None else (support[0] - block.start, support[1] + 1 - block.start)
+             for support in block.supports]
+    # The core |x| <= half_width is one stretch of columns, cut to each support.
+    core_lo, core_hi = origin - half_width - block.start, origin + half_width + 1 - block.start
+    cores = [(min(max(core_lo, lo), hi), min(max(core_hi, lo), hi)) for lo, hi in spans]
 
-    w_total = float(np.sum(weights))
-    # The core |x| <= half_width is one contiguous stretch of the summed sites.
-    core = slice(max(-half_width - first, 0), max(half_width - first + 1, 0))
-    w_inner = float(np.sum(weights[core]))
+    def sums(values, spans):
+        # np.add.reduce is np.sum without its wrapper.
+        return np.array([np.add.reduce(row[lo:hi]) for row, (lo, hi) in zip(values, spans)])
+
+    w_total = sums(weights, spans)
+    w_inner = sums(weights, cores)
     # m_o is summed, not taken as m - m_d: while the front crosses the core
     # edge the difference is rounding noise.  Zeroing the core keeps the sum
     # over every site, so a weightless core gives m_o == m exactly.
-    weights[core] = 0.0
-    w_outer = float(np.sum(weights))
+    weights[:, max(core_lo, 0) : max(core_hi, 0)] = 0.0
+    w_outer = sums(weights, spans)
+    norm_error = np.abs(1.0 - sums(np.square(block.magnitudes, out=weights), spans))
+    alpha0 = np.zeros(len(spans))
+    column = origin - block.start
+    if 0 <= column < block.width:
+        # The scalar abs(): the array np.abs may differ from it in the last bit.
+        alpha0[:] = [abs(a) for a in block.amplitudes[:, column]]
+    return np.column_stack((times, 2.0 * alpha0 * w_total, w_total, alpha0,
+                            2.0 * alpha0 * w_outer, 2.0 * alpha0 * w_inner, norm_error))
 
-    alpha0 = float(abs(state.amplitudes[state.origin]))
-    m_total = 2.0 * alpha0 * w_total
-    m_d = 2.0 * alpha0 * w_inner
-    m_o = 2.0 * alpha0 * w_outer
-    norm_error = abs(1.0 - float(np.sum(absamp**2)))
-    return MomentSample(
-        time=state.time,
-        m=m_total,
-        w=w_total,
-        alpha0_abs=alpha0,
-        m_o=m_o,
-        m_d=m_d,
-        norm_error=norm_error,
-    )
+
+def moment_m(state: WaveState, half_width: int = 0) -> MomentSample:
+    """Full moment row at the state's time, split at the region half-width.
+
+    Sums run over the state's support when it is set, else over all sites;
+    the rows are those of `moment_rows` for the state as a one-sample block.
+    """
+    lo, hi = state.support if state.support is not None else (0, state.num_sites - 1)
+    amps = state.amplitudes[None, lo : hi + 1]
+    block = Block(amps, np.abs(amps), lo, [(lo, hi)], None)
+    row = moment_rows(np.array([state.time]), block, state.origin, half_width)
+    return MomentSample(*row[0].tolist())

@@ -14,11 +14,14 @@ The coefficients are exactly the Bessel rows the bessel module provides.
   each is a coefficient row times the stored vectors, all S one matrix
   product (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984); Weisse et
   al., Rev. Mod. Phys. 78, 275 (2006)).  The last sample starts the next.
-* Parity split.  Even orders carry real coefficients and odd orders
+* Complex ring.  Even orders carry real coefficients and odd orders
   imaginary ones, so the recurrence runs on U_k = (-i)^k T_k(Hs) psi =
-  -2i Hs U_{k-1} + U_{k-2} as two real rows (times -i swaps them and flips
-  one sign): the GEMM's coefficients (2 - delta_k0) J_k(b|tau|) sign(tau)^k
-  are real.
+  -2i Hs U_{k-1} + U_{k-2}, one complex row per order, with -2i Hs set up
+  once.  Its coefficients are purely imaginary, so each complex product is
+  the one real product per part that two real rows would make, bit for bit.
+  The GEMM's coefficients (2 - delta_k0) J_k(b|tau|) sign(tau)^k are real:
+  it reads the ring as floats, (re, im) interleaved, and writes the samples
+  into rows that are read back as complex.
 * Order.  As |T_k(Hs)| <= 1 on the spectrum, cutting after order K changes
   a sample by at most 2 sum_{k>K} |J_k(b|tau|)| in the 2-norm.  A block is
   cut where that tail first is <= TAIL_TOLERANCE for its longest offset.
@@ -35,15 +38,20 @@ The coefficients are exactly the Bessel rows the bessel module provides.
   for the error earlier trims left near the front: the exact state's weight
   outside the support stays below TAIL_TOLERANCE^2 on a chained ordered run.
   Kept amplitudes below the bessel module's FLUSH_THRESHOLD are zeroed,
-  which keeps the arithmetic out of subnormals, and each WaveState records
-  its support, so reductions can skip the zeros.
+  which keeps the arithmetic out of subnormals, and each sample records its
+  support, so reductions can skip the zeros.
 * Byte cap.  Up to 8 orders sit in a ring, added into the S sample rows
   whenever it fills; S is cut so that ring, sample and coefficient rows and
-  scratch fit WORKSPACE_BYTES.  Wider windows shrink the ring to as few as 3
-  orders; only one over WORKSPACE_BYTES / 112 sites (75 000) passes the cap.
+  scratch fit WORKSPACE_BYTES.  The ring is freed before the block's
+  magnitudes are taken, and S is also cut so that the sample rows with the
+  magnitudes and the moment weights `observables.moment_rows` makes from
+  them fit.  Wider windows shrink the ring to as few as 3 orders; only one
+  over WORKSPACE_BYTES / 112 sites (75 000) passes the cap.
 
-`evolve_series` and `evolve_chebyshev` (one block of one sample) share that
-one kernel.  A dense eigendecomposition evolver is kept alongside as the
+`evolve_blocks` yields the blocks a series is made of; the simulate path
+reduces each to moment rows.  `evolve_series` (one state per sample) and
+`evolve_chebyshev` (one block of one sample) are built from the same block
+output.  A dense eigendecomposition evolver is kept alongside as the
 accuracy oracle for small chains.  Everything here is pure; distinct
 trajectories can be evolved concurrently.
 """
@@ -73,8 +81,8 @@ TAIL_TOLERANCE = 1e-16
 # samples for K = 47 matvecs, against 16 x 15 one sample at a time.
 BLOCK_Z_SPAN = 17.3
 
-# Cap on a block's workspace.  A desk block at t = 1000 needs 2.6 MB; a
-# fig1_full block at t = 10000 is cut to 4 samples by it.
+# Cap on a block's workspace.  A desk block at t = 1000 needs 1.7 MB with its
+# moments; a fig1_full block at t = 10000 is cut to 4 samples by it.
 WORKSPACE_BYTES = 8 << 20
 _RING_ORDERS = 8  # most orders stored between two accumulating products
 
@@ -151,6 +159,33 @@ def chebyshev_order(b: float, delta_t: float) -> int:
     return len(_truncated_row(b * abs(delta_t))) - 1
 
 
+@dataclass
+class Block:
+    """The S samples one Chebyshev block yields, on the window [start, start + width) of the chain.
+
+    Row s of `amplitudes` (S, width) is a sample's state on the window, zero
+    outside supports[s] ((lo, hi) in chain sites, None when nothing is left);
+    `magnitudes` is its np.abs.  `order` is the block's Chebyshev order K, so
+    it ran K matvecs over the window; None when no recurrence made the block.
+    """
+
+    amplitudes: np.ndarray
+    magnitudes: np.ndarray
+    start: int
+    supports: list[tuple[int, int] | None]
+    order: int | None
+
+    @property
+    def width(self) -> int:
+        return self.amplitudes.shape[1]
+
+    def state(self, s: int, num_sites: int, time: float, origin: int) -> WaveState:
+        """Sample s on the whole chain, in an array of its own."""
+        amps = np.zeros(num_sites, dtype=complex)
+        amps[self.start : self.start + self.width] = self.amplitudes[s]
+        return WaveState(amps, time, origin, self.supports[s])
+
+
 class _Kernel:
     """The windowed block Chebyshev expansion for one Hamiltonian.
 
@@ -164,18 +199,20 @@ class _Kernel:
         self.center = 0.5 * (emax + emin)
         self.half_width = 0.5 * (emax - emin)
         if self.half_width > 0.0:
-            # 2 Hs, so each recurrence order is one matvec and one addition.
-            self.diag2 = 2.0 * (h.diag - self.center) / self.half_width
-            self.off2 = 2.0 * h.offdiag / self.half_width
+            # -2i Hs, so each recurrence order is one matvec and one addition.
+            self.diag2 = -1j * (2.0 * (h.diag - self.center) / self.half_width)
+            self.off2 = -1j * (2.0 * h.offdiag / self.half_width)
         self._blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     def plan(self, width: int, offsets: np.ndarray) -> tuple[int, int]:
         """Samples S and ring length of the next block from a `width`-site support.
 
-        S counts the ascending `offsets` within BLOCK_Z_SPAN, cut so that S
-        sample and coefficient rows fit WORKSPACE_BYTES beside the ring and
-        three scratch rows on a window sized by the padded order, then evened
-        over the remaining offsets, so blocks of a linear grid repeat them.
+        S counts the ascending `offsets` within BLOCK_Z_SPAN, cut so that the
+        workspace fits WORKSPACE_BYTES on a window sized by the padded order:
+        while the ring runs, S sample and coefficient rows beside the ring and
+        three scratch rows; after it, S sample rows with their magnitudes and
+        moment weights.  S is then evened over the remaining offsets, so blocks
+        of a linear grid repeat them.
         """
         z = self.half_width * np.abs(offsets)
         count = max(int(np.searchsorted(z, BLOCK_Z_SPAN, side="right")), 1)
@@ -183,7 +220,8 @@ class _Kernel:
         window = min(width + 2 * orders, self.num_sites)
         slots = min(_RING_ORDERS, max(3, WORKSPACE_BYTES // (32 * window)))
         free = WORKSPACE_BYTES - 16 * window * (slots + 3)
-        count = max(1, min(count, free // (16 * window + 32 * orders)))
+        after = WORKSPACE_BYTES // (32 * window + 32 * orders)
+        count = max(1, min(count, free // (16 * window + 32 * orders), after))
         return -(-len(offsets) // -(-len(offsets) // count)), slots
 
     def _coefficients(self, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -199,80 +237,95 @@ class _Kernel:
         self._blocks = [*self._blocks[-1:], (offsets.copy(), coeffs, phases)]
         return coeffs, phases
 
-    def block(self, seed: np.ndarray, lo: int, offsets: np.ndarray, slots: int):
-        """Yield (amplitudes, support) of the state `seed` on [lo, lo + len(seed)) at each offset.
+    def block(self, seed: np.ndarray, lo: int, offsets: np.ndarray, slots: int) -> Block:
+        """The state `seed` on [lo, lo + len(seed)) at each offset.
 
         Offsets (nonzero) and ring length come from `plan`.  Each sample is
         trimmed: its outermost sites are zeroed while their weight sum |a_x|^2
-        stays within (TAIL_TOLERANCE / 2)^2 ||seed||^2 per side, and support is
-        the rest, or None when nothing is left.
+        stays within (TAIL_TOLERANCE / 2)^2 ||seed||^2 per side, and its
+        support is the rest.
         """
         coeffs, phases = self._coefficients(offsets)
         order = coeffs.shape[1] - 1
         start = max(lo - order, 0)
         stop = min(lo + len(seed) + order, self.num_sites)
         width = stop - start
+        samples = self._expand(seed, lo - start, start, stop, coeffs, slots)
+        budget = (0.5 * TAIL_TOLERANCE) ** 2 * float(np.vdot(seed, seed).real)
+        # The cut almost always falls in the outer order + 1 sites, the ones the
+        # light cone added to the seed's support.
+        lefts = _edge_count(samples, budget, order + 1).tolist()
+        rights = _edge_count(samples[:, ::-1], budget, order + 1).tolist()
+        supports = []
+        for sample, left, right in zip(samples, lefts, rights):
+            if left + right >= width:
+                sample[:] = 0.0
+                supports.append(None)
+                continue
+            sample[:left] = 0.0
+            sample[width - right :] = 0.0
+            supports.append((start + left, stop - right - 1))
+        samples *= phases[:, None]
+        magnitudes = np.abs(samples)
+        tiny = magnitudes < FLUSH_THRESHOLD
+        np.copyto(samples, 0.0, where=tiny)
+        np.copyto(magnitudes, 0.0, where=tiny)
+        return Block(samples, magnitudes, start, supports, order)
+
+    def _expand(self, seed: np.ndarray, at: int, start: int, stop: int, coeffs: np.ndarray,
+                slots: int) -> np.ndarray:
+        """Rows sum_k coeffs[s, k] U_k on the window [start, stop), as (S, stop - start) complex.
+
+        U_0 is `seed` placed at column `at` of the window.  The ring and its
+        scratch are freed on return, before the caller's per-block
+        temporaries are made.
+        """
+        order, width = coeffs.shape[1] - 1, stop - start
         # Slot k % slots holds U_k; the zero last slot stands in for U_{-1}.
-        ring = np.zeros((slots, 2, width))
-        ring[0, :, lo - start : lo - start + len(seed)] = seed.real, seed.imag
-        rows = np.empty((len(offsets), 2 * width))
+        ring = np.zeros((slots, width), dtype=complex)
+        ring[0, at : at + len(seed)] = seed
+        # Row s holds sample s as interleaved (re, im) pairs: a complex view.
+        rows = np.empty((len(coeffs), 2 * width))
         if order >= 1:
             diag2 = self.diag2[start:stop]
             off2 = self.off2[start : stop - 1]
-            tmp = np.empty((2, width - 1))
+            tmp = np.empty(width - 1, dtype=complex)
         done = 0
         for k in range(order + 1):
             slot = k % slots
             if k >= 1:
-                # U_k = -2i Hs U_{k-1} + U_{k-2}: 2 Hs on the swapped rows of
-                # U_{k-1}, then (2Hs im + prev re, prev im - 2Hs re).
-                cur, prev, nxt = ring[(k - 1) % slots, ::-1], ring[(k - 2) % slots], ring[slot]
+                # U_k = -2i Hs U_{k-1} + U_{k-2}
+                cur, nxt = ring[(k - 1) % slots], ring[slot]
                 np.multiply(diag2, cur, out=nxt)
-                np.multiply(off2, cur[:, 1:], out=tmp)
-                nxt[:, :-1] += tmp
-                np.multiply(off2, cur[:, :-1], out=tmp)
-                nxt[:, 1:] += tmp
-                nxt[0] += prev[0]
-                np.subtract(prev[1], nxt[1], out=nxt[1])
+                np.multiply(off2, cur[1:], out=tmp)
+                nxt[:-1] += tmp
+                np.multiply(off2, cur[:-1], out=tmp)
+                nxt[1:] += tmp
+                nxt += ring[(k - 2) % slots]
                 if k == 1:
                     nxt *= 0.5
             if slot == slots - 1 or k == order:
                 # rows (+)= coeffs[:, done:k+1] @ ring[:slot+1], in place.
-                stored = ring[: slot + 1].reshape(slot + 1, -1).T
+                stored = ring[: slot + 1].view(float).T
                 dgemm(1.0, stored, coeffs[:, done : k + 1], beta=float(done > 0), c=rows.T,
                       trans_b=1, overwrite_c=1)
                 done = k + 1
-
-        rows = rows.reshape(len(offsets), 2, width)
-        budget = (0.5 * TAIL_TOLERANCE) ** 2 * float(np.vdot(seed, seed).real)
-        # The cut almost always falls in the outer order + 1 sites, the ones the
-        # light cone added to the seed's support.
-        lefts = _edge_count(rows, budget, order + 1).tolist()
-        rights = _edge_count(rows[:, :, ::-1], budget, order + 1).tolist()
-        for row, phase, left, right in zip(rows, phases, lefts, rights):
-            amps = np.zeros(self.num_sites, dtype=complex)
-            if left + right >= width:
-                yield amps, None
-                continue
-            window = amps[start + left : stop - right]
-            window.real = row[0, left : width - right]
-            window.imag = row[1, left : width - right]
-            window *= phase
-            window[np.abs(window) < FLUSH_THRESHOLD] = 0.0
-            yield amps, (start + left, stop - right - 1)
+        return rows.view(complex)
 
 
-def _edge_count(rows: np.ndarray, budget: float, rim: int) -> np.ndarray:
-    """Leading sites of each sample in `rows` (S, 2, width) whose summed weight is <= budget.
+def _edge_count(samples: np.ndarray, budget: float, rim: int) -> np.ndarray:
+    """Leading sites of each row of `samples` (S, width) whose summed weight is <= budget.
 
     The search runs over the first `rim` sites and doubles them while any
     sample's budget outlasts them.
     """
-    width = rows.shape[2]
+    width = samples.shape[1]
     while True:
         rim = min(rim, width)
-        weight = np.cumsum(np.square(rows[:, :, :rim]).sum(axis=1), axis=1)
-        count = np.count_nonzero(weight <= budget, axis=1)
+        edge = samples[:, :rim]
+        weight = np.square(edge.real)
+        weight += np.square(edge.imag)
+        count = np.count_nonzero(np.cumsum(weight, axis=1) <= budget, axis=1)
         if rim == width or np.all(count < rim):
             return count
         rim *= 2
@@ -291,11 +344,13 @@ def evolve_chebyshev(h: Hamiltonian, initial: WaveState, delta_t: float) -> Wave
     amps = initial.amplitudes.astype(complex, copy=True)
     nonzero = np.flatnonzero(amps)
     support = (int(nonzero[0]), int(nonzero[-1])) if nonzero.size else None
-    if delta_t != 0.0 and support is not None:
-        kernel, (lo, hi), offsets = _Kernel(h), support, np.array([delta_t])
-        slots = kernel.plan(hi - lo + 1, offsets)[1]
-        amps, support = next(kernel.block(amps[lo : hi + 1], lo, offsets, slots))
-    return WaveState(amps, initial.time + delta_t, initial.origin, support)
+    time = initial.time + delta_t
+    if delta_t == 0.0 or support is None:
+        return WaveState(amps, time, initial.origin, support)
+    kernel, (lo, hi), offsets = _Kernel(h), support, np.array([delta_t])
+    slots = kernel.plan(hi - lo + 1, offsets)[1]
+    block = kernel.block(amps[lo : hi + 1], lo, offsets, slots)
+    return block.state(0, h.num_sites, time, initial.origin)
 
 
 def evolve_diagonalization(h: Hamiltonian, initial: WaveState, delta_t: float) -> WaveState:
@@ -337,20 +392,20 @@ def reflection_budget_violation(
     return f"boundary budget exceeded: 2*gamma*t_max + (2L+1) = {reach:g} > (N-1)/2 - 10 = {room:g}"
 
 
-def evolve_series(
+def evolve_blocks(
     h: Hamiltonian,
     origin: int,
     times: np.ndarray,
     disorder_half_width: int = 0,
 ):
-    """Yield the state at each sample time, chaining Chebyshev blocks between samples.
+    """Yield (sample times, Block) for each Chebyshev block of the series at `times`.
 
-    Starts from the unit excitation at `origin` at t = 0 and never restarts
+    Starts from the unit excitation at `origin` at t = 0 (a sample at t = 0
+    is yielded as a block of its own, with order None) and never restarts
     from scratch, so total work scales with the final time rather than the
     sum of sample times.  Yields lazily: a long scan over a big chain holds
-    one block's workspace and the states its caller keeps.  The front speed
-    2 gamma of the reflection check reads gamma as the largest |hopping| of
-    the chain.
+    one block's workspace.  The front speed 2 gamma of the reflection check
+    reads gamma as the largest |hopping| of the chain.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -368,23 +423,41 @@ def evolve_series(
         warnings.warn(
             f"{violation}; amplitudes near the edges will contain reflections",
             ReflectionBudgetWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
 
     kernel = _Kernel(h)
     seed, lo, now = np.ones(1, dtype=complex), origin, 0.0
     done = int(times[0] == 0.0)
     if done:
-        yield basis_state(h.num_sites, origin)
+        one = np.ones((1, 1))
+        yield times[:1], Block(one.astype(complex), one, origin, [(origin, origin)], None)
     while done < times.size:
         count, slots = kernel.plan(len(seed), times[done:] - now)
         samples = times[done : done + count]
-        for s, (amps, support) in enumerate(kernel.block(seed, lo, samples - now, slots)):
-            if s == count - 1:
-                # The next block starts from a private copy of this state.
-                lo, hi = support or (0, 0)
-                seed = amps[lo : hi + 1].copy()
-            # Label with the exact grid value; the evolved duration is the sum
-            # of the block offsets, which telescopes to t exactly.
-            yield WaveState(amps, float(samples[s]), origin, support)
+        block = kernel.block(seed, lo, samples - now, slots)
+        # The next block starts from a private copy of the last sample.
+        if block.supports[-1] is None:
+            seed, lo = np.zeros(1, dtype=complex), 0
+        else:
+            lo, hi = block.supports[-1]
+            seed = block.amplitudes[-1, lo - block.start : hi + 1 - block.start].copy()
+        # Label with the exact grid values; the evolved duration is the sum of
+        # the block offsets, which telescopes to t exactly.
+        yield samples, block
         done, now = done + count, float(samples[-1])
+
+
+def evolve_series(
+    h: Hamiltonian,
+    origin: int,
+    times: np.ndarray,
+    disorder_half_width: int = 0,
+):
+    """Yield the state at each sample time, from the blocks of `evolve_blocks`.
+
+    Each state has an amplitude array of its own.
+    """
+    for samples, block in evolve_blocks(h, origin, times, disorder_half_width):
+        for s, time in enumerate(samples.tolist()):
+            yield block.state(s, h.num_sites, time, origin)

@@ -185,6 +185,15 @@ class TestMomentSeries:
         with pytest.raises(ValueError, match="sample times must be finite"):
             MomentSeries.from_table(table)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("column", MOMENT_COLUMNS[1:])
+    def test_rejects_non_finite_values_in_any_column(self, column, bad):
+        # only the time column was checked: a NaN m fitted to a NaN exponent
+        table = np.array(series_from_m([1.0, 2.0, 3.0], [1.0, 1.0, 1.0]).table)
+        table[2, MOMENT_COLUMNS.index(column)] = bad
+        with pytest.raises(ValueError, match=f"column '{column}' must be finite, got {bad} at t = 3"):
+            MomentSeries.from_table(table)
+
     def test_column_access(self):
         series = series_from_m([1.0, 2.0], [3.0, 4.0])
         np.testing.assert_array_equal(series.column("m"), [3.0, 4.0])

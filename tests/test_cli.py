@@ -1,14 +1,19 @@
 import ctypes
 import json
 import re
+from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg._fblas
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entspread.cli
 from entspread.analysis import MomentSeries
+from entspread.chain import build_hamiltonian
 from entspread.cli import (
     BoundaryBudgetError,
     analytic_series,
@@ -20,12 +25,15 @@ from entspread.cli import (
     run_verify,
     simulate_realization,
 )
-from entspread.config import SCHEMA_VERSION, config_from_dict
-from entspread.observables import MomentSample
+from entspread.config import SCHEMA_VERSION, config_from_dict, load_config
+from entspread.observables import MomentSample, moment_m
+from entspread.propagator import evolve_series
 from entspread.seriesio import read_series_csv, write_series_csv
 
 GOLDEN_HEADER = "time,m,w,alpha0_abs,m_o,m_d,norm_error"
 GOLDEN_ANALYTIC_HEADER = GOLDEN_HEADER + ",w_lower_bound,w_upper_bound,w_asymptote,m_asymptote"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ORDERED_ANALYTIC, DESK = CONFIGS / "ordered_analytic.json", CONFIGS / "fig1_desk.json"
 
 
 def make_config(**tweaks):
@@ -107,7 +115,43 @@ class TestSeriesIO:
         assert "line 3" in result.output
 
 
+@st.composite
+def small_configs(draw):
+    """A short run on a small chain: any core half-width, t_start = 0 or later."""
+    num_sites = 2 * draw(st.integers(1, 60)) + 1
+    half_width = draw(st.integers(0, (num_sites - 1) // 2))
+    t_start = 0.0 if draw(st.booleans()) else draw(st.floats(0.01, 3.0))
+    return config_from_dict(make_config(
+        chain={"num_sites": num_sites, "disorder": {"half_width": half_width, "low": 0.0, "high": 2.5}},
+        times={"t_start": t_start, "t_end": t_start + draw(st.floats(0.5, 20.0)),
+               "num_samples": draw(st.integers(1, 60))},
+        ensemble={"num_realizations": 1, "base_seed": draw(st.integers(0, 2**32))},
+    ))
+
+
 class TestSimulate:
+    @pytest.mark.filterwarnings("ignore::entspread.propagator.ReflectionBudgetWarning")
+    @settings(max_examples=40, deadline=None)
+    @given(small_configs())
+    def test_table_is_the_per_state_table(self, config):
+        # Bit for bit, not approximately: the block-level moments of the
+        # simulate path against moment_m over evolve_series states.
+        half_width = config.chain.disorder.half_width
+        h = build_hamiltonian(config.chain, 0)
+        states = evolve_series(h, config.chain.origin, config.times.grid(), half_width)
+        expected = np.array([astuple(moment_m(state, half_width)) for state in states])
+        assert np.array_equal(simulate_realization(config, 0).table, expected)
+
+    def test_manifest_stats_count_the_kernel_work(self, tmp_path):
+        # Desk realization 0: the kernel's own counts, not K x num_sites per gap.
+        raw = json.loads(DESK.read_text())
+        raw["ensemble"]["num_realizations"] = 1
+        stats = run_simulate(config_from_dict(raw), tmp_path)["realizations"][0]["stats"]
+        assert stats.pop("max_norm_error") <= 1e-12
+        assert stats == {
+            "blocks": 250, "matvecs": 11750, "site_updates": 25460558, "final_support_width": 4075
+        }
+
     def test_ordered_matches_analytic(self, tmp_path):
         raw = make_config(
             chain={"num_sites": 4001},
@@ -375,6 +419,21 @@ class TestSweep:
             tmp_path / "b" / "series_r0000.csv"
         ).read_bytes()
 
+    def test_non_finite_csv_recorded_as_failure(self, tmp_path, monkeypatch):
+        def corrupt(path, series, extras=None):
+            write_series_csv(path, series, extras)
+            lines = path.read_text().splitlines()
+            fields = lines[101].split(",")
+            fields[1] = "nan"
+            lines[101] = ",".join(fields)
+            path.write_text("\n".join(lines) + "\n")
+
+        monkeypatch.setattr(entspread.cli, "write_series_csv", corrupt)
+        aggregate = run_sweep(self.sweep_config(tmp_path), tmp_path, window=(10.0, 60.0))
+        assert aggregate["ensemble"]["count"] == 0
+        assert [f["index"] for f in aggregate["failures"]] == [0]
+        assert "column 'm' must be finite" in aggregate["failures"][0]["error"]
+
     def test_partial_failures_recorded(self, tmp_path):
         config = self.sweep_config(tmp_path)
         aggregate = run_sweep(config, tmp_path, window=(1000.0, 2000.0))
@@ -492,6 +551,19 @@ class TestCommandLine:
         result = CliRunner().invoke(main, [*command, str(path)])
         assert result.exit_code == 2, result.output
         assert "sample times must be finite" in result.output
+
+    @pytest.mark.parametrize("command", [["fit", "--window", "100:500"], ["verify", "--csv"]])
+    def test_non_finite_csv_value_exit_code(self, tmp_path, command):
+        # a NaN m in the analytic CSV fitted to a NaN exponent and verified as PASS
+        path = tmp_path / run_analytic(load_config(ORDERED_ANALYTIC), tmp_path)["realizations"][0]["csv"]
+        lines = path.read_text().splitlines()
+        fields = lines[1000].split(",")
+        fields[1] = "nan"
+        lines[1000] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        result = CliRunner().invoke(main, [*command, str(path)])
+        assert result.exit_code == 2, result.output
+        assert f"column 'm' must be finite, got nan at t = {fields[0]}" in result.output
 
     def test_fit_bad_window_flag(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -621,7 +693,10 @@ class TestReportSchemas:
             "ensemble",
         }
         record_keys = {"index", "csv", "sha256", "spec_digest", "wall_time_s"}
-        assert set(simulate["realizations"][0]) == record_keys
+        assert set(simulate["realizations"][0]) == record_keys | {"stats"}
+        assert set(simulate["realizations"][0]["stats"]) == {
+            "blocks", "matvecs", "site_updates", "max_norm_error", "final_support_width"
+        }
         assert set(analytic["realizations"][0]) == record_keys
         ensemble_keys = {"count", "median_exponent", "iqr_exponent"}
         assert set(fit["ensemble"]) == set(sweep["ensemble"]) == ensemble_keys

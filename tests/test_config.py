@@ -214,7 +214,7 @@ class TestLoadAndDigest:
         "name, digest",
         [
             ("fig1_desk.json", "0e6146bd6cce"),
-            ("fig1_full.json", "b5917c01301e"),
+            ("fig1_full.json", "1e316ebf4904"),
             ("ordered_analytic.json", "8c5f14cd611f"),
         ],
     )

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import entspread.cli
 import entspread.propagator
 from entspread.analytic import infinite_amplitude
 from entspread.chain import (
@@ -18,6 +20,9 @@ from entspread.chain import (
     derive_seed,
     spectral_bounds,
 )
+from entspread.cli import simulate_realization
+from entspread.config import config_from_dict
+from entspread.observables import moment_m, moment_rows
 from entspread.propagator import (
     DIAGONALIZATION_MAX_SITES,
     TAIL_TOLERANCE,
@@ -27,6 +32,7 @@ from entspread.propagator import (
     basis_state,
     chebyshev_order,
     evolve_chebyshev,
+    evolve_blocks,
     evolve_diagonalization,
     evolve_series,
     reflection_budget_violation,
@@ -279,7 +285,41 @@ def chains_and_grids(draw):
     return h, origin, times
 
 
+def per_state_moment_row(state, half_width):
+    """One state's moment row, summed over its support as the per-state path has always summed it."""
+    lo, hi = state.support if state.support is not None else (0, state.num_sites - 1)
+    first = lo - state.origin
+    offsets = np.arange(first, hi + 1 - state.origin, dtype=float)
+    absamp = np.abs(state.amplitudes[lo : hi + 1])
+    weights = offsets * offsets * absamp
+    w_total = float(np.sum(weights))
+    core = slice(max(-half_width - first, 0), max(half_width - first + 1, 0))
+    w_inner = float(np.sum(weights[core]))
+    weights[core] = 0.0
+    w_outer = float(np.sum(weights))
+    alpha0 = float(abs(state.amplitudes[state.origin]))
+    norm_error = abs(1.0 - float(np.sum(absamp**2)))
+    return (state.time, 2.0 * alpha0 * w_total, w_total, alpha0, 2.0 * alpha0 * w_outer,
+            2.0 * alpha0 * w_inner, norm_error)
+
+
 class TestBlockSeries:
+    @pytest.mark.filterwarnings("ignore::entspread.propagator.ReflectionBudgetWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(chains_and_grids(), st.one_of(st.just(0), st.integers(1, 30), st.integers(300, 400)))
+    def test_block_moment_rows_equal_the_per_state_rows(self, case, half_width):
+        # Bit for bit: the block path reduces whole blocks, the per-state path
+        # one full-chain state at a time.  Half-widths from 300 up make the
+        # core wider than any chain drawn.
+        h, origin, times = case
+        blocks = [moment_rows(t, block, origin, half_width)
+                  for t, block in evolve_blocks(h, origin, times, half_width)]
+        states = list(evolve_series(h, origin, times, half_width))
+        per_state = np.array([per_state_moment_row(state, half_width) for state in states])
+        assert np.array_equal(np.concatenate(blocks), per_state)
+        moment_m_rows = np.array([astuple(moment_m(state, half_width)) for state in states])
+        assert np.array_equal(moment_m_rows, per_state)
+
     @pytest.mark.filterwarnings("ignore::entspread.propagator.ReflectionBudgetWarning")
     @settings(max_examples=60, deadline=None)
     @given(chains_and_grids())
@@ -362,36 +402,68 @@ class TestBlockSeries:
         assert calls["bessel_row"] <= calls["blocks"]
 
     @pytest.mark.parametrize("cap", [WORKSPACE_BYTES, 1 << 20], ids=["module_cap", "1MiB_cap"])
+    @pytest.mark.filterwarnings("ignore::entspread.propagator.ReflectionBudgetWarning")
     @pytest.mark.parametrize(
         "num_sites, times",
-        [(4001, 1e-3 * np.arange(4001)), (4223, np.linspace(0.0, 1000.0, 4001))],
-        ids=["dense_grid", "desk_like"],
+        [
+            (4001, 1e-3 * np.arange(4001)),
+            (4223, np.linspace(0.0, 1000.0, 4001)),
+            (301, np.linspace(100.0, 104.0, 4001)),
+        ],
+        ids=["dense_grid", "desk_like", "filled_chain"],
     )
     def test_workspace_within_byte_cap(self, monkeypatch, num_sites, times, cap):
         # Unbounded, these runs stay under the module cap; the 1 MiB cap binds
-        # on both, so it checks that blocks are cut to fit.
+        # on all three, so it checks that blocks are cut to fit.  Both paths
+        # are measured: evolve_series, and simulate_realization, whose moment
+        # rows add temporaries to the block's own.  On the filled chain a
+        # block's window is the whole chain, as wide as the plan assumes.
         monkeypatch.setattr(entspread.propagator, "WORKSPACE_BYTES", cap)
-        growth = []
+        growth = {"evolve_series": [], "simulate": []}
+        before = []
         original_block = entspread.propagator._Kernel.block
+        original_rows = entspread.cli.moment_rows
 
         def measured_block(kernel, *args):
             tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            for amps, support in original_block(kernel, *args):
-                growth.append(tracemalloc.get_traced_memory()[1] - before)
-                yield amps, support
+            before.append(tracemalloc.get_traced_memory()[0])
+            return original_block(kernel, *args)
+
+        def measure(path):
+            if before:  # not the t = 0 sample, which no block made
+                growth[path].append(tracemalloc.get_traced_memory()[1] - before[-1])
+
+        def measured_rows(*args):
+            rows = original_rows(*args)
+            measure("simulate")
+            return rows
 
         monkeypatch.setattr(entspread.propagator._Kernel, "block", measured_block)
-        core = DisorderSpec(mode="jz_coupling", half_width=50, low=0.0, high=2.5, diag_sign="plus")
-        h = build_hamiltonian(ChainSpec(num_sites=num_sites, disorder=core), 0)
+        monkeypatch.setattr(entspread.cli, "moment_rows", measured_rows)
+        core = {"mode": "jz_coupling", "half_width": 50, "low": 0.0, "high": 2.5, "diag_sign": "plus"}
+        config = config_from_dict({
+            "schema_version": 1,
+            "chain": {"num_sites": num_sites, "disorder": core},
+            "times": {"t_start": float(times[0]), "t_end": float(times[-1]), "num_samples": len(times)},
+            "ensemble": {"num_realizations": 1, "base_seed": 0},
+            "outputs": {"directory": "unused", "formats": ["csv"]},
+        })
+        h = build_hamiltonian(config.chain, 0)
         tracemalloc.start()
         try:
-            for state in evolve_series(h, num_sites // 2, times, 50):
-                pass
+            for _ in evolve_series(h, num_sites // 2, times, 50):
+                measure("evolve_series")
+            blocks = len(before)
+            before.clear()
+            simulate_realization(config, 0)
         finally:
             tracemalloc.stop()
-        # What a block allocates, less the one full-chain state it hands out.
-        assert max(growth) - 16 * num_sites <= cap
+        assert blocks > 1 and len(before) > 1
+        assert len(growth["evolve_series"]) == len(times) - (times[0] == 0.0)
+        assert len(growth["simulate"]) == len(before)
+        # What a block allocates, less the one full-chain state evolve_series hands out.
+        assert max(growth["evolve_series"]) - 16 * num_sites <= cap
+        assert max(growth["simulate"]) <= cap
 
 
 class TestDiagonalization:
