@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 
 import numpy as np
@@ -188,33 +188,28 @@ def local_exponent(series: MomentSeries, field_name: str) -> np.ndarray:
     return np.column_stack((times[1:-1], slopes))
 
 
-@dataclass(frozen=True)
-class BoundCheck:
-    """One sample versus the ordered-chain envelope 2t^2 <= W <= 16/sqrt(pi) t^2.5."""
-
-    time: float
-    lower_ok: bool
-    upper_ok: bool | None  # None below the asymptotic validity time
-    w: float
-    lower: float
-    upper: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundsReport:
-    checks: tuple[BoundCheck, ...] = field(default_factory=tuple)
+    """An ordered-chain series versus the envelope 2t^2 <= W <= 16/sqrt(pi) t^2.5.
+
+    `checks` is one record array with a row per sample and the fields time,
+    w, lower, upper, lower_ok, upper_ok and upper_checked.  upper_ok is True
+    wherever the upper bound is not checked.
+    """
+
+    checks: np.recarray
 
     @property
     def lower_failures(self) -> int:
-        return sum(1 for c in self.checks if not c.lower_ok)
+        return int(np.count_nonzero(~self.checks.lower_ok))
 
     @property
     def upper_failures(self) -> int:
-        return sum(1 for c in self.checks if c.upper_ok is False)
+        return int(np.count_nonzero(~self.checks.upper_ok))
 
     @property
     def upper_checked(self) -> int:
-        return sum(1 for c in self.checks if c.upper_ok is not None)
+        return int(np.count_nonzero(self.checks.upper_checked))
 
     @property
     def passed(self) -> bool:
@@ -228,18 +223,11 @@ def verify_bounds(series: MomentSeries) -> BoundsReport:
     only for t >= 5.  This reports rather than asserts, so corrupt inputs
     come back as failure counts.
     """
-    checks = []
-    for t, w in zip(series.times().tolist(), series.column("w").tolist()):
-        lower, upper = w_bounds_ordered(t)
-        upper_ok = bool(w <= upper) if t >= UPPER_BOUND_MIN_TIME else None
-        checks.append(
-            BoundCheck(
-                time=t,
-                lower_ok=bool(w >= lower - 1e-9),
-                upper_ok=upper_ok,
-                w=w,
-                lower=lower,
-                upper=upper,
-            )
-        )
-    return BoundsReport(checks=tuple(checks))
+    times, w = series.times(), series.column("w")
+    lower, upper = w_bounds_ordered(times)
+    upper_checked = times >= UPPER_BOUND_MIN_TIME
+    checks = np.rec.fromarrays(
+        (times, w, lower, upper, w >= lower - 1e-9, (w <= upper) | ~upper_checked, upper_checked),
+        names=("time", "w", "lower", "upper", "lower_ok", "upper_ok", "upper_checked"),
+    )
+    return BoundsReport(checks)

@@ -99,13 +99,14 @@ def impurity_origin_amplitude(epsilon: float, t: float) -> complex:
     return epsilon / e_bound * cmath.exp(-1j * e_bound * t) + complex(band)
 
 
-def w_bounds_ordered(t: float) -> tuple[float, float]:
+def w_bounds_ordered(t):
     """(2t^2, 16/sqrt(pi) t^(5/2)): rigorous lower and asymptotic upper bound on W(t).
 
-    The upper member is meaningful for t >= 1 and is checked downstream only
-    for t >= 5.
+    `t` is a float or a float array.  t^(5/2) is taken as t * t * sqrt(t),
+    whose roundings do not depend on the host's `pow`.  The upper member is
+    meaningful for t >= 1 and is checked downstream only for t >= 5.
     """
-    return 2.0 * t * t, 16.0 / math.sqrt(math.pi) * t ** 2.5
+    return 2.0 * t * t, 16.0 / math.sqrt(math.pi) * (t * t * np.sqrt(t))
 
 
 # Two-term oscillation-averaged law W ~ W_LEAD t^2.5 + W_CAUSTIC t^2 on the
@@ -117,8 +118,8 @@ W_CAUSTIC = 8.0 * 0.3612131872
 M_PER_W = 4.0 / math.pi**1.5
 
 
-def asymptotes_ordered(t: float) -> tuple[float, float]:
-    """Oscillation-averaged large-t laws (W, M) on the infinite ordered chain.
+def asymptotes_ordered(t):
+    """Oscillation-averaged large-t laws (W, M) on the infinite ordered chain, at t > 0.
 
         W ~ A t^2.5 + B t^2,    M ~ 4/pi^1.5 t^-1/2 W = 1.978463 t^2 + 2.075816 t^1.5
 
@@ -135,9 +136,11 @@ def asymptotes_ordered(t: float) -> tuple[float, float]:
     C = int (|Ai(-s)| - 2 pi^-1.5 s^-1/4 theta(s)) ds; the s < 0 tail gives
     exactly 1/3.  Both fronts give 2 z^2 C = 8 C t^2.  The relative error of
     the two-term law falls from ~0.3% at t = 100 to ~1e-4 at t = 1000.
+
+    `t` is a float or a float array.
     """
-    if t <= 0.0:
-        raise ValueError(f"t must be > 0, got {t}")
-    root = math.sqrt(t)
+    if np.any(t <= 0.0):
+        raise ValueError(f"t must be > 0, got {np.min(t)}")
+    root = np.sqrt(t)
     w_avg = t * t * (W_LEAD * root + W_CAUSTIC)
     return w_avg, M_PER_W / root * w_avg

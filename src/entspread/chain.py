@@ -182,10 +182,10 @@ def build_hamiltonian(spec: ChainSpec, realization_index: int = 0) -> Hamiltonia
         sign = 1.0 if dis.diag_sign == "plus" else -1.0
         lo = spec.origin - dis.half_width
         if dis.mode == "jz_coupling":
-            for i in range(2 * dis.half_width):
-                jz = draws[i]
-                diag[lo + i] += sign * jz
-                diag[lo + i + 1] += sign * jz
+            bonds = sign * draws[:-1]
+            # Each site sums its left bond, then its right one, as a per-bond loop does.
+            diag[lo + 1 : lo + 1 + len(bonds)] += bonds
+            diag[lo : lo + len(bonds)] += bonds
         else:
             diag[lo : lo + 2 * dis.half_width + 1] = draws
     return Hamiltonian(diag=diag, offdiag=offdiag)

@@ -181,10 +181,10 @@ def analytic_series(config: ExperimentConfig) -> tuple[MomentSeries, dict[str, n
         norm_error = np.abs(1.0 - (rows[:, 0] ** 2 + 2.0 * np.sum(rows[:, 1:] ** 2, axis=1)))
         chunks.append(np.column_stack((chunk, m, w, alpha0, m, np.zeros_like(m), norm_error)))
     series = MomentSeries.from_table(np.concatenate(chunks), config_digest(config))
-    bounds = np.array([w_bounds_ordered(t) for t in times])
-    asym = np.array([asymptotes_ordered(t) if t > 0 else (0.0, 0.0) for t in times])
-    extras = dict(zip(ANALYTIC_EXTRA_COLUMNS, (bounds[:, 0], bounds[:, 1], asym[:, 0], asym[:, 1])))
-    return series, extras
+    # The asymptotes hold for t > 0; a sample at t = 0 gets zeros.
+    asym = np.zeros((2, len(times)))
+    asym[:, times > 0.0] = asymptotes_ordered(times[times > 0.0])
+    return series, dict(zip(ANALYTIC_EXTRA_COLUMNS, (*w_bounds_ordered(times), *asym)))
 
 
 def _simulate_worker(config: ExperimentConfig, realization_index: int, out_dir: Path) -> dict:
@@ -227,7 +227,6 @@ def run_simulate(
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     _check_budget(config, allow_reflections)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     indices = range(config.ensemble.num_realizations)
     started = _time.perf_counter()
     if jobs > 1 and len(indices) > 1:
@@ -250,7 +249,6 @@ def run_simulate(
 def run_analytic(config: ExperimentConfig, out_dir: str | Path) -> dict:
     """Write the analytic ordered-chain series; returns the manifest."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     started = _time.perf_counter()
     series, extras = analytic_series(config)
     path = out_dir / "series_analytic.csv"
@@ -310,28 +308,27 @@ def run_fit(
     }
 
 
+def _identity_check(name: str, a: float, error: float, tol: float) -> dict:
+    # error is a Python float so that "ok" is a bool that json can write
+    error = float(error)
+    return {"name": name, "a": a, "error": error, "tol": tol, "ok": error <= tol}
+
+
 def _bessel_identity_checks() -> list[dict]:
     """Spot checks of the two moment identities behind the ordered-chain bounds."""
     checks = []
-    # errors are kept as Python floats so each "ok" is a bool that json can write
+    # x J_x(a) = a/2 (J_{x-1}(a) + J_{x+1}(a)) for 1 <= x <= 2a
     for a in (2.0, 20.0, 100.0):
         row = bessel_row(int(2 * a) + 1, a)
-        worst = 0.0
-        for x in range(1, int(2 * a) + 1):
-            lhs = x * row[x]
-            rhs = 0.5 * a * (row[x - 1] + row[x + 1])
-            worst = max(worst, float(abs(lhs - rhs)))
-        checks.append(
-            {"name": "recurrence_moment", "a": a, "error": worst, "tol": 1e-10, "ok": worst <= 1e-10}
-        )
+        x = np.arange(1, len(row) - 1)
+        residual = x * row[1:-1] - 0.5 * a * (row[:-2] + row[2:])
+        checks.append(_identity_check("recurrence_moment", a, np.max(np.abs(residual)), 1e-10))
     # one-sided even-order sum: sum_{k>=1} (2k)^2 J_2k(a) = a^2 / 2
     for a, k_max in ((2.0, 42), (50.0, 140), (100.0, 140)):
         row = bessel_row(2 * k_max, a)
-        total = sum((2 * k) ** 2 * row[2 * k] for k in range(1, k_max + 1))
-        err = float(abs(total - a * a / 2.0))
-        checks.append(
-            {"name": "even_order_sum", "a": a, "error": err, "tol": 1e-6, "ok": err <= 1e-6}
-        )
+        even = np.arange(2, 2 * k_max + 1, 2)
+        total = np.sum(even**2 * row[2::2])
+        checks.append(_identity_check("even_order_sum", a, abs(total - a * a / 2.0), 1e-6))
     return checks
 
 
@@ -345,9 +342,11 @@ def run_verify(config: ExperimentConfig | None = None, csv_path: str | Path | No
     else:
         series = read_series_csv(csv_path)
         source = str(csv_path)
+    if len(series) == 0:
+        raise ValueError(f"{source}: the series has no samples")
 
     bounds = verify_bounds(series)
-    max_norm_error = float(np.max(series.column("norm_error"))) if len(series) else 0.0
+    max_norm_error = float(np.max(series.column("norm_error")))
     identities = _bessel_identity_checks()
     report = {
         **_header("verify"),

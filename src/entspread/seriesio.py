@@ -19,27 +19,25 @@ from .observables import MOMENT_COLUMNS
 ANALYTIC_EXTRA_COLUMNS = ("w_lower_bound", "w_upper_bound", "w_asymptote", "m_asymptote")
 
 
-def format_float(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_series_csv(
     path: str | Path,
     series: MomentSeries,
     extras: dict[str, np.ndarray] | None = None,
 ) -> None:
-    """Write one moment series; `extras` appends named columns after the base set."""
+    """Write one moment series; `extras` appends named columns after the base set.
+
+    Rows end in CRLF, as the csv module's default dialect writes them.
+    """
     extras = extras or {}
     for name, col in extras.items():
         if len(col) != len(series):
             raise ValueError(f"extra column {name!r} has {len(col)} rows, series has {len(series)}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    table = np.column_stack((series.table, *extras.values()))
+    header = ",".join((*MOMENT_COLUMNS, *extras))
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(MOMENT_COLUMNS) + list(extras))
-        table = np.column_stack((series.table, *extras.values()))
-        writer.writerows([format_float(x) for x in row] for row in table.tolist())
+        np.savetxt(fh, table, fmt="%.17g", delimiter=",", newline="\r\n", header=header, comments="")
 
 
 def read_series_csv(path: str | Path) -> MomentSeries:

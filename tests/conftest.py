@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,3 +17,20 @@ def random_unit_state(rng, n, origin=None):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _visible_entries(directory: Path) -> set[str]:
+    return {p.name for p in directory.iterdir() if not p.name.startswith(".")}
+
+
+@pytest.fixture(scope="session", autouse=True)
+def checkout_left_as_found():
+    """Fail the run if a test leaves a new file or directory in the repository root."""
+    before = _visible_entries(REPO_ROOT)
+    yield
+    left = sorted(_visible_entries(REPO_ROOT) - before)
+    if left:
+        pytest.fail(f"tests left {left} in {REPO_ROOT}; write them under tmp_path")

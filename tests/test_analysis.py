@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from entspread.analysis import (
+    UPPER_BOUND_MIN_TIME,
     MomentSeries,
     fit_power_law,
     local_exponent,
     time_average,
     verify_bounds,
 )
-from entspread.analytic import infinite_state
+from entspread.analytic import infinite_state, w_bounds_ordered
 from entspread.observables import MOMENT_COLUMNS, MomentSample, moment_m
 
 
@@ -154,7 +155,7 @@ class TestVerifyBounds:
     def test_zero_time_sample_trivially_ok(self):
         report = verify_bounds(analytic_series([0.0]))
         assert report.checks[0].lower_ok
-        assert report.checks[0].upper_ok is None
+        assert not report.checks[0].upper_checked
 
     def test_corrupted_series_flagged(self):
         times = np.linspace(1.0, 50.0, 40)
@@ -167,6 +168,32 @@ class TestVerifyBounds:
         )
         report = verify_bounds(halved)
         assert report.lower_failures > 0
+        assert not report.passed
+
+    def test_counts_match_a_per_sample_loop(self, rng):
+        times = np.concatenate(([0.0], np.linspace(0.5, 300.0, 500)))
+        table = analytic_series(times).table.copy()
+        w = table[:, MOMENT_COLUMNS.index("w")]
+        low, high = rng.choice(len(times), size=(2, 60), replace=False)
+        w[low] *= rng.uniform(0.0, 0.99, 60)
+        w[high] = 20.0 * times[high] ** 2.5 + 1.0
+        series = MomentSeries.from_table(table)
+        # The report's counts, taken one sample at a time with scalar bounds.
+        lower_failures = upper_checked = upper_failures = 0
+        for t, w_t in zip(times.tolist(), w.tolist()):
+            lower, upper = w_bounds_ordered(t)
+            lower_failures += not w_t >= lower - 1e-9
+            if t >= UPPER_BOUND_MIN_TIME:
+                upper_checked += 1
+                upper_failures += not w_t <= upper
+        report = verify_bounds(series)
+        assert report.checks.dtype.names == (
+            "time", "w", "lower", "upper", "lower_ok", "upper_ok", "upper_checked"
+        )
+        assert 0 < lower_failures and 0 < upper_failures < upper_checked
+        assert report.lower_failures == lower_failures
+        assert report.upper_checked == upper_checked
+        assert report.upper_failures == upper_failures
         assert not report.passed
 
 

@@ -131,6 +131,16 @@ class TestBoundsAndAsymptotes:
     def test_asymptote_requires_positive_time(self):
         with pytest.raises(ValueError):
             asymptotes_ordered(0.0)
+        for bad in (0.0, -1.0, -0.0):
+            with pytest.raises(ValueError, match="t must be > 0"):
+                asymptotes_ordered(np.array([1.0, bad, 3.0]))
+
+    def test_array_forms_equal_the_scalar_calls(self):
+        positive = np.concatenate((np.linspace(0.25, 1000.0, 4001), np.geomspace(1e-300, 1e12, 500)))
+        for law, times in ((w_bounds_ordered, np.append(0.0, positive)), (asymptotes_ordered, positive)):
+            scalars = np.array([law(float(t)) for t in times])
+            for column, expected in zip(law(times), scalars.T):
+                assert column.tobytes() == expected.tobytes()
 
     def test_exact_moment_exceeds_flat_envelope_asymptote(self):
         # The oscillation-averaged flat-envelope law underestimates the exact

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entspread.chain import (
     ChainSpec,
@@ -85,6 +87,26 @@ class TestBuildHamiltonian:
     def test_jz_sign_convention(self):
         h = build_hamiltonian(jz_spec(sign="minus"))
         np.testing.assert_allclose(h.diag, [0, 0, -1, -2, -1, 0, 0])
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        half_width=st.integers(1, 40),
+        pad=st.integers(0, 5),
+        bounds=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)).map(sorted),
+        sign=st.sampled_from(["plus", "minus"]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_jz_diagonal_equals_the_per_bond_sum(self, half_width, pad, bounds, sign, seed):
+        spec = jz_spec(2 * (half_width + pad) + 1, half_width, *bounds, seed, sign)
+        draws = sample_disorder(spec.disorder, 2)
+        # The diagonal as one bond at a time adds its signed Jz to both ends.
+        expected = np.zeros(spec.num_sites)
+        lo = spec.origin - half_width
+        for i in range(2 * half_width):
+            jz = (1.0 if sign == "plus" else -1.0) * draws[i]
+            expected[lo + i] += jz
+            expected[lo + i + 1] += jz
+        assert build_hamiltonian(spec, 2).diag.tobytes() == expected.tobytes()
 
     def test_reproducible(self):
         spec = jz_spec(n=31, half_width=5, low=0.0, high=2.5, seed=77)

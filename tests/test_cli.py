@@ -1,4 +1,6 @@
+import csv
 import ctypes
+import io
 import json
 import re
 from dataclasses import astuple
@@ -26,9 +28,9 @@ from entspread.cli import (
     simulate_realization,
 )
 from entspread.config import SCHEMA_VERSION, config_from_dict, load_config
-from entspread.observables import MomentSample, moment_m
+from entspread.observables import MOMENT_COLUMNS, MomentSample, moment_m
 from entspread.propagator import evolve_series
-from entspread.seriesio import read_series_csv, write_series_csv
+from entspread.seriesio import ANALYTIC_EXTRA_COLUMNS, read_series_csv, write_series_csv
 
 GOLDEN_HEADER = "time,m,w,alpha0_abs,m_o,m_d,norm_error"
 GOLDEN_ANALYTIC_HEADER = GOLDEN_HEADER + ",w_lower_bound,w_upper_bound,w_asymptote,m_asymptote"
@@ -76,7 +78,47 @@ def synthetic_power_law_csv(path, prefactor=3.0, exponent=2.5):
     write_series_csv(path, MomentSeries(samples=samples))
 
 
+# Cells that stress a 17-digit rendering: signed zeros, subnormals, the
+# extremes of the exponent range and values that need all 17 digits.
+EDGE_FLOATS = (-0.0, 0.0, 5e-324, -2.225073858507201e-308, 1e-300, -1e300, 1.7976931348623157e308,
+               0.1, 1.0 / 3.0, 2.0**0.5, 1.0000000000000002, 0.30000000000000004)
+CELLS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def csv_tables(draw):
+    """A series table of 0-50 rows, and its analytic extras or None."""
+    n = draw(st.integers(0, 50))
+    times = draw(st.lists(st.one_of(st.sampled_from(EDGE_FLOATS[:5]), st.floats(-1e300, 1e300)),
+                          min_size=n, max_size=n, unique=True))
+    width = len(MOMENT_COLUMNS) - 1 + (len(ANALYTIC_EXTRA_COLUMNS) if draw(st.booleans()) else 0)
+    cells = draw(st.lists(st.lists(CELLS, min_size=width, max_size=width), min_size=n, max_size=n))
+    table = np.column_stack((np.sort(np.array(times, dtype=float)), np.reshape(cells, (n, width))))
+    extras = table[:, len(MOMENT_COLUMNS):]
+    return table[:, : len(MOMENT_COLUMNS)], dict(zip(ANALYTIC_EXTRA_COLUMNS, extras.T)) or None
+
+
+def reference_csv_bytes(table, header):
+    """The CSV as csv.writer renders format(x, ".17g") of every cell."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows([format(x, ".17g") for x in row] for row in table.tolist())
+    return text.getvalue().encode()
+
+
 class TestSeriesIO:
+    @settings(max_examples=150, deadline=None)
+    @given(csv_tables())
+    def test_bytes_match_the_csv_module_rendering(self, tmp_path_factory, table_and_extras):
+        table, extras = table_and_extras
+        path = tmp_path_factory.mktemp("csv") / "series.csv"
+        write_series_csv(path, MomentSeries.from_table(table), extras)
+        header = [*MOMENT_COLUMNS, *(extras or ())]
+        full = np.column_stack((table, *(extras or {}).values()))
+        assert path.read_bytes() == reference_csv_bytes(full, header)
+        assert np.array_equal(read_series_csv(path).table, table)
+
     def test_golden_header(self, tmp_path):
         path = tmp_path / "series.csv"
         samples = (MomentSample(0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0),)
@@ -500,12 +542,16 @@ class TestCommandLine:
             result = CliRunner().invoke(main, args + ["--config", str(path)])
             assert result.exit_code == 2, result.output
             assert "config.chain.gamma" in result.output
+        assert not (tmp_path / "out").exists()
 
-    def test_analytic_rejects_disorder_exit_code(self, tmp_path):
+    def test_analytic_rejects_disorder_exit_code(self, tmp_path, monkeypatch):
+        # Run where the config's relative output directory would be made.
         path = write_config(tmp_path, make_config())
+        monkeypatch.chdir(tmp_path)
         result = CliRunner().invoke(main, ["analytic", "--config", str(path)])
         assert result.exit_code == 2
         assert "ordered" in result.output
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_simulate_and_fit_end_to_end(self, tmp_path):
         raw = make_config(
@@ -638,6 +684,14 @@ class TestCommandLine:
         result = CliRunner().invoke(main, ["verify", "--csv", str(corrupt)])
         assert result.exit_code == 1
         assert "FAIL" in result.output
+
+    def test_verify_rejects_a_series_without_samples(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text(GOLDEN_HEADER + "\n")
+        result = CliRunner().invoke(main, ["verify", "--csv", str(path)])
+        assert result.exit_code == 2, result.output
+        assert f"{path}: the series has no samples" in result.output
+        assert "PASS" not in result.output
 
     def test_verify_requires_one_source(self):
         result = CliRunner().invoke(main, ["verify"])
