@@ -45,7 +45,6 @@ from .propagator import (
     ReflectionBudgetWarning,
     WaveState,
     basis_state,
-    evolve_chebyshev,
     evolve_diagonalization,
     evolve_series,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "spectral_bounds",
     "WaveState",
     "basis_state",
-    "evolve_chebyshev",
     "evolve_diagonalization",
     "evolve_series",
     "ReflectionBudgetWarning",

@@ -119,7 +119,9 @@ def _ensemble(exponents: list[float]) -> dict:
     }
 
 
-def _simulate(config: ExperimentConfig, realization_index: int) -> tuple[MomentSeries, dict]:
+def simulate_realization(
+    config: ExperimentConfig, realization_index: int
+) -> tuple[MomentSeries, dict]:
     """Numeric moment series of one disorder realization, and the work it took.
 
     Each block is reduced straight to its moment rows.  The work counts are
@@ -137,20 +139,15 @@ def _simulate(config: ExperimentConfig, realization_index: int) -> tuple[MomentS
             site_updates += block.order * block.width
     digest = config_digest(config, realization_index)
     series = MomentSeries.from_table(np.concatenate(tables), digest)
-    support = block.supports[-1]
+    lo, hi = block.supports[-1]
     stats = {
         "blocks": blocks,
         "matvecs": matvecs,
         "site_updates": site_updates,
         "max_norm_error": float(np.max(series.column("norm_error"))),
-        "final_support_width": 0 if support is None else support[1] - support[0] + 1,
+        "final_support_width": hi - lo + 1,
     }
     return series, stats
-
-
-def simulate_realization(config: ExperimentConfig, realization_index: int) -> MomentSeries:
-    """Numeric moment series for one disorder realization."""
-    return _simulate(config, realization_index)[0]
 
 
 def analytic_series(config: ExperimentConfig) -> tuple[MomentSeries, dict[str, np.ndarray]]:
@@ -190,7 +187,7 @@ def analytic_series(config: ExperimentConfig) -> tuple[MomentSeries, dict[str, n
 def _simulate_worker(config: ExperimentConfig, realization_index: int, out_dir: Path) -> dict:
     """Process-pool entry: simulate one realization and write its CSV slot."""
     started = _time.perf_counter()
-    series, stats = _simulate(config, realization_index)
+    series, stats = simulate_realization(config, realization_index)
     path = out_dir / f"series_r{realization_index:04d}.csv"
     write_series_csv(path, series)
     return {**_record(realization_index, path, series.spec_digest, started), "stats": stats}
@@ -271,12 +268,14 @@ def fit_series(
     """Average, fit and scan one series; returns the per-realization report entry.
 
     average_window = 0 skips the smoothing pass (useful for data that is
-    already smooth, where the window's curvature bias would dominate).
+    already smooth, where the window's curvature bias would dominate).  The
+    local exponent is taken over the samples at t > 0, as log t needs.
     """
     _check_average_window(average_window)
     averaged = time_average(series, average_window) if average_window > 0 else series
     fit = fit_power_law(averaged, field_name, window)
-    local = local_exponent(averaged, field_name)
+    positive = MomentSeries.from_table(averaged.table[averaged.times() > 0.0])
+    local = local_exponent(positive, field_name)
     early = local[(local[:, 0] >= EARLY_WINDOW_START) & (local[:, 0] < window[0])]
     return {
         "field": field_name,
@@ -381,13 +380,18 @@ def run_sweep(
 ) -> dict:
     """Simulate the ensemble, fit every realization, aggregate exponent statistics.
 
-    A realization whose series cannot be read or fitted is recorded under
-    `failures` and does not stop the sweep.
+    A window that holds fewer than two grid times is rejected before any
+    simulation.  A realization whose series cannot be read or fitted is
+    recorded under `failures` and does not stop the sweep.
     """
     _check_average_window(average_window)
     if window is None:
         window = (config.times.t_end / 5.0, config.times.t_end)
     check_window(window)
+    grid = config.times.grid()
+    if np.count_nonzero((grid >= window[0]) & (grid <= window[1])) < 2:
+        raise ValueError(f"window {window} holds fewer than 2 times of the grid "
+                         f"[{grid[0]:g}, {grid[-1]:g}]")
     manifest = run_simulate(config, out_dir, allow_reflections, jobs)
     out_dir = Path(out_dir)
 

@@ -131,8 +131,7 @@ def moment_rows(times: np.ndarray, block: Block, origin: int, half_width: int = 
         raise ValueError(f"half_width must be >= 0, got {half_width}")
     offsets = np.arange(block.start - origin, block.start + block.width - origin, dtype=float)
     weights = block.magnitudes * (offsets * offsets)
-    spans = [(0, 0) if support is None else (support[0] - block.start, support[1] + 1 - block.start)
-             for support in block.supports]
+    spans = [(lo - block.start, hi + 1 - block.start) for lo, hi in block.supports]
     # The core |x| <= half_width is one stretch of columns, cut to each support.
     core_lo, core_hi = origin - half_width - block.start, origin + half_width + 1 - block.start
     cores = [(min(max(core_lo, lo), hi), min(max(core_hi, lo), hi)) for lo, hi in spans]

@@ -19,11 +19,11 @@ The coefficients are exactly the Bessel rows the bessel module provides.
   -2i Hs U_{k-1} + U_{k-2}, one complex row per order, with -2i Hs set up
   once.  Its coefficients are purely imaginary, so each complex product is
   the one real product per part that two real rows would make, bit for bit.
-  The GEMM's coefficients (2 - delta_k0) J_k(b|tau|) sign(tau)^k are real:
-  it reads the ring as floats, (re, im) interleaved, and writes the samples
-  into rows that are read back as complex.
+  The GEMM's coefficients (2 - delta_k0) J_k(b tau) are real: it reads the
+  ring as floats, (re, im) interleaved, and writes the samples into rows
+  that are read back as complex.
 * Order.  As |T_k(Hs)| <= 1 on the spectrum, cutting after order K changes
-  a sample by at most 2 sum_{k>K} |J_k(b|tau|)| in the 2-norm.  A block is
+  a sample by at most 2 sum_{k>K} |J_k(b tau)| in the 2-norm.  A block is
   cut where that tail first is <= TAIL_TOLERANCE for its longest offset.
 * Window.  A tridiagonal matvec widens the support of a vector by one site
   per side, so U_k lives on [lo - k, hi + k] when psi lives on [lo, hi].  A
@@ -48,12 +48,12 @@ The coefficients are exactly the Bessel rows the bessel module provides.
   them fit.  Wider windows shrink the ring to as few as 3 orders; only one
   over WORKSPACE_BYTES / 112 sites (75 000) passes the cap.
 
-`evolve_blocks` yields the blocks a series is made of; the simulate path
-reduces each to moment rows.  `evolve_series` (one state per sample) and
-`evolve_chebyshev` (one block of one sample) are built from the same block
-output.  A dense eigendecomposition evolver is kept alongside as the
-accuracy oracle for small chains.  Everything here is pure; distinct
-trajectories can be evolved concurrently.
+`evolve_blocks`, the kernel's one entry point, evolves the unit excitation at
+the origin forward and yields the blocks of its series; the simulate path
+reduces each to moment rows.  `evolve_series` hands out one state per
+sample from the same blocks.  A dense eigendecomposition evolver is kept
+alongside as the accuracy oracle for small chains.  Everything here is
+pure; distinct trajectories can be evolved concurrently.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ from .chain import Hamiltonian, spectral_bounds
 # machinery" and the Chebyshev path is the only supported route.
 DIAGONALIZATION_MAX_SITES = 2048
 
-# Bound on the discarded Chebyshev tail 2 * sum_{k>K} |J_k(b|tau|)| of one
+# Bound on the discarded Chebyshev tail 2 * sum_{k>K} |J_k(b tau)| of one
 # sample, which bounds its truncation error in the 2-norm.
 TAIL_TOLERANCE = 1e-16
 
@@ -164,7 +164,7 @@ class Block:
     """The S samples one Chebyshev block yields, on the window [start, start + width) of the chain.
 
     Row s of `amplitudes` (S, width) is a sample's state on the window, zero
-    outside supports[s] ((lo, hi) in chain sites, None when nothing is left);
+    outside supports[s], (lo, hi) in chain sites;
     `magnitudes` is its np.abs.  `order` is the block's Chebyshev order K, so
     it ran K matvecs over the window; None when no recurrence made the block.
     """
@@ -172,7 +172,7 @@ class Block:
     amplitudes: np.ndarray
     magnitudes: np.ndarray
     start: int
-    supports: list[tuple[int, int] | None]
+    supports: list[tuple[int, int]]
     order: int | None
 
     @property
@@ -207,14 +207,14 @@ class _Kernel:
     def plan(self, width: int, offsets: np.ndarray) -> tuple[int, int]:
         """Samples S and ring length of the next block from a `width`-site support.
 
-        S counts the ascending `offsets` within BLOCK_Z_SPAN, cut so that the
-        workspace fits WORKSPACE_BYTES on a window sized by the padded order:
-        while the ring runs, S sample and coefficient rows beside the ring and
-        three scratch rows; after it, S sample rows with their magnitudes and
-        moment weights.  S is then evened over the remaining offsets, so blocks
+        S counts the ascending positive `offsets` within BLOCK_Z_SPAN, cut so
+        that the workspace fits WORKSPACE_BYTES on a window sized by the padded
+        order: while the ring runs, S sample and coefficient rows beside the
+        ring and three scratch rows; after it, S sample rows with their
+        magnitudes and moment weights.  S is then evened over the remaining offsets, so blocks
         of a linear grid repeat them.
         """
-        z = self.half_width * np.abs(offsets)
+        z = self.half_width * offsets
         count = max(int(np.searchsorted(z, BLOCK_Z_SPAN, side="right")), 1)
         orders = _padded_order(float(z[count - 1])) + 1
         window = min(width + 2 * orders, self.num_sites)
@@ -229,10 +229,9 @@ class _Kernel:
         for kept, coeffs, phases in self._blocks:
             if np.array_equal(kept, offsets):
                 return coeffs, phases
-        z = self.half_width * np.abs(offsets)
+        z = self.half_width * offsets
         coeffs = bessel_rows(len(_truncated_row(float(z.max()))) - 1, z)
         coeffs[:, 1:] *= 2.0
-        coeffs[:, 1::2] *= np.sign(offsets)[:, None]
         phases = np.exp(-1j * self.center * offsets)
         self._blocks = [*self._blocks[-1:], (offsets.copy(), coeffs, phases)]
         return coeffs, phases
@@ -240,10 +239,13 @@ class _Kernel:
     def block(self, seed: np.ndarray, lo: int, offsets: np.ndarray, slots: int) -> Block:
         """The state `seed` on [lo, lo + len(seed)) at each offset.
 
-        Offsets (nonzero) and ring length come from `plan`.  Each sample is
+        Offsets (positive) and ring length come from `plan`.  Each sample is
         trimmed: its outermost sites are zeroed while their weight sum |a_x|^2
         stays within (TAIL_TOLERANCE / 2)^2 ||seed||^2 per side, and its
-        support is the rest.
+        support is the rest.  It is never empty for the unit-norm seeds of
+        `evolve_blocks`: the trims drop at most 2 (TAIL_TOLERANCE / 2)^2 of
+        the seed's weight, and the step keeps a sample's within about 1e-13
+        of it.
         """
         coeffs, phases = self._coefficients(offsets)
         order = coeffs.shape[1] - 1
@@ -258,10 +260,6 @@ class _Kernel:
         rights = _edge_count(samples[:, ::-1], budget, order + 1).tolist()
         supports = []
         for sample, left, right in zip(samples, lefts, rights):
-            if left + right >= width:
-                sample[:] = 0.0
-                supports.append(None)
-                continue
             sample[:left] = 0.0
             sample[width - right :] = 0.0
             supports.append((start + left, stop - right - 1))
@@ -331,28 +329,6 @@ def _edge_count(samples: np.ndarray, budget: float, rim: int) -> np.ndarray:
         rim *= 2
 
 
-def evolve_chebyshev(h: Hamiltonian, initial: WaveState, delta_t: float) -> WaveState:
-    """exp(-i H delta_t) applied to the state; delta_t of either sign."""
-    delta_t = float(delta_t)
-    if not math.isfinite(delta_t):
-        raise ValueError(f"delta_t must be finite, got {delta_t!r}")
-    if h.num_sites != initial.num_sites:
-        raise ValueError("Hamiltonian and state dimensions differ")
-    if not np.all(np.isfinite(initial.amplitudes)):
-        raise ValueError("state amplitudes must be finite")
-
-    amps = initial.amplitudes.astype(complex, copy=True)
-    nonzero = np.flatnonzero(amps)
-    support = (int(nonzero[0]), int(nonzero[-1])) if nonzero.size else None
-    time = initial.time + delta_t
-    if delta_t == 0.0 or support is None:
-        return WaveState(amps, time, initial.origin, support)
-    kernel, (lo, hi), offsets = _Kernel(h), support, np.array([delta_t])
-    slots = kernel.plan(hi - lo + 1, offsets)[1]
-    block = kernel.block(amps[lo : hi + 1], lo, offsets, slots)
-    return block.state(0, h.num_sites, time, initial.origin)
-
-
 def evolve_diagonalization(h: Hamiltonian, initial: WaveState, delta_t: float) -> WaveState:
     """Exact evolution through a full symmetric-tridiagonal eigendecomposition.
 
@@ -407,6 +383,8 @@ def evolve_blocks(
     one block's workspace.  The front speed 2 gamma of the reflection check
     reads gamma as the largest |hopping| of the chain.
     """
+    if not 0 <= origin < h.num_sites:
+        raise ValueError(f"origin {origin} outside chain of {h.num_sites} sites")
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a non-empty 1-d array")
@@ -437,11 +415,8 @@ def evolve_blocks(
         samples = times[done : done + count]
         block = kernel.block(seed, lo, samples - now, slots)
         # The next block starts from a private copy of the last sample.
-        if block.supports[-1] is None:
-            seed, lo = np.zeros(1, dtype=complex), 0
-        else:
-            lo, hi = block.supports[-1]
-            seed = block.amplitudes[-1, lo - block.start : hi + 1 - block.start].copy()
+        lo, hi = block.supports[-1]
+        seed = block.amplitudes[-1, lo - block.start : hi + 1 - block.start].copy()
         # Label with the exact grid values; the evolved duration is the sum of
         # the block offsets, which telescopes to t exactly.
         yield samples, block

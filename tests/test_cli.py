@@ -182,7 +182,7 @@ class TestSimulate:
         h = build_hamiltonian(config.chain, 0)
         states = evolve_series(h, config.chain.origin, config.times.grid(), half_width)
         expected = np.array([astuple(moment_m(state, half_width)) for state in states])
-        assert np.array_equal(simulate_realization(config, 0).table, expected)
+        assert np.array_equal(simulate_realization(config, 0)[0].table, expected)
 
     def test_manifest_stats_count_the_kernel_work(self, tmp_path):
         # Desk realization 0: the kernel's own counts, not K x num_sites per gap.
@@ -359,7 +359,7 @@ class TestAnalytic:
         )
         config = config_from_dict(raw)
         closed, _ = analytic_series(config)
-        numeric = simulate_realization(config, 0)
+        numeric, _ = simulate_realization(config, 0)
         for name in ("m", "w", "alpha0_abs"):
             np.testing.assert_allclose(
                 closed.column(name), numeric.column(name), rtol=1e-9, atol=1e-12
@@ -387,6 +387,15 @@ class TestFit:
         report = run_fit(paths, window=(2.0, 95.0), average_window=0.0)
         assert report["ensemble"]["median_exponent"] == pytest.approx(2.5, abs=1e-6)
         assert report["ensemble"]["count"] == 3
+
+    def test_unaveraged_series_from_t_zero(self, tmp_path):
+        # The t = 0 sample lies outside the fit window, and the local exponent
+        # skips it.
+        run_simulate(config_from_dict(make_config()), tmp_path)
+        args = ["fit", str(tmp_path / "series_r0000.csv"), "--window", "5:20", "--avg-window", "0"]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert "median exponent" in result.output
 
 
 class TestVerify:
@@ -476,12 +485,33 @@ class TestSweep:
         assert [f["index"] for f in aggregate["failures"]] == [0]
         assert "column 'm' must be finite" in aggregate["failures"][0]["error"]
 
-    def test_partial_failures_recorded(self, tmp_path):
+    def test_partial_failures_recorded(self, tmp_path, monkeypatch):
+        def failing_fit(*args):
+            raise ValueError("no fit")
+
+        monkeypatch.setattr(entspread.cli, "fit_power_law", failing_fit)
         config = self.sweep_config(tmp_path)
-        aggregate = run_sweep(config, tmp_path, window=(1000.0, 2000.0))
+        aggregate = run_sweep(config, tmp_path, window=(10.0, 60.0))
         assert aggregate["ensemble"]["median_exponent"] is None
         assert len(aggregate["failures"]) == 1
         assert (tmp_path / "aggregate.json").exists()
+
+    def test_window_off_the_grid_rejected_before_simulating(self, tmp_path):
+        raw = make_config(times={"t_start": 0.0, "t_end": 50.0, "num_samples": 101})
+        raw["chain"]["num_sites"] = 401
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        args = ["sweep", "--config", str(path), "--out", str(out), "--window", "200:300"]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "window (200.0, 300.0) holds fewer than 2 times of the grid [0, 50]" in result.output
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_unaveraged_sweep_from_t_zero(self, tmp_path):
+        aggregate = run_sweep(self.sweep_config(tmp_path), tmp_path, window=(10.0, 60.0),
+                              average_window=0.0)
+        assert aggregate["failures"] == []
+        assert aggregate["ensemble"]["count"] == 1
 
 
 class TestCommandLine:

@@ -18,7 +18,6 @@ from entspread.chain import (
     Hamiltonian,
     build_hamiltonian,
     derive_seed,
-    spectral_bounds,
 )
 from entspread.cli import simulate_realization
 from entspread.config import config_from_dict
@@ -28,10 +27,9 @@ from entspread.propagator import (
     TAIL_TOLERANCE,
     WORKSPACE_BYTES,
     ReflectionBudgetWarning,
-    WaveState,
+    _edge_count,
     basis_state,
     chebyshev_order,
-    evolve_chebyshev,
     evolve_blocks,
     evolve_diagonalization,
     evolve_series,
@@ -48,15 +46,17 @@ def disordered64(seed=7):
     return Hamiltonian(diag=rng.uniform(0.0, 2.5, 64), offdiag=np.ones(63))
 
 
+# The finite chain is the oracle of these tests, so reflections are expected.
+@pytest.mark.filterwarnings("ignore::entspread.propagator.ReflectionBudgetWarning")
 class TestChebyshev:
     def test_two_site_rabi_flop(self):
-        state = evolve_chebyshev(ordered(2), basis_state(2, 0), math.pi / 2)
+        (state,) = evolve_series(ordered(2), 0, [math.pi / 2])
         np.testing.assert_allclose(state.amplitudes, [0.0, -1.0j], atol=1e-10)
 
     def test_three_site_closed_form(self):
         # eigenvalues {0, +-sqrt(2)}: center cos(sqrt(2) t), edges -i sin/sqrt(2)
-        for t in (0.3, 1.0, 4.7):
-            state = evolve_chebyshev(ordered(3), basis_state(3, 1), t)
+        for state in evolve_series(ordered(3), 1, [0.3, 1.0, 4.7]):
+            t = state.time
             root2 = math.sqrt(2.0)
             np.testing.assert_allclose(state.amplitudes[1], math.cos(root2 * t), atol=1e-10)
             np.testing.assert_allclose(
@@ -67,31 +67,22 @@ class TestChebyshev:
     def test_matches_diagonalization_on_disorder(self):
         h = disordered64()
         init = basis_state(64, 31)
-        for t in (1.0, 5.0, 20.0):
-            a = evolve_chebyshev(h, init, t)
-            b = evolve_diagonalization(h, init, t)
+        for a in evolve_series(h, 31, [1.0, 5.0, 20.0]):
+            b = evolve_diagonalization(h, init, a.time)
             assert np.max(np.abs(a.amplitudes - b.amplitudes)) <= 1e-10
 
     def test_oracle_equivalence_sampled_sizes(self, rng):
         for n in (16, 97, 256):
             h = Hamiltonian(diag=rng.uniform(-1, 1, n), offdiag=np.ones(n - 1))
             init = basis_state(n, n // 2)
-            for t in (0.5, 12.5, 50.0):
-                a = evolve_chebyshev(h, init, t)
-                b = evolve_diagonalization(h, init, t)
+            for a in evolve_series(h, n // 2, [0.5, 12.5, 50.0]):
+                b = evolve_diagonalization(h, init, a.time)
                 assert np.max(np.abs(a.amplitudes - b.amplitudes)) <= 1e-10
 
     def test_unitarity(self):
         h = disordered64()
-        state = evolve_chebyshev(h, basis_state(64, 20), 35.0)
+        (state,) = evolve_series(h, 20, [35.0])
         assert state.norm_error() <= 1e-9
-
-    def test_time_reversal(self):
-        h = disordered64()
-        init = basis_state(64, 31)
-        forward = evolve_chebyshev(h, init, 17.0)
-        back = evolve_chebyshev(h, forward, -17.0)
-        assert np.max(np.abs(back.amplitudes - init.amplitudes)) <= 1e-8
 
     def test_reflection_symmetry(self):
         # symmetric disorder profile keeps |amplitudes| mirror symmetric
@@ -100,63 +91,50 @@ class TestChebyshev:
             disorder=DisorderSpec(mode="onsite_field", half_width=3, low=0.4, high=0.4),
         )
         h = build_hamiltonian(spec)
-        state = evolve_chebyshev(h, basis_state(65, 32), 12.0)
+        (state,) = evolve_series(h, 32, [12.0])
         mags = np.abs(state.amplitudes)
         np.testing.assert_allclose(mags, mags[::-1], atol=1e-10)
 
     def test_matches_infinite_chain_amplitudes(self):
         # wavefront far from edges: finite ordered chain equals the infinite
         # closed form
-        state = evolve_chebyshev(ordered(4001), basis_state(4001, 2000), 50.0)
+        (state,) = evolve_series(ordered(4001), 2000, [50.0])
         for x in (-200, -37, 0, 1, 150, 200):
             assert abs(state.amplitudes[2000 + x] - infinite_amplitude(x, 50.0)) <= 1e-8
 
     def test_trim_budget_is_relative_to_the_norm(self):
-        # a state of norm 1e-20 keeps the support of the unit state
-        h, unit = ordered(4001), basis_state(4001, 2000)
-        faint = WaveState(1e-20 * unit.amplitudes, 0.0, 2000)
-        evolved, scaled = evolve_chebyshev(h, unit, 30.0), evolve_chebyshev(h, faint, 30.0)
-        assert scaled.support == evolved.support
-        assert np.max(np.abs(scaled.amplitudes - 1e-20 * evolved.amplitudes)) <= 1e-12 * 1e-20
+        # rows scaled by 1e-20 against a budget scaled by 1e-40 lose the same
+        # edges: the infinite-chain profiles J_x(2t) on 601 sites
+        x = np.arange(-300, 301)
+        rows = (-1j) ** np.abs(x) * scipy.special.jv(x, 2.0 * np.array([[5.0], [30.0], [60.0]]))
+        budget = (0.5 * TAIL_TOLERANCE) ** 2
+        counts = _edge_count(rows, budget, 8)
+        assert counts.tolist() != [0, 0, 0] and np.all(counts < 300)
+        np.testing.assert_array_equal(_edge_count(1e-20 * rows, 1e-40 * budget, 8), counts)
 
     def test_trim_drops_a_faint_stretch_wider_than_the_light_cone(self):
-        # 1e-30 amplitudes on 26 and 27 sites beside the bulk carry far less
-        # than the trim budget, so the edge search widens past the light-cone
-        # rim and drops them
-        h = disordered64()
-        amps = np.zeros(64, dtype=complex)
-        amps[2:62] = 1e-30
-        amps[28:35] = 1.0 / math.sqrt(7.0)
-        init = WaveState(amps, 0.0, 31)
-        state = evolve_chebyshev(h, init, 0.1)
-        emin, emax = spectral_bounds(h)
-        order = chebyshev_order(0.5 * (emax - emin), 0.1)
-        lo, hi = state.support
-        assert 28 - order <= lo and hi <= 34 + order
-        exact = evolve_diagonalization(h, init, 0.1).amplitudes
-        assert np.max(np.abs(state.amplitudes - exact)) <= 1e-12
+        # 1e-30 amplitudes on 26 leading sites carry far less than the trim
+        # budget, so the edge search doubles its 4-site rim until it reaches
+        # the bulk
+        rows = np.zeros((2, 64), dtype=complex)
+        rows[:, :26] = 1e-30
+        rows[0, 26:33] = 1.0 / math.sqrt(7.0)
+        rows[1, 40:47] = 1.0 / math.sqrt(7.0)
+        counts = _edge_count(rows, (0.5 * TAIL_TOLERANCE) ** 2, 4)
+        assert counts.tolist() == [26, 40]
 
     def test_pure_phase_when_spectrum_degenerate(self):
         h = Hamiltonian(diag=np.full(3, 1.5), offdiag=np.zeros(2))
-        state = evolve_chebyshev(h, basis_state(3, 1), 2.0)
+        (state,) = evolve_series(h, 1, [2.0])
         np.testing.assert_allclose(
             state.amplitudes[1], np.exp(-1.5j * 2.0), atol=1e-12
         )
 
-    def test_zero_step_returns_copy(self):
-        init = basis_state(5, 2)
-        state = evolve_chebyshev(ordered(5), init, 0.0)
-        np.testing.assert_array_equal(state.amplitudes, init.amplitudes)
-        assert state.amplitudes is not init.amplitudes
-
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            evolve_chebyshev(ordered(4), basis_state(5, 2), 1.0)
-        with pytest.raises(ValueError):
-            evolve_chebyshev(ordered(4), basis_state(4, 2), float("nan"))
-        bad = WaveState(np.array([np.inf, 0j, 0j, 0j]), 0.0, 0)
-        with pytest.raises(ValueError):
-            evolve_chebyshev(ordered(4), bad, 1.0)
+        for origin in (-60, -3, -1, 41, 45):
+            for evolve in (evolve_blocks, evolve_series):
+                with pytest.raises(ValueError, match=f"origin {origin} outside chain of 41 sites"):
+                    list(evolve(ordered(41), origin, np.array([1.0])))
 
 
 def padded_order(z):
@@ -171,9 +149,8 @@ def full_chain_chebyshev(h, psi, delta_t):
     radius[1:] += np.abs(h.offdiag)
     emin, emax = np.min(h.diag - radius), np.max(h.diag + radius)
     a, b = 0.5 * (emax + emin), 0.5 * (emax - emin)
-    z = b * abs(delta_t)
+    z = b * delta_t
     coeff = scipy.special.jv(np.arange(padded_order(z) + 1), z)
-    step = -1j if delta_t > 0 else 1j
 
     def hs(v):
         out = (h.diag - a) * v
@@ -182,41 +159,31 @@ def full_chain_chebyshev(h, psi, delta_t):
         return out / b
 
     prev, cur = psi.astype(complex), hs(psi.astype(complex))
-    acc = coeff[0] * prev + 2.0 * coeff[1] * step * cur
+    acc = coeff[0] * prev + 2.0 * coeff[1] * -1j * cur
     for k in range(2, len(coeff)):
         prev, cur = cur, 2.0 * hs(cur) - prev
-        acc += 2.0 * coeff[k] * step**k * cur
+        acc += 2.0 * coeff[k] * (-1j) ** k * cur
     return np.exp(-1j * a * delta_t) * acc
 
 
 @st.composite
-def chains_and_states(draw):
-    """A random disordered chain, a unit state of a drawn support layout, and a step of either sign."""
+def chains_and_steps(draw):
+    """A random disordered chain, an origin that may touch either end, and one positive time."""
     n = draw(st.integers(3, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     h = Hamiltonian(diag=rng.uniform(-2.5, 2.5, n), offdiag=rng.uniform(0.2, 1.5, n - 1))
-    layout = draw(st.sampled_from(["left_end", "right_end", "islands"]))
-    if layout == "islands":
-        width = draw(st.integers(1, max(1, (n - 1) // 4)))
-        gap = draw(st.integers(1, n - 2 * width))
-        start = draw(st.integers(0, n - 2 * width - gap))
-        sites = np.r_[start : start + width, start + width + gap : start + 2 * width + gap]
-    else:
-        width = draw(st.integers(1, n))
-        sites = np.arange(width) if layout == "left_end" else np.arange(n - width, n)
-    amps = np.zeros(n, dtype=complex)
-    amps[sites] = rng.normal(size=sites.size) + 1j * rng.normal(size=sites.size)
-    amps /= np.linalg.norm(amps)
-    delta_t = draw(st.floats(0.01, 6.0)) * draw(st.sampled_from([1.0, -1.0]))
-    return h, WaveState(amps, 0.0, int(sites[0])), delta_t
+    origin = draw(st.sampled_from([0, n - 1, int(rng.integers(0, n))]))
+    return h, basis_state(n, origin), draw(st.floats(0.01, 6.0))
 
 
 class TestWindowedStep:
+    @pytest.mark.filterwarnings("ignore::entspread.propagator.ReflectionBudgetWarning")
     @settings(max_examples=60, deadline=None)
-    @given(chains_and_states())
+    @given(chains_and_steps())
     def test_windowed_step_matches_oracle_and_full_chain(self, case):
         h, init, delta_t = case
-        windowed = evolve_chebyshev(h, init, delta_t).amplitudes
+        (state,) = evolve_series(h, init.origin, [delta_t])
+        windowed = state.amplitudes
         exact = evolve_diagonalization(h, init, delta_t).amplitudes
         full = full_chain_chebyshev(h, init.amplitudes, delta_t)
         assert np.max(np.abs(windowed - exact)) <= 1e-12
@@ -256,7 +223,7 @@ class TestWindowedStep:
 
     def test_flushes_below_threshold(self):
         # far outside the light cone the amplitudes are exact zeros, not subnormals
-        state = evolve_chebyshev(ordered(801), basis_state(801, 400), 5.0)
+        (state,) = evolve_series(ordered(801), 400, [5.0])
         mags = np.abs(state.amplitudes)
         assert np.all((mags == 0.0) | (mags >= 1e-300))
         assert mags[0] == 0.0 and mags[-1] == 0.0
@@ -507,7 +474,7 @@ class TestEvolveSeries:
     def test_chaining_matches_direct_jumps(self):
         h = disordered64()
         chained = list(evolve_series(h, 31, np.array([3.0, 7.0])))
-        direct = evolve_chebyshev(h, basis_state(64, 31), 7.0)
+        (direct,) = evolve_series(h, 31, [7.0])
         assert np.max(np.abs(chained[1].amplitudes - direct.amplitudes)) <= 1e-12
 
     def test_cumulative_norm_drift(self):
