@@ -105,8 +105,8 @@ def time_average(series: MomentSeries, window_width: float = AVERAGE_WINDOW_DEFA
     """
     if len(series) == 0:
         raise ValueError("cannot average an empty series")
-    if window_width <= 0.0:
-        raise ValueError(f"window_width must be > 0, got {window_width}")
+    if not 0.0 < window_width < math.inf:
+        raise ValueError(f"window_width must be finite and > 0, got {window_width}")
     times = series.times()
     if len(series) > 1:
         mean_spacing = (times[-1] - times[0]) / (len(times) - 1)

@@ -13,6 +13,14 @@ identity J_0(x) + 2 sum_{k>=1} J_{2k}(x) = 1.  Downward recursion is stable
 precisely where upward recursion is not (order > argument), which is the
 regime the superexponentially decaying wavefront tail lives in.
 
+The batch evaluator `bessel_rows` runs the same recurrence across many
+arguments at once and stores it order-major: one contiguous row per order,
+holding that order for every argument, so each step writes the next lower
+order in place from the two rows above it.  The unnormalized values grow
+fast below the start, so they are rescaled whenever one would pass 1e250;
+a cheap running bound tells the loop at which steps that test must run.
+Only when normalizing does it turn the orders into one row per argument.
+
 A slow ascending-series evaluator in extended precision is provided as an
 independent cross-check; it shares no code with the recurrence path.
 """
@@ -32,6 +40,9 @@ FLUSH_THRESHOLD = 1e-300
 # the downward pass clear of float64 overflow.
 _RESCALE_LIMIT = 1e250
 _RESCALE_FACTOR = 1e-250
+
+# Orders per slab when bessel_rows turns its order-major values into rows.
+_TRANSPOSE_SLAB = 128
 
 # Validity box of the ascending-series oracle in these units; beyond it the
 # alternating series loses too many digits even at extended precision budgets
@@ -106,12 +117,24 @@ def bessel_row(order_max: int, argument: float) -> np.ndarray:
 def bessel_rows(order_max: int, arguments: np.ndarray) -> np.ndarray:
     """Rows J_0..J_{order_max} for a batch of arguments, shape (len(arguments), order_max+1).
 
-    Same algorithm as :func:`bessel_row` run elementwise across the batch.
-    One shared starting order (sized for the largest argument) is used; a
-    larger start only adds decay margin, so per-element accuracy matches the
-    scalar path.  Batches with widely mixed magnitudes trigger repeated
-    rescales; callers with long time grids should chunk them into stretches
-    of comparable argument.
+    Same arithmetic as :func:`bessel_row` run elementwise across the batch,
+    with one shared starting order sized for the largest argument; a larger
+    start only adds decay margin, so per-element accuracy matches the scalar
+    path, and a batch of one argument gives the scalar row bit for bit.
+
+    The recurrence is order-major: ``v[n]`` holds the unnormalized order n
+    of every argument, and each step writes ``v[n-1]`` straight into its row
+    from ``v[n]`` and ``v[n+1]``, with no per-step copy or temporary.  The
+    rescale test runs only at steps where a running bound on the batch's
+    largest magnitude, grown each step by the largest factor ``2n/x_min + 1``
+    (plus a 1e-12 margin for rounding), passes the rescale limit; each test
+    resets the bound to the true maximum.  So every rescale hits the same
+    elements at the same order as a test at every step would, which matters
+    because the rescale factor is not a power of two.  Batches with widely
+    mixed magnitudes test and rescale often; callers with long time grids
+    should chunk them into stretches of comparable argument.
+
+    The result is a C-contiguous float64 array, one row per argument.
     """
     if order_max < 0:
         raise ValueError(f"order_max must be >= 0, got {order_max}")
@@ -123,40 +146,50 @@ def bessel_rows(order_max: int, arguments: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(args)) or np.any(args < 0.0):
         raise ValueError("all arguments must be finite and >= 0")
 
-    out = np.zeros((args.size, order_max + 1))
     positive = args > 0.0
-    out[~positive, 0] = 1.0
-    if not np.any(positive):
+    if not positive.all():
+        out = np.zeros((args.size, order_max + 1))
+        out[~positive, 0] = 1.0
+        if positive.any():
+            out[positive] = bessel_rows(order_max, args[positive])
         return out
 
-    x = args[positive]
-    rows = np.zeros((x.size, order_max + 1))
-    start = miller_start_order(order_max, float(x.max()))
-    vp = np.zeros(x.size)
-    vc = np.ones(x.size)
-    norm = np.zeros(x.size)
-    two_over_x = 2.0 / x
+    start = miller_start_order(order_max, float(args.max()))
+    two_over_x = 2.0 / args
+    growth = float(two_over_x.max())
+    v = np.zeros((start + 2, args.size))  # v[start + 1] = 0 seeds the recurrence
+    v[start] = 1.0
+    orders = list(v)  # one view per order, made once
+    norm = np.zeros(args.size)
+    step = np.empty(args.size)
+    bound = 1.0  # >= every |v[n]|, |v[n+1]| of the batch
     for n in range(start, 0, -1):
-        if n <= order_max:
-            rows[:, n] = vc
+        vn = orders[n]
         if (n & 1) == 0:
-            norm += 2.0 * vc
-        vm = (n * two_over_x) * vc - vp
-        big = np.abs(vm) > _RESCALE_LIMIT
-        if np.any(big):
-            vm[big] *= _RESCALE_FACTOR
-            vc[big] *= _RESCALE_FACTOR
-            norm[big] *= _RESCALE_FACTOR
-            rows[big, :] *= _RESCALE_FACTOR
-        vp = vc
-        vc = vm
-    rows[:, 0] = vc
-    norm += vc
+            np.multiply(vn, 2.0, out=step)
+            np.add(norm, step, out=norm)
+        np.multiply(two_over_x, n, out=step)
+        np.multiply(step, vn, out=step)
+        np.subtract(step, orders[n + 1], out=orders[n - 1])
+        bound *= (n * growth + 1.0) * (1.0 + 1e-12)
+        if bound > _RESCALE_LIMIT:
+            big = np.abs(orders[n - 1]) > _RESCALE_LIMIT
+            if np.any(big):
+                # v[n-1], v[n] and the kept orders n+1..order_max; v[n+1]
+                # above order_max is never read again
+                v[n - 1 : max(n, order_max) + 1, big] *= _RESCALE_FACTOR
+                norm[big] *= _RESCALE_FACTOR
+            bound = float(np.abs(v[n - 1 : n + 1]).max())
+    norm += v[0]
 
-    rows /= norm[:, None]
-    rows[np.abs(rows) < FLUSH_THRESHOLD] = 0.0
-    out[positive, :] = rows
-    return out
+    # Normalize into rows a slab of orders at a time: a whole-array
+    # transposing copy strides through memory and is several times slower.
+    rows = np.empty((args.size, order_max + 1))
+    for lo in range(0, order_max + 1, _TRANSPOSE_SLAB):
+        slab = rows[:, lo : lo + _TRANSPOSE_SLAB]
+        np.divide(v[lo : lo + slab.shape[1]].T, norm[:, None], out=slab)
+        slab[np.abs(slab) < FLUSH_THRESHOLD] = 0.0
+    return rows
 
 
 def bessel_j(order: int, argument: float) -> float:

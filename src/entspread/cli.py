@@ -125,25 +125,27 @@ def simulate_realization(
     """Numeric moment series of one disorder realization, and the work it took.
 
     Each block is reduced straight to its moment rows.  The work counts are
-    the propagator's: blocks, matvecs (the sum of the block orders K) and
-    site-updates (K times the block's window width).
+    the propagator's: blocks, matvecs (the sum of the block orders K),
+    site-updates (K times the block's window width) and the smallest and
+    largest K.
     """
     h = build_hamiltonian(config.chain, realization_index)
     origin, half_width = config.chain.origin, config.chain.disorder.half_width
-    tables, blocks, matvecs, site_updates = [], 0, 0, 0
+    tables, orders, site_updates = [], [], 0
     for samples, block in evolve_blocks(h, origin, config.times.grid(), half_width):
         tables.append(moment_rows(samples, block, origin, half_width))
         if block.order is not None:
-            blocks += 1
-            matvecs += block.order
+            orders.append(block.order)
             site_updates += block.order * block.width
     digest = config_digest(config, realization_index)
     series = MomentSeries.from_table(np.concatenate(tables), digest)
     lo, hi = block.supports[-1]
     stats = {
-        "blocks": blocks,
-        "matvecs": matvecs,
+        "blocks": len(orders),
+        "matvecs": sum(orders),
         "site_updates": site_updates,
+        "min_block_order": min(orders, default=None),
+        "max_block_order": max(orders, default=None),
         "max_norm_error": float(np.max(series.column("norm_error"))),
         "final_support_width": hi - lo + 1,
     }
@@ -155,8 +157,11 @@ def analytic_series(config: ExperimentConfig) -> tuple[MomentSeries, dict[str, n
 
     The closed form is the |gamma| = 1 chain, whose amplitudes are J_x(2t);
     any other hopping is rejected rather than silently mis-scaled.  The time
-    grid is processed in chunks of comparable argument so the batched
-    recurrence stays efficient across widely different truncation radii.
+    grid is processed in chunks of `_ANALYTIC_CHUNK` times.  Each chunk's
+    rows share one truncation order and one Miller start order, sized for
+    its last time, so early times do not pay for late ones.  One chunk for
+    the whole desk grid would need rows of about 66 MB, and its shared start
+    order would move the last bits of the early rows.
     """
     if not config.chain.disorder.is_ordered:
         raise ConfigError("config.chain.disorder", "the closed form needs an ordered chain")

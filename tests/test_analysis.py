@@ -83,6 +83,13 @@ class TestTimeAverage:
         with pytest.raises(ValueError):
             time_average(series, 10.0)
 
+    @pytest.mark.parametrize("width", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_non_finite_or_non_positive_width_rejected_up_front(self, width):
+        times = np.linspace(0, 10, 101)
+        series = series_from_m(times, np.ones(101))
+        with pytest.raises(ValueError, match=f"window_width must be finite and > 0, got {width}"):
+            time_average(series, width)
+
 
 class TestFitPowerLaw:
     def test_exact_power_law(self):

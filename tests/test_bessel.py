@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from entspread.bessel import (
+    FLUSH_THRESHOLD,
     bessel_j,
     bessel_j_series_oracle,
     bessel_row,
@@ -188,6 +189,37 @@ class TestBesselRowsBatch:
             np.testing.assert_allclose(
                 batch[i], bessel_row(64, float(x)), rtol=0, atol=1e-13
             )
+
+    def test_mixed_magnitudes_with_rescales(self):
+        # 1e-3 rescales many times on the way down from the start order sized
+        # for 1999.5, and most of its row flushes to zero
+        args = np.array([1e-3, 0.7, 1999.5])
+        batch = bessel_rows(2100, args)
+        for i, x in enumerate(args):
+            np.testing.assert_allclose(
+                batch[i], bessel_row(2100, float(x)), rtol=0, atol=1e-13
+            )
+        flushed = np.abs(batch) < FLUSH_THRESHOLD
+        assert np.count_nonzero(flushed) > 2000
+        assert np.all(batch[flushed] == 0.0)
+
+    @pytest.mark.parametrize("order_max", [0, 1, 47, 300, 2100])
+    @pytest.mark.parametrize("x", [1e-3, 0.25, 1.08, 17.3, 300.0, 1999.5])
+    def test_single_argument_is_the_scalar_row_bitwise(self, order_max, x):
+        # one argument sets its own start order, so the batch recurrence does
+        # the scalar one's arithmetic step for step, rescales (small x, large
+        # K) included
+        np.testing.assert_array_equal(
+            bessel_rows(order_max, np.array([x]))[0], bessel_row(order_max, x)
+        )
+
+    @pytest.mark.parametrize("args", [[0.5, 0.0, 3.0], [0.5, 1.5, 3.0]])
+    def test_layout_is_one_c_contiguous_row_per_argument(self, args):
+        # the analytic GEMV and the kernel's dgemm sum in this layout's order
+        batch = bessel_rows(47, np.array(args))
+        assert batch.shape == (3, 48)
+        assert batch.dtype == np.float64
+        assert batch.flags.c_contiguous
 
     def test_zero_arguments_embedded(self):
         batch = bessel_rows(3, np.array([0.0, 0.0]))

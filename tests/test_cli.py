@@ -191,7 +191,8 @@ class TestSimulate:
         stats = run_simulate(config_from_dict(raw), tmp_path)["realizations"][0]["stats"]
         assert stats.pop("max_norm_error") <= 1e-12
         assert stats == {
-            "blocks": 250, "matvecs": 11750, "site_updates": 25460558, "final_support_width": 4075
+            "blocks": 250, "matvecs": 11750, "site_updates": 25460558,
+            "min_block_order": 47, "max_block_order": 47, "final_support_width": 4075,
         }
 
     def test_ordered_matches_analytic(self, tmp_path):
@@ -779,7 +780,8 @@ class TestReportSchemas:
         record_keys = {"index", "csv", "sha256", "spec_digest", "wall_time_s"}
         assert set(simulate["realizations"][0]) == record_keys | {"stats"}
         assert set(simulate["realizations"][0]["stats"]) == {
-            "blocks", "matvecs", "site_updates", "max_norm_error", "final_support_width"
+            "blocks", "matvecs", "site_updates", "min_block_order", "max_block_order",
+            "max_norm_error", "final_support_width",
         }
         assert set(analytic["realizations"][0]) == record_keys
         ensemble_keys = {"count", "median_exponent", "iqr_exponent"}
