@@ -21,15 +21,15 @@ fast below the start, so they are rescaled whenever one would pass 1e250;
 a cheap running bound tells the loop at which steps that test must run.
 Only when normalizing does it turn the orders into one row per argument.
 
-A slow ascending-series evaluator in extended precision is provided as an
-independent cross-check; it shares no code with the recurrence path.
+The independent cross-check, an ascending-series evaluator in extended
+precision that shares no code with the recurrence, is in the test suite's
+`oracles` module.
 """
 
 from __future__ import annotations
 
 import math
 
-import mpmath
 import numpy as np
 
 # Magnitudes below this are flushed to exactly zero after normalization;
@@ -43,12 +43,6 @@ _RESCALE_FACTOR = 1e-250
 
 # Orders per slab when bessel_rows turns its order-major values into rows.
 _TRANSPOSE_SLAB = 128
-
-# Validity box of the ascending-series oracle in these units; beyond it the
-# alternating series loses too many digits even at extended precision budgets
-# sized for this box.
-ORACLE_MAX_ORDER = 40
-ORACLE_MAX_ARGUMENT = 30.0
 
 
 def miller_start_order(order_max: int, argument: float) -> int:
@@ -201,46 +195,3 @@ def bessel_j(order: int, argument: float) -> float:
     if order < 0 and (n & 1):
         value = -value
     return value
-
-
-def bessel_j_series_oracle(order: int, argument: float, terms: int) -> float:
-    """Reference value of J_order(argument) from the ascending power series.
-
-    Computes the partial sum
-
-        sum_{m=0}^{terms-1} (-1)^m (x/2)^(2m+order) / (m! (m+order)!)
-
-    in 50-digit working precision so that the large intermediate terms at the
-    upper end of the validity box cannot contaminate the float64 result
-    through cancellation.  Truncation error is bounded by the first omitted
-    term divided by (1 - r), with term ratio r = (x/2)^2 / ((terms+1)(terms+
-    order+1)); inside the validity box and with terms >= 40 this is far below
-    1e-30, so the returned double is correctly rounded for practical
-    purposes.
-
-    This function is deliberately independent of the recurrence path: use it
-    to check :func:`bessel_j` / :func:`bessel_row`, never to implement them.
-    """
-    order = int(order)
-    if order < 0 or order > ORACLE_MAX_ORDER:
-        raise ValueError(
-            f"series oracle valid for 0 <= order <= {ORACLE_MAX_ORDER}, got {order}"
-        )
-    argument = float(argument)
-    if not math.isfinite(argument) or not 0.0 <= argument <= ORACLE_MAX_ARGUMENT:
-        raise ValueError(
-            f"series oracle valid for 0 <= argument <= {ORACLE_MAX_ARGUMENT}, got {argument!r}"
-        )
-    if terms < 1:
-        raise ValueError(f"terms must be >= 1, got {terms}")
-
-    with mpmath.workdps(50):
-        half = mpmath.mpf(argument) / 2
-        step = -half * half
-        term = half**order / mpmath.factorial(order)
-        total = term
-        for m in range(1, terms):
-            # term m from term m-1: one factor of -(x/2)^2 / (m (m + order))
-            term *= step / (m * (m + order))
-            total += term
-        return float(total)

@@ -85,8 +85,10 @@ class DisorderSpec:
             raise ConfigError("diag_sign", f"expected one of {DIAG_SIGNS}, got {self.diag_sign!r}")
         if self.half_width < 0:
             raise ConfigError("half_width", f"must be >= 0, got {self.half_width}")
-        if not -np.inf < self.low <= self.high < np.inf:
-            raise ConfigError("high", f"need finite low <= high, got low={self.low}, high={self.high}")
+        # A finite width also rules out infinite ends; Generator.uniform needs it.
+        if not (self.low <= self.high and np.isfinite(self.high - self.low)):
+            raise ConfigError("high", f"need low <= high and a finite width high - low, "
+                                      f"got low={self.low}, high={self.high}")
         if not 0 <= self.seed < SEED_LIMIT:
             raise ConfigError("seed", f"must lie in [0, 2**64), got {self.seed}")
 

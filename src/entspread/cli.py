@@ -4,8 +4,9 @@ Every command is a deterministic function of its config and input files;
 series CSVs from reruns are byte-identical.  Heavy work lives in plain
 functions of a loaded config, which tests drive directly; the commands apply
 `--seed` first.  The click group maps their exceptions to exit codes in one
-place, `EXIT_CODES`: 2 for config or input problems, 1 for a boundary-budget
-violation.  `verify` also exits 1 when a check fails.
+place, `EXIT_CODES`: 2 for config or input problems, and for a path that
+cannot be read or written (an `OSError`, whose message names the path); 1 for
+a boundary-budget violation.  `verify` also exits 1 when a check fails.
 """
 
 from __future__ import annotations
@@ -430,8 +431,8 @@ def run_sweep(
 # click wrappers
 
 # The one map from pipeline exceptions to exit codes.  ConfigError is a
-# ValueError, so config problems exit 2 as well.
-EXIT_CODES: dict[type[Exception], int] = {ValueError: 2, BoundaryBudgetError: 1}
+# ValueError, so config problems exit 2 as well; so do unusable paths.
+EXIT_CODES: dict[type[Exception], int] = {ValueError: 2, OSError: 2, BoundaryBudgetError: 1}
 
 
 class _Pipeline(click.Group):

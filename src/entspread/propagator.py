@@ -51,9 +51,9 @@ The coefficients are exactly the Bessel rows the bessel module provides.
 `evolve_blocks`, the kernel's one entry point, evolves the unit excitation at
 the origin forward and yields the blocks of its series; the simulate path
 reduces each to moment rows.  `evolve_series` hands out one state per
-sample from the same blocks.  A dense eigendecomposition evolver is kept
-alongside as the accuracy oracle for small chains.  Everything here is
-pure; distinct trajectories can be evolved concurrently.
+sample from the same blocks.  The accuracy oracle for small chains, a dense
+eigendecomposition evolver, is in the test suite's `oracles` module.
+Everything here is pure; distinct trajectories can be evolved concurrently.
 """
 
 from __future__ import annotations
@@ -63,15 +63,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.blas import dgemm
 
 from .bessel import FLUSH_THRESHOLD, bessel_row, bessel_rows
 from .chain import Hamiltonian, spectral_bounds
-
-# Dense-oracle capacity; beyond this the eigensolve is no longer "cheap test
-# machinery" and the Chebyshev path is the only supported route.
-DIAGONALIZATION_MAX_SITES = 2048
 
 # Bound on the discarded Chebyshev tail 2 * sum_{k>K} |J_k(b tau)| of one
 # sample, which bounds its truncation error in the 2-norm.
@@ -327,30 +322,6 @@ def _edge_count(samples: np.ndarray, budget: float, rim: int) -> np.ndarray:
         if rim == width or np.all(count < rim):
             return count
         rim *= 2
-
-
-def evolve_diagonalization(h: Hamiltonian, initial: WaveState, delta_t: float) -> WaveState:
-    """Exact evolution through a full symmetric-tridiagonal eigendecomposition.
-
-    Test oracle: capacity-limited to small chains.
-    """
-    n = h.num_sites
-    if n > DIAGONALIZATION_MAX_SITES:
-        raise ValueError(
-            f"diagonalization oracle limited to {DIAGONALIZATION_MAX_SITES} sites, got {n}"
-        )
-    if n != initial.num_sites:
-        raise ValueError("Hamiltonian and state dimensions differ")
-    delta_t = float(delta_t)
-    if not math.isfinite(delta_t):
-        raise ValueError(f"delta_t must be finite, got {delta_t!r}")
-    if n == 1:
-        amps = np.exp(-1j * h.diag[0] * delta_t) * initial.amplitudes
-        return WaveState(amps, initial.time + delta_t, initial.origin)
-    evals, evecs = scipy.linalg.eigh_tridiagonal(h.diag, h.offdiag)
-    modal = evecs.T @ initial.amplitudes
-    amps = evecs @ (np.exp(-1j * evals * delta_t) * modal)
-    return WaveState(amps, initial.time + delta_t, initial.origin)
 
 
 def reflection_budget_violation(

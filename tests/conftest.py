@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entspread import WaveState
+from entspread.propagator import WaveState
 
 
 def random_unit_state(rng, n, origin=None):

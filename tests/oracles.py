@@ -1,0 +1,181 @@
+"""Independent references the tests check the pipeline against.
+
+None of these is on the pipeline's path, so they live beside their tests:
+
+* `bessel_j_series_oracle`: J_n(x) from the ascending power series in
+  extended precision (mpmath), sharing no code with the Miller recurrence;
+* `evolve_diagonalization`: exact evolution through a full
+  symmetric-tridiagonal eigendecomposition, for small chains;
+* `reduced_density_pair`, `wootters_concurrence`, `concurrence_pair`: the
+  two-site concurrence by the spin-flip route, against which the product
+  form C_ij = 2 |a_i| |a_j| the moments rest on is checked.
+
+Tests import them as they import `conftest`: `from oracles import ...`.
+"""
+
+from __future__ import annotations
+
+import math
+
+import mpmath
+import numpy as np
+import scipy.linalg
+
+from entspread.chain import Hamiltonian
+from entspread.propagator import WaveState
+
+# Validity box of the ascending-series oracle in these units; beyond it the
+# alternating series loses too many digits even at extended precision budgets
+# sized for this box.
+ORACLE_MAX_ORDER = 40
+ORACLE_MAX_ARGUMENT = 30.0
+
+# Dense-oracle capacity; beyond this the eigensolve is no longer "cheap test
+# machinery" and the Chebyshev path is the only supported route.
+DIAGONALIZATION_MAX_SITES = 2048
+
+# sigma_y (x) sigma_y in the basis (both ground, i excited, j excited, both excited).
+_SIGMA_YY = np.array(
+    [
+        [0, 0, 0, -1],
+        [0, 0, 1, 0],
+        [0, 1, 0, 0],
+        [-1, 0, 0, 0],
+    ],
+    dtype=complex,
+)
+
+# Eigenvalues of the flipped product below this fraction of the largest one
+# are indistinguishable from the rank-deficiency noise of the eigensolver.
+_EIGENVALUE_NOISE_FLOOR = 100.0 * np.finfo(float).eps
+
+
+def bessel_j_series_oracle(order: int, argument: float, terms: int) -> float:
+    """Reference value of J_order(argument) from the ascending power series.
+
+    Computes the partial sum
+
+        sum_{m=0}^{terms-1} (-1)^m (x/2)^(2m+order) / (m! (m+order)!)
+
+    in 50-digit working precision so that the large intermediate terms at the
+    upper end of the validity box cannot contaminate the float64 result
+    through cancellation.  Truncation error is bounded by the first omitted
+    term divided by (1 - r), with term ratio r = (x/2)^2 / ((terms+1)(terms+
+    order+1)); inside the validity box and with terms >= 40 this is far below
+    1e-30, so the returned double is correctly rounded for practical
+    purposes.
+
+    This function is deliberately independent of the recurrence path: use it
+    to check :func:`bessel_j` / :func:`bessel_row`, never to implement them.
+    """
+    order = int(order)
+    if order < 0 or order > ORACLE_MAX_ORDER:
+        raise ValueError(
+            f"series oracle valid for 0 <= order <= {ORACLE_MAX_ORDER}, got {order}"
+        )
+    argument = float(argument)
+    if not math.isfinite(argument) or not 0.0 <= argument <= ORACLE_MAX_ARGUMENT:
+        raise ValueError(
+            f"series oracle valid for 0 <= argument <= {ORACLE_MAX_ARGUMENT}, got {argument!r}"
+        )
+    if terms < 1:
+        raise ValueError(f"terms must be >= 1, got {terms}")
+
+    with mpmath.workdps(50):
+        half = mpmath.mpf(argument) / 2
+        step = -half * half
+        term = half**order / mpmath.factorial(order)
+        total = term
+        for m in range(1, terms):
+            # term m from term m-1: one factor of -(x/2)^2 / (m (m + order))
+            term *= step / (m * (m + order))
+            total += term
+        return float(total)
+
+
+def evolve_diagonalization(h: Hamiltonian, initial: WaveState, delta_t: float) -> WaveState:
+    """Exact evolution through a full symmetric-tridiagonal eigendecomposition.
+
+    Test oracle: capacity-limited to small chains.
+    """
+    n = h.num_sites
+    if n > DIAGONALIZATION_MAX_SITES:
+        raise ValueError(
+            f"diagonalization oracle limited to {DIAGONALIZATION_MAX_SITES} sites, got {n}"
+        )
+    if n != initial.num_sites:
+        raise ValueError("Hamiltonian and state dimensions differ")
+    delta_t = float(delta_t)
+    if not math.isfinite(delta_t):
+        raise ValueError(f"delta_t must be finite, got {delta_t!r}")
+    if n == 1:
+        amps = np.exp(-1j * h.diag[0] * delta_t) * initial.amplitudes
+        return WaveState(amps, initial.time + delta_t, initial.origin)
+    evals, evecs = scipy.linalg.eigh_tridiagonal(h.diag, h.offdiag)
+    modal = evecs.T @ initial.amplitudes
+    amps = evecs @ (np.exp(-1j * evals * delta_t) * modal)
+    return WaveState(amps, initial.time + delta_t, initial.origin)
+
+
+def _check_pair(state: WaveState, i: int, j: int) -> None:
+    n = state.num_sites
+    if not (0 <= i < n and 0 <= j < n):
+        raise ValueError(f"sites ({i}, {j}) outside chain of {n} sites")
+    if i == j:
+        raise ValueError("two-site observables need two distinct sites")
+
+
+def reduced_density_pair(state: WaveState, i: int, j: int) -> np.ndarray:
+    """Two-site reduced density matrix of a pure single-excitation state.
+
+    Basis order: (both ground, i excited, j excited, both excited).  The
+    both-ground weight is mu = 1 - |a_i|^2 - |a_j|^2 and the doubly excited
+    level is never populated.
+    """
+    _check_pair(state, i, j)
+    if state.norm_error() > 1e-9:
+        raise ValueError("reduced density matrix requires a normalized state")
+    ai = state.amplitudes[i]
+    aj = state.amplitudes[j]
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[0, 0] = 1.0 - abs(ai) ** 2 - abs(aj) ** 2
+    rho[1, 1] = abs(ai) ** 2
+    rho[2, 2] = abs(aj) ** 2
+    rho[1, 2] = ai * np.conj(aj)
+    rho[2, 1] = aj * np.conj(ai)
+    return rho
+
+
+def wootters_concurrence(rho: np.ndarray) -> float:
+    """Concurrence of a two-qubit density matrix from the spin-flip spectrum.
+
+    lambda_n are the descending square roots of the eigenvalues of
+    rho (sigma_y x sigma_y) rho* (sigma_y x sigma_y); the result is
+    max(lambda_1 - lambda_2 - lambda_3 - lambda_4, 0).  Eigenvalues within
+    the solver's rank-deficiency noise of zero (relative floor, and tiny
+    negatives) are clamped to zero before the square root.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
+    if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
+        raise ValueError("density matrix must be Hermitian")
+    if abs(np.trace(rho).real - 1.0) > 1e-10:
+        raise ValueError("density matrix must have unit trace")
+    if np.min(np.linalg.eigvalsh(rho)) < -1e-10:
+        raise ValueError("density matrix must be positive semidefinite")
+
+    flipped = rho @ _SIGMA_YY @ rho.conj() @ _SIGMA_YY
+    eigs = np.linalg.eigvals(flipped).real
+    floor = _EIGENVALUE_NOISE_FLOOR * max(float(np.max(np.abs(eigs))), np.finfo(float).tiny)
+    eigs[np.abs(eigs) < floor] = 0.0
+    if np.min(eigs) < -1e-12:
+        raise ValueError("spin-flipped spectrum is significantly negative")
+    lam = np.sort(np.sqrt(np.clip(eigs, 0.0, None)))[::-1]
+    return float(max(lam[0] - lam[1] - lam[2] - lam[3], 0.0))
+
+
+def concurrence_pair(state: WaveState, i: int, j: int) -> float:
+    """Shortcut concurrence 2 |a_i| |a_j| between two sites."""
+    _check_pair(state, i, j)
+    return 2.0 * abs(state.amplitudes[i]) * abs(state.amplitudes[j])

@@ -42,19 +42,21 @@ from entspread.analytic import (
     impurity_origin_amplitude,
     semi_infinite_amplitude,
 )
-from entspread.bessel import bessel_j_series_oracle, bessel_row
+from entspread.bessel import bessel_row
 from entspread.chain import Hamiltonian, derive_seed
 from entspread.cli import analytic_series, fit_series, run_simulate, run_sweep
 from entspread.config import SCHEMA_VERSION, config_from_dict, load_config
-from entspread.observables import (
-    concurrence_pair,
-    reduced_density_pair,
-    wootters_concurrence,
-)
-from entspread.propagator import basis_state, evolve_diagonalization, evolve_series
+from entspread.propagator import basis_state, evolve_series
 from entspread.seriesio import read_series_csv
 
 from conftest import random_unit_state
+from oracles import (
+    bessel_j_series_oracle,
+    concurrence_pair,
+    evolve_diagonalization,
+    reduced_density_pair,
+    wootters_concurrence,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

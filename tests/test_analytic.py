@@ -15,7 +15,9 @@ from entspread.analytic import (
 from entspread.bessel import bessel_row, bessel_rows
 from entspread.chain import Hamiltonian
 from entspread.observables import moment_m
-from entspread.propagator import basis_state, evolve_diagonalization
+from entspread.propagator import basis_state
+
+from oracles import evolve_diagonalization
 
 # Extended-precision series references.
 J0_2 = 0.22389077914123567

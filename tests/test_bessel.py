@@ -6,11 +6,12 @@ import pytest
 from entspread.bessel import (
     FLUSH_THRESHOLD,
     bessel_j,
-    bessel_j_series_oracle,
     bessel_row,
     bessel_rows,
     miller_start_order,
 )
+
+from oracles import bessel_j_series_oracle
 
 # Reference values from the extended-precision ascending series.
 J0_2 = 0.22389077914123567

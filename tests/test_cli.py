@@ -524,6 +524,32 @@ class TestCommandLine:
         assert result.exit_code == 2
         assert "config.chain" in result.output
 
+    def test_infinite_disorder_width_exit_code(self, tmp_path):
+        raw = make_config()
+        raw["chain"]["disorder"].update(low=-1e308, high=1e308)
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, ["simulate", "--config", str(path), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "config.chain.disorder.high: need low <= high and a finite width" in result.output
+        assert not out.exists()
+
+    def test_analytic_out_under_a_file_exit_code(self, tmp_path):
+        path = write_config(tmp_path, make_config(chain={"num_sites": 201}))
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        args = ["analytic", "--config", str(path), "--out", str(blocker / "sub")]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert str(blocker) in result.output
+        assert len(result.output.splitlines()) == 1
+
+    def test_fit_on_a_directory_exit_code(self, tmp_path):
+        result = CliRunner().invoke(main, ["fit", str(tmp_path), "--window", "1:5"])
+        assert result.exit_code == 2, result.output
+        assert str(tmp_path) in result.output
+        assert len(result.output.splitlines()) == 1
+
     def test_boundary_violation_exit_code(self, tmp_path):
         raw = make_config(times={"t_start": 0.0, "t_end": 200.0, "num_samples": 5})
         path = write_config(tmp_path, raw)

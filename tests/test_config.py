@@ -110,6 +110,13 @@ class TestSchema:
         with pytest.raises(ConfigError, match=r"^config\.chain\."):
             config_from_dict(raw)
 
+    def test_disorder_range_of_infinite_width_rejected(self):
+        # both ends finite, but Generator.uniform overflowed on high - low at simulate time
+        raw = base_config()
+        raw["chain"]["disorder"].update(low=-1e308, high=1e308)
+        with pytest.raises(ConfigError, match=r"^config\.chain\.disorder\.high: need low <= high and a finite width"):
+            config_from_dict(raw)
+
     def test_emission_key_rejected_as_unknown(self):
         # no command reads an emission model from a config, so the key is gone
         with pytest.raises(ConfigError, match="unknown keys.*emission"):

@@ -1,18 +1,26 @@
-"""Every module under src/ and tests/ reads every name it imports.
+"""What the modules import: every name is read, and the package needs only its dependencies.
 
-No linter is a dependency of this package, so the check parses each module
+No linter is a dependency of this package, so the checks parse each module
 with `ast`: an imported name counts as read when the module loads it as a
 plain name anywhere, or lists it in `__all__`.  `from __future__` imports
-are compiler directives and are skipped.
+are compiler directives and are skipped.  The third-party modules imported
+under src/ must be exactly the `[project] dependencies` of pyproject.toml,
+so a test-only library such as mpmath cannot creep back into the package,
+and fresh interpreters check that importing the package loads nothing and
+that the CLI does not load mpmath.
 """
 
 import ast
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").glob("*.py")])
+SRC_MODULES = sorted((ROOT / "src").rglob("*.py"))
+MODULES = sorted([*SRC_MODULES, *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -52,3 +60,52 @@ def test_scanner_flags_only_unread_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: str(path.relative_to(ROOT)))
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text()) == []
+
+
+def third_party_imports(source: str) -> set[str]:
+    """Top-level names of the absolute imports outside the standard library."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"entspread"}
+
+
+def test_third_party_scanner_skips_stdlib_and_relative_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path, numpy.linalg\n"
+        "from scipy.linalg.blas import dgemm\n"
+        "from . import chain\n"
+        "from .bessel import bessel_row\n"
+    )
+    assert third_party_imports(source) == {"numpy", "scipy"}
+
+
+def test_runtime_dependencies_are_what_src_imports():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    listed = {re.match(r"[\w.-]+", spec).group().lower().replace("-", "_")
+              for spec in project["dependencies"]}
+    imported = set().union(*(third_party_imports(path.read_text()) for path in SRC_MODULES))
+    assert sorted(imported - listed) == [], "imported under src/, not a runtime dependency"
+    assert sorted(listed - imported) == [], "a runtime dependency nothing under src/ imports"
+
+
+def modules_after(statement: str) -> set[str]:
+    """The modules a fresh interpreter holds after running `statement`."""
+    code = f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); {statement}; print(*sys.modules)"
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    return set(child.stdout.split())
+
+
+def test_package_import_loads_no_numpy():
+    assert "numpy" not in modules_after("import entspread")
+
+
+def test_cli_import_loads_no_mpmath():
+    loaded = modules_after("import entspread.cli")
+    assert "entspread.cli" in loaded
+    assert "mpmath" not in loaded

@@ -3,16 +3,11 @@ import pytest
 
 from entspread.analytic import infinite_state
 from entspread.chain import ChainSpec, DisorderSpec, build_hamiltonian
-from entspread.observables import (
-    MomentSample,
-    concurrence_pair,
-    moment_m,
-    reduced_density_pair,
-    wootters_concurrence,
-)
+from entspread.observables import MomentSample, moment_m
 from entspread.propagator import WaveState, basis_state, evolve_series
 
 from conftest import random_unit_state
+from oracles import concurrence_pair, reduced_density_pair, wootters_concurrence
 
 J0_2 = 0.22389077914123567
 J1_2 = 0.57672480775687339

@@ -23,7 +23,6 @@ from entspread.cli import simulate_realization
 from entspread.config import config_from_dict
 from entspread.observables import moment_m, moment_rows
 from entspread.propagator import (
-    DIAGONALIZATION_MAX_SITES,
     TAIL_TOLERANCE,
     WORKSPACE_BYTES,
     ReflectionBudgetWarning,
@@ -31,10 +30,11 @@ from entspread.propagator import (
     basis_state,
     chebyshev_order,
     evolve_blocks,
-    evolve_diagonalization,
     evolve_series,
     reflection_budget_violation,
 )
+
+from oracles import DIAGONALIZATION_MAX_SITES, evolve_diagonalization
 
 
 def ordered(n):
