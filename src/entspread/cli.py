@@ -140,7 +140,7 @@ def simulate_realization(
             site_updates += block.order * block.width
     digest = config_digest(config, realization_index)
     series = MomentSeries.from_table(np.concatenate(tables), digest)
-    lo, hi = block.supports[-1]
+    lo, hi = block.support
     stats = {
         "blocks": len(orders),
         "matvecs": sum(orders),
@@ -233,8 +233,9 @@ def run_simulate(
     indices = range(config.ensemble.num_realizations)
     started = _time.perf_counter()
     if jobs > 1 and len(indices) > 1:
+        # The pool starts all its workers at once: no more than there is work for.
         with concurrent.futures.ProcessPoolExecutor(
-            jobs, initializer=_set_blas_threads, initargs=(1,)
+            min(jobs, len(indices)), initializer=_set_blas_threads, initargs=(1,)
         ) as pool:
             futures = [pool.submit(_simulate_worker, config, idx, out_dir) for idx in indices]
             # Slots are keyed by realization index, never by completion order.
@@ -275,13 +276,14 @@ def fit_series(
 
     average_window = 0 skips the smoothing pass (useful for data that is
     already smooth, where the window's curvature bias would dominate).  The
-    local exponent is taken over the samples at t > 0, as log t needs.
+    local exponent is taken over the samples at t > 0, as log t needs; with
+    fewer than 3 of them there is none, and no early maximum is reported.
     """
     _check_average_window(average_window)
     averaged = time_average(series, average_window) if average_window > 0 else series
     fit = fit_power_law(averaged, field_name, window)
     positive = MomentSeries.from_table(averaged.table[averaged.times() > 0.0])
-    local = local_exponent(positive, field_name)
+    local = local_exponent(positive, field_name) if len(positive) >= 3 else np.empty((0, 2))
     early = local[(local[:, 0] >= EARLY_WINDOW_START) & (local[:, 0] < window[0])]
     return {
         "field": field_name,

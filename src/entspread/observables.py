@@ -41,35 +41,33 @@ MOMENT_COLUMNS = tuple(f.name for f in fields(MomentSample))
 def moment_rows(times: np.ndarray, block: Block, origin: int, half_width: int = 0) -> np.ndarray:
     """Moment rows (columns MOMENT_COLUMNS) of the block's samples at `times`.
 
-    Each sum runs over its sample's own support, so numpy's pairwise
-    summation groups the terms as for that state alone: a sum over the block
-    window would regroup them and move the last bits.  Offsets with
-    |x| <= half_width count as the disordered-region share m_d, the rest as
-    m_o; by construction m = 2 * alpha0_abs * w and m = m_o + m_d hold to
-    rounding.
+    Each column is one reduction per row over the block's support, the
+    columns a state of the block is nonzero on, so numpy's pairwise summation
+    groups the terms as for that state alone: `moment_m` on it gives the same
+    bits.  Offsets with |x| <= half_width count as the disordered-region share
+    m_d, the rest as m_o; by construction m = 2 * alpha0_abs * w and
+    m = m_o + m_d hold to rounding.
     """
     if half_width < 0:
         raise ValueError(f"half_width must be >= 0, got {half_width}")
+    lo, hi = block.support[0] - block.start, block.support[1] + 1 - block.start
     offsets = np.arange(block.start - origin, block.start + block.width - origin, dtype=float)
+    # Window-wide like the magnitudes: support-sized weights fragment the heap.
     weights = block.magnitudes * (offsets * offsets)
-    spans = [(lo - block.start, hi + 1 - block.start) for lo, hi in block.supports]
-    # The core |x| <= half_width is one stretch of columns, cut to each support.
+    # The core |x| <= half_width is one stretch of columns, cut to the support.
     core_lo, core_hi = origin - half_width - block.start, origin + half_width + 1 - block.start
-    cores = [(min(max(core_lo, lo), hi), min(max(core_hi, lo), hi)) for lo, hi in spans]
-
-    def sums(values, spans):
-        # np.add.reduce is np.sum without its wrapper.
-        return np.array([np.add.reduce(row[lo:hi]) for row, (lo, hi) in zip(values, spans)])
-
-    w_total = sums(weights, spans)
-    w_inner = sums(weights, cores)
+    core = slice(min(max(core_lo, lo), hi), min(max(core_hi, lo), hi))
+    # np.add.reduce is np.sum without its wrapper.
+    w_total = np.add.reduce(weights[:, lo:hi], axis=1)
+    w_inner = np.add.reduce(weights[:, core], axis=1)
     # m_o is summed, not taken as m - m_d: while the front crosses the core
     # edge the difference is rounding noise.  Zeroing the core keeps the sum
     # over every site, so a weightless core gives m_o == m exactly.
-    weights[:, max(core_lo, 0) : max(core_hi, 0)] = 0.0
-    w_outer = sums(weights, spans)
-    norm_error = np.abs(1.0 - sums(np.square(block.magnitudes, out=weights), spans))
-    alpha0 = np.zeros(len(spans))
+    weights[:, core] = 0.0
+    w_outer = np.add.reduce(weights[:, lo:hi], axis=1)
+    np.square(block.magnitudes, out=weights)
+    norm_error = np.abs(1.0 - np.add.reduce(weights[:, lo:hi], axis=1))
+    alpha0 = np.zeros(len(weights))
     column = origin - block.start
     if 0 <= column < block.width:
         # The scalar abs(): the array np.abs may differ from it in the last bit.
@@ -86,6 +84,6 @@ def moment_m(state: WaveState, half_width: int = 0) -> MomentSample:
     """
     lo, hi = state.support if state.support is not None else (0, state.num_sites - 1)
     amps = state.amplitudes[None, lo : hi + 1]
-    block = Block(amps, np.abs(amps), lo, [(lo, hi)], None)
+    block = Block(amps, np.abs(amps), lo, (lo, hi), None)
     row = moment_rows(np.array([state.time]), block, state.origin, half_width)
     return MomentSample(*row[0].tolist())

@@ -28,17 +28,17 @@ The coefficients are exactly the Bessel rows the bessel module provides.
 * Window.  A tridiagonal matvec widens the support of a vector by one site
   per side, so U_k lives on [lo - k, hi + k] when psi lives on [lo, hi].  A
   block runs on [lo - K, hi + K] only, which is exact: it is the discrete
-  light cone (Lieb & Robinson, Commun. Math. Phys. 28, 251 (1972)).  Each
-  sample is then trimmed: its outermost sites are zeroed while their weight
-  sum |a_x|^2 stays within (TAIL_TOLERANCE / 2)^2 ||psi||^2 per side, psi
-  the block's start state.  So a sample's error is the Chebyshev tail plus
-  the trimmed edges, each at most TAIL_TOLERANCE in the 2-norm relative to
-  psi, and the next block starts from the last sample's trimmed support.
+  light cone (Lieb & Robinson, Commun. Math. Phys. 28, 251 (1972)).  Its
+  samples are trimmed to one support: the outer sites whose weight sum
+  |a_x|^2 is within (TAIL_TOLERANCE / 2)^2 ||psi||^2 per side in every
+  sample are zeroed, psi the block's start state.  So a sample's error is
+  the Chebyshev tail plus the trimmed edges, each at most TAIL_TOLERANCE
+  in the 2-norm relative to psi; the next block starts from the last sample.
   Halving the 2-norm budget per side, rather than its square, leaves room
   for the error earlier trims left near the front: the exact state's weight
   outside the support stays below TAIL_TOLERANCE^2 on a chained ordered run.
   Kept amplitudes below the bessel module's FLUSH_THRESHOLD are zeroed,
-  which keeps the arithmetic out of subnormals, and each sample records its
+  which keeps the arithmetic out of subnormals, and the block records its
   support, so reductions can skip the zeros.
 * Byte cap.  Up to 8 orders sit in a ring, added into the S sample rows
   whenever it fills; S is cut so that ring, sample and coefficient rows and
@@ -158,8 +158,8 @@ def chebyshev_order(b: float, delta_t: float) -> int:
 class Block:
     """The S samples one Chebyshev block yields, on the window [start, start + width) of the chain.
 
-    Row s of `amplitudes` (S, width) is a sample's state on the window, zero
-    outside supports[s], (lo, hi) in chain sites;
+    Row s of `amplitudes` (S, width) is a sample's state on the window; every
+    sample is zero outside the one `support`, (lo, hi) in chain sites.
     `magnitudes` is its np.abs.  `order` is the block's Chebyshev order K, so
     it ran K matvecs over the window; None when no recurrence made the block.
     """
@@ -167,7 +167,7 @@ class Block:
     amplitudes: np.ndarray
     magnitudes: np.ndarray
     start: int
-    supports: list[tuple[int, int]]
+    support: tuple[int, int]
     order: int | None
 
     @property
@@ -178,7 +178,7 @@ class Block:
         """Sample s on the whole chain, in an array of its own."""
         amps = np.zeros(num_sites, dtype=complex)
         amps[self.start : self.start + self.width] = self.amplitudes[s]
-        return WaveState(amps, time, origin, self.supports[s])
+        return WaveState(amps, time, origin, self.support)
 
 
 class _Kernel:
@@ -234,36 +234,32 @@ class _Kernel:
     def block(self, seed: np.ndarray, lo: int, offsets: np.ndarray, slots: int) -> Block:
         """The state `seed` on [lo, lo + len(seed)) at each offset.
 
-        Offsets (positive) and ring length come from `plan`.  Each sample is
-        trimmed: its outermost sites are zeroed while their weight sum |a_x|^2
-        stays within (TAIL_TOLERANCE / 2)^2 ||seed||^2 per side, and its
-        support is the rest.  It is never empty for the unit-norm seeds of
-        `evolve_blocks`: the trims drop at most 2 (TAIL_TOLERANCE / 2)^2 of
-        the seed's weight, and the step keeps a sample's within about 1e-13
-        of it.
+        Offsets (positive) and ring length come from `plan`.  The samples are
+        trimmed to one support: on each side, every sample loses the outer
+        sites whose weight sum |a_x|^2 stays within (TAIL_TOLERANCE / 2)^2
+        ||seed||^2 in all samples.  The support is never empty for the
+        unit-norm seeds of `evolve_blocks`: no sample loses more than
+        2 (TAIL_TOLERANCE / 2)^2 of the seed's weight, and the step keeps a
+        sample's within about 1e-13 of it.
         """
         coeffs, phases = self._coefficients(offsets)
         order = coeffs.shape[1] - 1
         start = max(lo - order, 0)
         stop = min(lo + len(seed) + order, self.num_sites)
-        width = stop - start
         samples = self._expand(seed, lo - start, start, stop, coeffs, slots)
         budget = (0.5 * TAIL_TOLERANCE) ** 2 * float(np.vdot(seed, seed).real)
         # The cut almost always falls in the outer order + 1 sites, the ones the
-        # light cone added to the seed's support.
-        lefts = _edge_count(samples, budget, order + 1).tolist()
-        rights = _edge_count(samples[:, ::-1], budget, order + 1).tolist()
-        supports = []
-        for sample, left, right in zip(samples, lefts, rights):
-            sample[:left] = 0.0
-            sample[width - right :] = 0.0
-            supports.append((start + left, stop - right - 1))
+        # light cone added; each side drops what every sample can spare.
+        left = int(_edge_count(samples, budget, order + 1).min())
+        right = int(_edge_count(samples[:, ::-1], budget, order + 1).min())
+        samples[:, :left] = 0.0
+        samples[:, stop - start - right :] = 0.0
         samples *= phases[:, None]
         magnitudes = np.abs(samples)
         tiny = magnitudes < FLUSH_THRESHOLD
         np.copyto(samples, 0.0, where=tiny)
         np.copyto(magnitudes, 0.0, where=tiny)
-        return Block(samples, magnitudes, start, supports, order)
+        return Block(samples, magnitudes, start, (start + left, stop - right - 1), order)
 
     def _expand(self, seed: np.ndarray, at: int, start: int, stop: int, coeffs: np.ndarray,
                 slots: int) -> np.ndarray:
@@ -380,13 +376,13 @@ def evolve_blocks(
     done = int(times[0] == 0.0)
     if done:
         one = np.ones((1, 1))
-        yield times[:1], Block(one.astype(complex), one, origin, [(origin, origin)], None)
+        yield times[:1], Block(one.astype(complex), one, origin, (origin, origin), None)
     while done < times.size:
         count, slots = kernel.plan(len(seed), times[done:] - now)
         samples = times[done : done + count]
         block = kernel.block(seed, lo, samples - now, slots)
         # The next block starts from a private copy of the last sample.
-        lo, hi = block.supports[-1]
+        lo, hi = block.support
         seed = block.amplitudes[-1, lo - block.start : hi + 1 - block.start].copy()
         # Label with the exact grid values; the evolved duration is the sum of
         # the block offsets, which telescopes to t exactly.

@@ -43,9 +43,9 @@ def write_series_csv(
 def read_series_csv(path: str | Path) -> MomentSeries:
     """Read a series back; extra columns are ignored.
 
-    Missing base columns raise ValueError naming the path; a row with fewer
-    fields than the header or a non-numeric base field, naming the path and
-    the line.
+    Missing base columns raise ValueError naming the path; a row with another
+    field count than the header or a non-numeric base field, naming the path
+    and the line.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -60,7 +60,7 @@ def read_series_csv(path: str | Path) -> MomentSeries:
         index = [header.index(name) for name in MOMENT_COLUMNS]
         rows = []
         for row in reader:
-            if len(row) < len(header):
+            if len(row) != len(header):
                 raise ValueError(
                     f"{path}: line {reader.line_num}: {len(row)} fields, header has {len(header)}"
                 )

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import ctypes
 import io
@@ -19,6 +20,7 @@ from entspread.chain import build_hamiltonian
 from entspread.cli import (
     BoundaryBudgetError,
     analytic_series,
+    fit_series,
     main,
     run_analytic,
     run_fit,
@@ -143,7 +145,8 @@ class TestSeriesIO:
         with pytest.raises(ValueError, match="missing columns"):
             read_series_csv(path)
 
-    @pytest.mark.parametrize("bad_row", ["3.0,1.0,1.0", "3.0,1.0,x,0.5,1.0,0.0,0.0"])
+    @pytest.mark.parametrize("bad_row", ["3.0,1.0,1.0", "3.0,1.0,x,0.5,1.0,0.0,0.0",
+                                         "3.0,1.0,1.0,0.5,1.0,0.0,0.0,9.0"])
     def test_ragged_or_non_numeric_row_rejected(self, tmp_path, bad_row):
         path = tmp_path / "ragged.csv"
         synthetic_power_law_csv(path)
@@ -258,10 +261,21 @@ class TestSimulate:
         manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
         assert manifest["config"]["ensemble"]["base_seed"] == 123
 
-    def test_parallel_jobs_match_serial(self, tmp_path):
+    def test_parallel_jobs_match_serial(self, tmp_path, monkeypatch):
+        # The pool forks all its workers at the first submit, so it must ask
+        # for no more than there are realizations.
+        workers = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                workers.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(entspread.cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         config = config_from_dict(make_config())
         run_simulate(config, tmp_path / "serial", jobs=1)
-        run_simulate(config, tmp_path / "par", jobs=2)
+        run_simulate(config, tmp_path / "par", jobs=4)
+        assert workers == [2]
         for name in ("series_r0000.csv", "series_r0001.csv"):
             assert (tmp_path / "serial" / name).read_bytes() == (
                 tmp_path / "par" / name
@@ -388,6 +402,23 @@ class TestFit:
         report = run_fit(paths, window=(2.0, 95.0), average_window=0.0)
         assert report["ensemble"]["median_exponent"] == pytest.approx(2.5, abs=1e-6)
         assert report["ensemble"]["count"] == 3
+
+    @pytest.mark.parametrize("times", [[1.0, 2.0], [0.0, 1.0, 2.0]], ids=["two", "t0_and_two"])
+    def test_two_positive_samples_fit_without_a_local_exponent(self, tmp_path, times):
+        # The fit window takes 2 samples; the local-exponent scan needs 3, so
+        # with fewer it reports no early maximum.
+        times = np.array(times)
+        m = 3.0 * times**2.5
+        table = np.column_stack((times, m, m, np.full_like(m, 0.5), m, np.zeros_like(m), np.zeros_like(m)))
+        series = MomentSeries.from_table(table)
+        entry = fit_series(series, window=(1.0, 2.0), average_window=0.0)
+        assert entry["exponent"] == pytest.approx(2.5, abs=1e-12)
+        assert entry["early_max_local_exponent"] is None
+        path = tmp_path / "short.csv"
+        write_series_csv(path, series)
+        result = CliRunner().invoke(main, ["fit", str(path), "--window", "1:2", "--avg-window", "0"])
+        assert result.exit_code == 0, result.output
+        assert "median exponent" in result.output
 
     def test_unaveraged_series_from_t_zero(self, tmp_path):
         # The t = 0 sample lies outside the fit window, and the local exponent

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from entspread.analytic import infinite_state
-from entspread.chain import ChainSpec, DisorderSpec, build_hamiltonian
-from entspread.observables import MomentSample, moment_m
-from entspread.propagator import WaveState, basis_state, evolve_series
+from entspread.chain import ChainSpec, DisorderSpec, Hamiltonian, build_hamiltonian
+from entspread.observables import MomentSample, moment_m, moment_rows
+from entspread.propagator import WaveState, basis_state, evolve_blocks, evolve_series
 
 from conftest import random_unit_state
 from oracles import concurrence_pair, reduced_density_pair, wootters_concurrence
@@ -205,6 +207,31 @@ class TestMoments:
             assert sample.m_o == pytest.approx(expected, rel=1e-12, abs=0.0), state.time
             positive += expected > 0.0
         assert positive >= 7
+
+    def test_block_rows_match_the_closed_form_while_the_front_crosses_the_core_edge(self):
+        # Ordered chain, a_x = (-i)^x J_x(2t): the core edge |x| = 50 lies in
+        # the front's tail, m_o / m growing from 0 to 1e-9 over t in [0, 14].
+        # Each moment is 2 |a_0| times a sum over x^2 |a_x|; the sums are
+        # checked against the closed form's with the row's own |a_0|, so
+        # that a J_0 zero (|a_0| ~ 1e-3 at t = 13.75) does not magnify the
+        # origin amplitude's own error, which is checked on its own.
+        half_width, num_sites = 50, 801
+        h = Hamiltonian(diag=np.zeros(num_sites), offdiag=np.ones(num_sites - 1))
+        times = np.linspace(0.0, 14.0, 57)
+        rows = np.concatenate([moment_rows(t, block, 400, half_width)
+                               for t, block in evolve_blocks(h, 400, times, half_width)])
+        for time, m, w, alpha0, m_o, m_d, _ in rows:
+            state = infinite_state(time)
+            x = np.arange(state.num_sites) - state.origin
+            weights = x * x * np.abs(state.amplitudes)
+            core = np.abs(x) <= half_width
+            exact_w = math.fsum(weights)
+            assert alpha0 == pytest.approx(abs(state.amplitudes[state.origin]), rel=0.0, abs=1e-15)
+            assert w == pytest.approx(exact_w, rel=1e-14, abs=0.0), time
+            for value, exact in ((m, exact_w), (m_o, math.fsum(weights[~core])),
+                                 (m_d, math.fsum(weights[core]))):
+                assert abs(value - 2.0 * alpha0 * exact) <= 1e-14 * m, time
+        assert np.count_nonzero(rows[:, 4]) >= 15
 
     def test_split_partition(self, rng):
         state = random_unit_state(rng, 41)
