@@ -131,10 +131,10 @@ def time_average(series: MomentSeries, window_width: float = AVERAGE_WINDOW_DEFA
 
 
 def check_window(window: tuple[float, float]) -> None:
-    """Reject a fit window unless t_lo < t_hi (so a NaN end fails too)."""
+    """Reject a fit window unless t_lo < t_hi, both finite: NaN fails, and JSON has no Infinity."""
     t_lo, t_hi = window
-    if not t_lo < t_hi:
-        raise ValueError(f"need t_lo < t_hi, got window {window}")
+    if not (t_lo < t_hi and math.isfinite(t_lo) and math.isfinite(t_hi)):
+        raise ValueError(f"need t_lo < t_hi, both finite, got window {window}")
 
 
 def _fit_window_values(series: MomentSeries, field_name: str, window: tuple[float, float]):

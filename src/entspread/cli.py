@@ -126,18 +126,17 @@ def simulate_realization(
     """Numeric moment series of one disorder realization, and the work it took.
 
     Each block is reduced straight to its moment rows.  The work counts are
-    the propagator's: blocks, matvecs (the sum of the block orders K),
-    site-updates (K times the block's window width) and the smallest and
-    largest K.
+    the propagator's: blocks (the one that holds t = 0 too), matvecs (the sum
+    of the block orders K), site-updates (K times the block's window width)
+    and the smallest and largest K.
     """
     h = build_hamiltonian(config.chain, realization_index)
     origin, half_width = config.chain.origin, config.chain.disorder.half_width
     tables, orders, site_updates = [], [], 0
-    for samples, block in evolve_blocks(h, origin, config.times.grid(), half_width):
-        tables.append(moment_rows(samples, block, origin, half_width))
-        if block.order is not None:
-            orders.append(block.order)
-            site_updates += block.order * block.width
+    for block in evolve_blocks(h, origin, config.times.grid(), half_width):
+        tables.append(moment_rows(block, origin, half_width))
+        orders.append(block.order)
+        site_updates += block.order * block.width
     digest = config_digest(config, realization_index)
     series = MomentSeries.from_table(np.concatenate(tables), digest)
     lo, hi = block.support
@@ -145,8 +144,8 @@ def simulate_realization(
         "blocks": len(orders),
         "matvecs": sum(orders),
         "site_updates": site_updates,
-        "min_block_order": min(orders, default=None),
-        "max_block_order": max(orders, default=None),
+        "min_block_order": min(orders),
+        "max_block_order": max(orders),
         "max_norm_error": float(np.max(series.column("norm_error"))),
         "final_support_width": hi - lo + 1,
     }
@@ -388,18 +387,23 @@ def run_sweep(
 ) -> dict:
     """Simulate the ensemble, fit every realization, aggregate exponent statistics.
 
-    A window that holds fewer than two grid times is rejected before any
-    simulation.  A realization whose series cannot be read or fitted is
-    recorded under `failures` and does not stop the sweep.
+    A window that holds fewer than two grid times, or without averaging a
+    grid time t <= 0, is rejected before any simulation.  A realization
+    whose series cannot be read or fitted is recorded under `failures` and
+    does not stop the sweep.
     """
     _check_average_window(average_window)
     if window is None:
         window = (config.times.t_end / 5.0, config.times.t_end)
     check_window(window)
     grid = config.times.grid()
-    if np.count_nonzero((grid >= window[0]) & (grid <= window[1])) < 2:
+    inside = grid[(grid >= window[0]) & (grid <= window[1])]
+    if len(inside) < 2:
         raise ValueError(f"window {window} holds fewer than 2 times of the grid "
                          f"[{grid[0]:g}, {grid[-1]:g}]")
+    if average_window == 0.0 and inside[0] <= 0.0:
+        raise ValueError(f"window {window} holds the grid time {inside[0]:g}; "
+                         "an unaveraged fit needs positive times only")
     manifest = run_simulate(config, out_dir, allow_reflections, jobs)
     out_dir = Path(out_dir)
 

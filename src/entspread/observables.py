@@ -38,8 +38,8 @@ class MomentSample:
 MOMENT_COLUMNS = tuple(f.name for f in fields(MomentSample))
 
 
-def moment_rows(times: np.ndarray, block: Block, origin: int, half_width: int = 0) -> np.ndarray:
-    """Moment rows (columns MOMENT_COLUMNS) of the block's samples at `times`.
+def moment_rows(block: Block, origin: int, half_width: int = 0) -> np.ndarray:
+    """Moment rows (columns MOMENT_COLUMNS) of the block's samples; the time column is `block.times`.
 
     Each column is one reduction per row over the block's support, the
     columns a state of the block is nonzero on, so numpy's pairwise summation
@@ -72,7 +72,7 @@ def moment_rows(times: np.ndarray, block: Block, origin: int, half_width: int = 
     if 0 <= column < block.width:
         # The scalar abs(): the array np.abs may differ from it in the last bit.
         alpha0[:] = [abs(a) for a in block.amplitudes[:, column]]
-    return np.column_stack((times, 2.0 * alpha0 * w_total, w_total, alpha0,
+    return np.column_stack((block.times, 2.0 * alpha0 * w_total, w_total, alpha0,
                             2.0 * alpha0 * w_outer, 2.0 * alpha0 * w_inner, norm_error))
 
 
@@ -84,6 +84,6 @@ def moment_m(state: WaveState, half_width: int = 0) -> MomentSample:
     """
     lo, hi = state.support if state.support is not None else (0, state.num_sites - 1)
     amps = state.amplitudes[None, lo : hi + 1]
-    block = Block(amps, np.abs(amps), lo, (lo, hi), None)
-    row = moment_rows(np.array([state.time]), block, state.origin, half_width)
+    block = Block(np.array([state.time]), amps, np.abs(amps), lo, (lo, hi), 0)
+    row = moment_rows(block, state.origin, half_width)
     return MomentSample(*row[0].tolist())

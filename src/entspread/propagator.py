@@ -14,6 +14,7 @@ The coefficients are exactly the Bessel rows the bessel module provides.
   each is a coefficient row times the stored vectors, all S one matrix
   product (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984); Weisse et
   al., Rev. Mod. Phys. 78, 275 (2006)).  The last sample starts the next.
+  A grid from t = 0 puts offset 0, where J_0(0) = 1, into its first block.
 * Complex ring.  Even orders carry real coefficients and odd orders
   imaginary ones, so the recurrence runs on U_k = (-i)^k T_k(Hs) psi =
   -2i Hs U_{k-1} + U_{k-2}, one complex row per order, with -2i Hs set up
@@ -156,36 +157,31 @@ def chebyshev_order(b: float, delta_t: float) -> int:
 
 @dataclass
 class Block:
-    """The S samples one Chebyshev block yields, on the window [start, start + width) of the chain.
+    """The samples one Chebyshev block yields, on the window [start, start + width) of the chain.
 
-    Row s of `amplitudes` (S, width) is a sample's state on the window; every
-    sample is zero outside the one `support`, (lo, hi) in chain sites.
-    `magnitudes` is its np.abs.  `order` is the block's Chebyshev order K, so
-    it ran K matvecs over the window; None when no recurrence made the block.
+    Row s of `amplitudes` (S, width) is the state at `times[s]` on the
+    window; every sample is zero outside the one `support`, (lo, hi) in chain
+    sites.  `magnitudes` is its np.abs.  `order` is the block's Chebyshev
+    order K, so it ran K matvecs over the window.
     """
 
+    times: np.ndarray
     amplitudes: np.ndarray
     magnitudes: np.ndarray
     start: int
     support: tuple[int, int]
-    order: int | None
+    order: int
 
     @property
     def width(self) -> int:
         return self.amplitudes.shape[1]
-
-    def state(self, s: int, num_sites: int, time: float, origin: int) -> WaveState:
-        """Sample s on the whole chain, in an array of its own."""
-        amps = np.zeros(num_sites, dtype=complex)
-        amps[self.start : self.start + self.width] = self.amplitudes[s]
-        return WaveState(amps, time, origin, self.support)
 
 
 class _Kernel:
     """The windowed block Chebyshev expansion for one Hamiltonian.
 
     The rescaled operator is set up once, and the coefficient rows of the
-    last two distinct blocks are kept: a linear grid evaluates them once.
+    last two distinct blocks are kept: a linear grid evaluates them at most twice.
     """
 
     def __init__(self, h: Hamiltonian):
@@ -199,26 +195,6 @@ class _Kernel:
             self.off2 = -1j * (2.0 * h.offdiag / self.half_width)
         self._blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
-    def plan(self, width: int, offsets: np.ndarray) -> tuple[int, int]:
-        """Samples S and ring length of the next block from a `width`-site support.
-
-        S counts the ascending positive `offsets` within BLOCK_Z_SPAN, cut so
-        that the workspace fits WORKSPACE_BYTES on a window sized by the padded
-        order: while the ring runs, S sample and coefficient rows beside the
-        ring and three scratch rows; after it, S sample rows with their
-        magnitudes and moment weights.  S is then evened over the remaining offsets, so blocks
-        of a linear grid repeat them.
-        """
-        z = self.half_width * offsets
-        count = max(int(np.searchsorted(z, BLOCK_Z_SPAN, side="right")), 1)
-        orders = _padded_order(float(z[count - 1])) + 1
-        window = min(width + 2 * orders, self.num_sites)
-        slots = min(_RING_ORDERS, max(3, WORKSPACE_BYTES // (32 * window)))
-        free = WORKSPACE_BYTES - 16 * window * (slots + 3)
-        after = WORKSPACE_BYTES // (32 * window + 32 * orders)
-        count = max(1, min(count, free // (16 * window + 32 * orders), after))
-        return -(-len(offsets) // -(-len(offsets) // count)), slots
-
     def _coefficients(self, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Real rows c_k(tau_s), k = 0..K, and phases exp(-i a tau_s) of a block."""
         for kept, coeffs, phases in self._blocks:
@@ -231,18 +207,40 @@ class _Kernel:
         self._blocks = [*self._blocks[-1:], (offsets.copy(), coeffs, phases)]
         return coeffs, phases
 
-    def block(self, seed: np.ndarray, lo: int, offsets: np.ndarray, slots: int) -> Block:
-        """The state `seed` on [lo, lo + len(seed)) at each offset.
+    def block(self, seed: np.ndarray, lo: int, grid: np.ndarray, now: float) -> Block:
+        """The next block from the state `seed` on [lo, lo + len(seed)) at time `now`.
 
-        Offsets (positive) and ring length come from `plan`.  The samples are
-        trimmed to one support: on each side, every sample loses the outer
-        sites whose weight sum |a_x|^2 stays within (TAIL_TOLERANCE / 2)^2
-        ||seed||^2 in all samples.  The support is never empty for the
-        unit-norm seeds of `evolve_blocks`: no sample loses more than
-        2 (TAIL_TOLERANCE / 2)^2 of the seed's weight, and the step keeps a
-        sample's within about 1e-13 of it.
+        It holds the first S times of the remaining `grid`; only a grid from
+        t = 0 has a zero offset, whose row J_0(0) = 1 yields the seed.  S
+        counts the offsets within BLOCK_Z_SPAN, cut so that the workspace fits
+        WORKSPACE_BYTES on a window sized by the padded order: while the ring
+        runs, S sample and coefficient rows beside it and three scratch rows;
+        after it, S sample rows with their magnitudes and moment weights.  The
+        positive offsets are then evened over the grid, so blocks of a linear
+        grid repeat them.
+
+        The samples are trimmed to one support: on each side, every sample
+        loses the outer sites whose weight sum |a_x|^2 stays within
+        (TAIL_TOLERANCE / 2)^2 ||seed||^2 in all samples.  The support is
+        never empty for the unit-norm seeds of `evolve_blocks`: no sample
+        loses more than 2 (TAIL_TOLERANCE / 2)^2 of the seed's weight, and
+        the step keeps a sample's within about 1e-13 of it.
         """
-        coeffs, phases = self._coefficients(offsets)
+        offsets = grid - now
+        zero = int(offsets[0] == 0.0)
+        least = min(zero + 1, len(offsets))  # at least one positive offset, if any is left
+        z = self.half_width * offsets
+        count = max(int(np.searchsorted(z, BLOCK_Z_SPAN, side="right")), least)
+        orders = _padded_order(float(z[count - 1])) + 1
+        window = min(len(seed) + 2 * orders, self.num_sites)
+        slots = min(_RING_ORDERS, max(3, WORKSPACE_BYTES // (32 * window)))
+        free = WORKSPACE_BYTES - 16 * window * (slots + 3)
+        after = WORKSPACE_BYTES // (32 * window + 32 * orders)
+        count = max(least, min(count, free // (16 * window + 32 * orders), after))
+        positive = len(offsets) - zero
+        if positive:
+            count = zero + -(-positive // -(-positive // (count - zero)))
+        coeffs, phases = self._coefficients(offsets[:count])
         order = coeffs.shape[1] - 1
         start = max(lo - order, 0)
         stop = min(lo + len(seed) + order, self.num_sites)
@@ -259,7 +257,10 @@ class _Kernel:
         tiny = magnitudes < FLUSH_THRESHOLD
         np.copyto(samples, 0.0, where=tiny)
         np.copyto(magnitudes, 0.0, where=tiny)
-        return Block(samples, magnitudes, start, (start + left, stop - right - 1), order)
+        # Label with the exact grid values; the evolved duration is the sum of
+        # the block offsets, which telescopes to t exactly.
+        support = (start + left, stop - right - 1)
+        return Block(grid[:count], samples, magnitudes, start, support, order)
 
     def _expand(self, seed: np.ndarray, at: int, start: int, stop: int, coeffs: np.ndarray,
                 slots: int) -> np.ndarray:
@@ -341,10 +342,9 @@ def evolve_blocks(
     times: np.ndarray,
     disorder_half_width: int = 0,
 ):
-    """Yield (sample times, Block) for each Chebyshev block of the series at `times`.
+    """Yield the Chebyshev blocks of the series at `times`, t = 0 included, in order.
 
-    Starts from the unit excitation at `origin` at t = 0 (a sample at t = 0
-    is yielded as a block of its own, with order None) and never restarts
+    Starts from the unit excitation at `origin` at t = 0 and never restarts
     from scratch, so total work scales with the final time rather than the
     sum of sample times.  Yields lazily: a long scan over a big chain holds
     one block's workspace.  The front speed 2 gamma of the reflection check
@@ -372,22 +372,14 @@ def evolve_blocks(
         )
 
     kernel = _Kernel(h)
-    seed, lo, now = np.ones(1, dtype=complex), origin, 0.0
-    done = int(times[0] == 0.0)
-    if done:
-        one = np.ones((1, 1))
-        yield times[:1], Block(one.astype(complex), one, origin, (origin, origin), None)
+    seed, lo, now, done = np.ones(1, dtype=complex), origin, 0.0, 0
     while done < times.size:
-        count, slots = kernel.plan(len(seed), times[done:] - now)
-        samples = times[done : done + count]
-        block = kernel.block(seed, lo, samples - now, slots)
+        block = kernel.block(seed, lo, times[done:], now)
         # The next block starts from a private copy of the last sample.
         lo, hi = block.support
         seed = block.amplitudes[-1, lo - block.start : hi + 1 - block.start].copy()
-        # Label with the exact grid values; the evolved duration is the sum of
-        # the block offsets, which telescopes to t exactly.
-        yield samples, block
-        done, now = done + count, float(samples[-1])
+        yield block
+        done, now = done + len(block.times), float(block.times[-1])
 
 
 def evolve_series(
@@ -400,6 +392,8 @@ def evolve_series(
 
     Each state has an amplitude array of its own.
     """
-    for samples, block in evolve_blocks(h, origin, times, disorder_half_width):
-        for s, time in enumerate(samples.tolist()):
-            yield block.state(s, h.num_sites, time, origin)
+    for block in evolve_blocks(h, origin, times, disorder_half_width):
+        for time, row in zip(block.times.tolist(), block.amplitudes):
+            amplitudes = np.zeros(h.num_sites, dtype=complex)
+            amplitudes[block.start : block.start + block.width] = row
+            yield WaveState(amplitudes, time, origin, block.support)

@@ -13,6 +13,7 @@ import scipy.linalg._fblas
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import entspread.cli
 from entspread.analysis import MomentSeries
@@ -31,7 +32,7 @@ from entspread.cli import (
 )
 from entspread.config import SCHEMA_VERSION, config_from_dict, load_config
 from entspread.observables import MOMENT_COLUMNS, MomentSample, moment_m
-from entspread.propagator import evolve_series
+from entspread.propagator import evolve_blocks, evolve_series
 from entspread.seriesio import ANALYTIC_EXTRA_COLUMNS, read_series_csv, write_series_csv
 
 GOLDEN_HEADER = "time,m,w,alpha0_abs,m_o,m_d,norm_error"
@@ -91,11 +92,10 @@ CELLS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow
 def csv_tables(draw):
     """A series table of 0-50 rows, and its analytic extras or None."""
     n = draw(st.integers(0, 50))
-    times = draw(st.lists(st.one_of(st.sampled_from(EDGE_FLOATS[:5]), st.floats(-1e300, 1e300)),
-                          min_size=n, max_size=n, unique=True))
+    time_cells = st.one_of(st.sampled_from(EDGE_FLOATS[:5]), st.floats(-1e300, 1e300))
+    times = draw(arrays(float, n, elements=time_cells, unique=True))
     width = len(MOMENT_COLUMNS) - 1 + (len(ANALYTIC_EXTRA_COLUMNS) if draw(st.booleans()) else 0)
-    cells = draw(st.lists(st.lists(CELLS, min_size=width, max_size=width), min_size=n, max_size=n))
-    table = np.column_stack((np.sort(np.array(times, dtype=float)), np.reshape(cells, (n, width))))
+    table = np.column_stack((np.sort(times), draw(arrays(float, (n, width), elements=CELLS))))
     extras = table[:, len(MOMENT_COLUMNS):]
     return table[:, : len(MOMENT_COLUMNS)], dict(zip(ANALYTIC_EXTRA_COLUMNS, extras.T)) or None
 
@@ -196,6 +196,29 @@ class TestSimulate:
         assert stats == {
             "blocks": 250, "matvecs": 11750, "site_updates": 25460558,
             "min_block_order": 47, "max_block_order": 47, "final_support_width": 4075,
+        }
+
+    def test_desk_first_block_holds_t_zero_and_sixteen_samples(self):
+        config = load_config(DESK)
+        grid, origin = config.times.grid(), config.chain.origin
+        block = next(evolve_blocks(build_hamiltonian(config.chain, 0), origin, grid, 50))
+        assert np.array_equal(block.times, grid[:17]) and block.order == 47
+        seed = np.zeros(block.width, dtype=complex)
+        seed[origin - block.start] = 1.0
+        assert np.array_equal(block.amplitudes[0], seed)
+
+    def test_zero_only_grid_is_one_block_of_order_zero(self):
+        # The kernel makes the t = 0 sample too, so it is counted as a block.
+        config = config_from_dict(make_config(times={"t_start": 0.0, "t_end": 0.0, "num_samples": 1}))
+        h, origin = build_hamiltonian(config.chain, 0), config.chain.origin
+        (block,) = evolve_blocks(h, origin, config.times.grid(), 3)
+        assert block.order == 0 and block.support == (origin, origin)
+        series, stats = simulate_realization(config, 0)
+        assert series.table.tolist() == [[0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]]
+        assert not np.any(np.signbit(series.table))
+        assert stats == {
+            "blocks": 1, "matvecs": 0, "site_updates": 0, "min_block_order": 0,
+            "max_block_order": 0, "max_norm_error": 0.0, "final_support_width": 1,
         }
 
     def test_ordered_matches_analytic(self, tmp_path):
@@ -539,6 +562,19 @@ class TestSweep:
         assert "window (200.0, 300.0) holds fewer than 2 times of the grid [0, 50]" in result.output
         assert not list(tmp_path.rglob("*.csv"))
 
+    def test_unaveraged_window_from_t_zero_rejected_before_simulating(self, tmp_path):
+        # Unaveraged, every fit would fail on the t = 0 sample; averaging trims it.
+        raw = make_config(times={"t_start": 0.0, "t_end": 50.0, "num_samples": 101})
+        raw["chain"]["num_sites"] = 401
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        args = ["sweep", "--config", str(path), "--out", str(out), "--window", "0:40",
+                "--avg-window", "0"]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "window (0.0, 40.0) holds the grid time 0" in result.output
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_unaveraged_sweep_from_t_zero(self, tmp_path):
         aggregate = run_sweep(self.sweep_config(tmp_path), tmp_path, window=(10.0, 60.0),
                               average_window=0.0)
@@ -705,6 +741,17 @@ class TestCommandLine:
         result = CliRunner().invoke(main, ["fit", str(path), "--window", "oops"])
         assert result.exit_code == 2
 
+    def test_fit_rejects_an_infinite_window_end(self, tmp_path):
+        # A JSON report cannot hold the window's Infinity.
+        path = tmp_path / "s.csv"
+        synthetic_power_law_csv(path)
+        report = tmp_path / "f.json"
+        args = ["fit", str(path), "--window", "-inf:40", "--out", str(report)]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "need t_lo < t_hi" in result.output
+        assert not report.exists()
+
     @pytest.mark.parametrize("avg_window", ["-1", "nan", "inf"])
     def test_fit_rejects_bad_average_window(self, tmp_path, avg_window):
         path = tmp_path / "s.csv"
@@ -722,7 +769,7 @@ class TestCommandLine:
         assert result.exit_code == 2, result.output
         assert not out.exists()
 
-    @pytest.mark.parametrize("window", ["15:5", "nan:30"])
+    @pytest.mark.parametrize("window", ["15:5", "nan:30", "5:inf", "-inf:30"])
     def test_sweep_rejects_bad_window_before_simulating(self, tmp_path, window):
         path = write_config(tmp_path, make_config())
         out = tmp_path / "out"

@@ -218,8 +218,8 @@ class TestMoments:
         half_width, num_sites = 50, 801
         h = Hamiltonian(diag=np.zeros(num_sites), offdiag=np.ones(num_sites - 1))
         times = np.linspace(0.0, 14.0, 57)
-        rows = np.concatenate([moment_rows(t, block, 400, half_width)
-                               for t, block in evolve_blocks(h, 400, times, half_width)])
+        rows = np.concatenate([moment_rows(block, 400, half_width)
+                               for block in evolve_blocks(h, 400, times, half_width)])
         for time, m, w, alpha0, m_o, m_d, _ in rows:
             state = infinite_state(time)
             x = np.arange(state.num_sites) - state.origin

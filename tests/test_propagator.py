@@ -279,11 +279,14 @@ class TestBlockSeries:
         # one full-chain state at a time.  Half-widths from 300 up make the
         # core wider than any chain drawn.
         h, origin, times = case
-        blocks = [moment_rows(t, block, origin, half_width)
-                  for t, block in evolve_blocks(h, origin, times, half_width)]
+        blocks = list(evolve_blocks(h, origin, times, half_width))
+        for block in blocks:
+            assert len(block.times) == len(block.amplitudes) and type(block.order) is int
+        assert np.array_equal(np.concatenate([block.times for block in blocks]), times)
+        rows = np.concatenate([moment_rows(block, origin, half_width) for block in blocks])
         states = list(evolve_series(h, origin, times, half_width))
         per_state = np.array([per_state_moment_row(state, half_width) for state in states])
-        assert np.array_equal(np.concatenate(blocks), per_state)
+        assert np.array_equal(rows, per_state)
         moment_m_rows = np.array([astuple(moment_m(state, half_width)) for state in states])
         assert np.array_equal(moment_m_rows, per_state)
 
@@ -397,8 +400,8 @@ class TestBlockSeries:
             return original_block(kernel, *args)
 
         def measure(path):
-            if before:  # not the t = 0 sample, which no block made
-                growth[path].append(tracemalloc.get_traced_memory()[1] - before[-1])
+            # Every sample, t = 0 too, comes out of the last block made.
+            growth[path].append(tracemalloc.get_traced_memory()[1] - before[-1])
 
         def measured_rows(*args):
             rows = original_rows(*args)
@@ -426,7 +429,7 @@ class TestBlockSeries:
         finally:
             tracemalloc.stop()
         assert blocks > 1 and len(before) > 1
-        assert len(growth["evolve_series"]) == len(times) - (times[0] == 0.0)
+        assert len(growth["evolve_series"]) == len(times)
         assert len(growth["simulate"]) == len(before)
         # What a block allocates, less the one full-chain state evolve_series hands out.
         assert max(growth["evolve_series"]) - 16 * num_sites <= cap
