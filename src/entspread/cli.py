@@ -128,15 +128,21 @@ def simulate_realization(
     Each block is reduced straight to its moment rows.  The work counts are
     the propagator's: blocks (the one that holds t = 0 too), matvecs (the sum
     of the block orders K), site-updates (K times the block's window width)
-    and the smallest and largest K.
+    and the smallest and largest K.  propagate_s and observe_s are the
+    seconds spent making the blocks and reducing them.
     """
     h = build_hamiltonian(config.chain, realization_index)
     origin, half_width = config.chain.origin, config.chain.disorder.half_width
-    tables, orders, site_updates = [], [], 0
+    tables, orders, site_updates, propagate_s, observe_s = [], [], 0, 0.0, 0.0
+    clock = _time.perf_counter()
     for block in evolve_blocks(h, origin, config.times.grid(), half_width):
+        made = _time.perf_counter()
+        propagate_s += made - clock
         tables.append(moment_rows(block, origin, half_width))
         orders.append(block.order)
         site_updates += block.order * block.width
+        clock = _time.perf_counter()
+        observe_s += clock - made
     digest = config_digest(config, realization_index)
     series = MomentSeries.from_table(np.concatenate(tables), digest)
     lo, hi = block.support
@@ -148,6 +154,8 @@ def simulate_realization(
         "max_block_order": max(orders),
         "max_norm_error": float(np.max(series.column("norm_error"))),
         "final_support_width": hi - lo + 1,
+        "propagate_s": round(propagate_s, 3),
+        "observe_s": round(observe_s, 3),
     }
     return series, stats
 
@@ -190,11 +198,16 @@ def analytic_series(config: ExperimentConfig) -> tuple[MomentSeries, dict[str, n
 
 
 def _simulate_worker(config: ExperimentConfig, realization_index: int, out_dir: Path) -> dict:
-    """Process-pool entry: simulate one realization and write its CSV slot."""
+    """Process-pool entry: simulate one realization and write its CSV slot.
+
+    The record's stats add write_s, the seconds the CSV write took.
+    """
     started = _time.perf_counter()
     series, stats = simulate_realization(config, realization_index)
     path = out_dir / f"series_r{realization_index:04d}.csv"
+    writing = _time.perf_counter()
     write_series_csv(path, series)
+    stats["write_s"] = round(_time.perf_counter() - writing, 3)
     return {**_record(realization_index, path, series.spec_digest, started), "stats": stats}
 
 

@@ -15,6 +15,8 @@ The coefficients are exactly the Bessel rows the bessel module provides.
   product (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984); Weisse et
   al., Rev. Mod. Phys. 78, 275 (2006)).  The last sample starts the next.
   A grid from t = 0 puts offset 0, where J_0(0) = 1, into its first block.
+  At the desk step that is 24 samples for K = 59 matvecs, and the product
+  skips the orders a sample does not need (see Order).
 * Complex ring.  Even orders carry real coefficients and odd orders
   imaginary ones, so the recurrence runs on U_k = (-i)^k T_k(Hs) psi =
   -2i Hs U_{k-1} + U_{k-2}, one complex row per order, with -2i Hs set up
@@ -26,6 +28,9 @@ The coefficients are exactly the Bessel rows the bessel module provides.
 * Order.  As |T_k(Hs)| <= 1 on the spectrum, cutting after order K changes
   a sample by at most 2 sum_{k>K} |J_k(b tau)| in the 2-norm.  A block is
   cut where that tail first is <= TAIL_TOLERANCE for its longest offset.
+  Each ring of orders is then added only into the samples whose own tail
+  from its first order on is still above TAIL_TOLERANCE, so every sample
+  keeps that bound while its shorter offset is spared the orders past it.
 * Window.  A tridiagonal matvec widens the support of a vector by one site
   per side, so U_k lives on [lo - k, hi + k] when psi lives on [lo, hi].  A
   block runs on [lo - K, hi + K] only, which is exact: it is the discrete
@@ -73,11 +78,11 @@ from .chain import Hamiltonian, spectral_bounds
 # sample, which bounds its truncation error in the 2-norm.
 TAIL_TOLERANCE = 1e-16
 
-# Rescaled time z = b tau a block spans: at the desk step (z = 1.08) 16
-# samples for K = 47 matvecs, against 16 x 15 one sample at a time.
-BLOCK_Z_SPAN = 17.3
+# Rescaled time z = b tau a block spans: at the desk step (z = 1.08) 24
+# samples for K = 59 matvecs, against 24 x 15 one sample at a time.
+BLOCK_Z_SPAN = 25.9
 
-# Cap on a block's workspace.  A desk block at t = 1000 needs 1.7 MB with its
+# Cap on a block's workspace.  A desk block at t = 1000 needs 2.5 MB with its
 # moments; a fig1_full block at t = 10000 is cut to 4 samples by it.
 WORKSPACE_BYTES = 8 << 20
 _RING_ORDERS = 8  # most orders stored between two accumulating products
@@ -129,8 +134,8 @@ def _padded_order(z: float) -> int:
     return math.ceil(z) + _ORDER_PAD + math.ceil(10.0 * math.log1p(z))
 
 
-def _truncated_row(z: float) -> np.ndarray:
-    """J_0(z)..J_K(z) for the first K with 2 * sum_{k>K} |J_k(z)| <= TAIL_TOLERANCE."""
+def _truncated_row(z: float) -> tuple[np.ndarray, float]:
+    """J_0(z)..J_K(z) for the first K with 2 * sum_{k>K} |J_k(z)| <= TAIL_TOLERANCE, and that tail."""
     order = _padded_order(z)
     while True:
         values = bessel_row(order, z)
@@ -140,7 +145,7 @@ def _truncated_row(z: float) -> np.ndarray:
         # row running out.
         below = np.flatnonzero(tail[1:-1] <= TAIL_TOLERANCE)
         if below.size:
-            return values[: below[0] + 1]
+            return values[: below[0] + 1], float(tail[below[0] + 1])
         order *= 2
 
 
@@ -148,11 +153,11 @@ def chebyshev_order(b: float, delta_t: float) -> int:
     """Order K for one offset: the first K whose tail 2 * sum_{k>K} |J_k(b|dt|)| is <= TAIL_TOLERANCE.
 
     At the desk step (z = b|dt| ~ 1.08) that is K = 15, and over a desk block
-    (z ~ 17.2) K = 47.  Up to z ~ 1000, K never exceeds the padded order
+    (z ~ 25.9) K = 59.  Up to z ~ 1000, K never exceeds the padded order
     ceil(z) + 40 + ceil(10 ln(1 + z)) the row is first evaluated at; past
     that the padding falls short of the tolerance and the row is lengthened.
     """
-    return len(_truncated_row(b * abs(delta_t))) - 1
+    return len(_truncated_row(b * abs(delta_t))[0]) - 1
 
 
 @dataclass
@@ -193,19 +198,28 @@ class _Kernel:
             # -2i Hs, so each recurrence order is one matvec and one addition.
             self.diag2 = -1j * (2.0 * (h.diag - self.center) / self.half_width)
             self.off2 = -1j * (2.0 * h.offdiag / self.half_width)
-        self._blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
 
-    def _coefficients(self, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Real rows c_k(tau_s), k = 0..K, and phases exp(-i a tau_s) of a block."""
-        for kept, coeffs, phases in self._blocks:
+    def _coefficients(self, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Real rows c_k(tau_s), k = 0..K, the orders each sample needs, and phases exp(-i a tau_s).
+
+        Sample s needs its first need[s] orders: those whose tail
+        sum_{j>=k} |c_j(tau_s)|, with the longest offset's tail past K added
+        as a bound on its own, is still above TAIL_TOLERANCE.  `need` is made
+        non-decreasing in s, so the samples that need an order are a suffix.
+        """
+        for kept, coeffs, need, phases in self._blocks:
             if np.array_equal(kept, offsets):
-                return coeffs, phases
+                return coeffs, need, phases
         z = self.half_width * offsets
-        coeffs = bessel_rows(len(_truncated_row(float(z.max()))) - 1, z)
+        row, past = _truncated_row(float(z.max()))
+        coeffs = bessel_rows(len(row) - 1, z)
         coeffs[:, 1:] *= 2.0
+        tail = np.cumsum(np.abs(coeffs[:, ::-1]), axis=1)[:, ::-1]
+        need = np.maximum.accumulate(np.count_nonzero(tail + past > TAIL_TOLERANCE, axis=1))
         phases = np.exp(-1j * self.center * offsets)
-        self._blocks = [*self._blocks[-1:], (offsets.copy(), coeffs, phases)]
-        return coeffs, phases
+        self._blocks = [*self._blocks[-1:], (offsets.copy(), coeffs, need, phases)]
+        return coeffs, need, phases
 
     def block(self, seed: np.ndarray, lo: int, grid: np.ndarray, now: float) -> Block:
         """The next block from the state `seed` on [lo, lo + len(seed)) at time `now`.
@@ -217,14 +231,16 @@ class _Kernel:
         runs, S sample and coefficient rows beside it and three scratch rows;
         after it, S sample rows with their magnitudes and moment weights.  The
         positive offsets are then evened over the grid, so blocks of a linear
-        grid repeat them.
+        grid repeat them.  K is cut for the last offset; each sample sums only
+        the orders its own tail needs.
 
         The samples are trimmed to one support: on each side, every sample
         loses the outer sites whose weight sum |a_x|^2 stays within
-        (TAIL_TOLERANCE / 2)^2 ||seed||^2 in all samples.  The support is
-        never empty for the unit-norm seeds of `evolve_blocks`: no sample
-        loses more than 2 (TAIL_TOLERANCE / 2)^2 of the seed's weight, and
-        the step keeps a sample's within about 1e-13 of it.
+        (TAIL_TOLERANCE / 2)^2 ||seed||^2 in all samples; one search covers
+        both sides.  The support is never empty for the unit-norm seeds of
+        `evolve_blocks`: no sample loses more than 2 (TAIL_TOLERANCE / 2)^2 of
+        the seed's weight, and the step keeps a sample's within about 1e-13
+        of it.  The phases, magnitudes and flush then touch the support only.
         """
         offsets = grid - now
         zero = int(offsets[0] == 0.0)
@@ -240,35 +256,44 @@ class _Kernel:
         positive = len(offsets) - zero
         if positive:
             count = zero + -(-positive // -(-positive // (count - zero)))
-        coeffs, phases = self._coefficients(offsets[:count])
+        coeffs, need, phases = self._coefficients(offsets[:count])
         order = coeffs.shape[1] - 1
         start = max(lo - order, 0)
         stop = min(lo + len(seed) + order, self.num_sites)
-        samples = self._expand(seed, lo - start, start, stop, coeffs, slots)
+        samples = self._expand(seed, lo - start, start, stop, coeffs, need, slots)
         budget = (0.5 * TAIL_TOLERANCE) ** 2 * float(np.vdot(seed, seed).real)
         # The cut almost always falls in the outer order + 1 sites, the ones the
         # light cone added; each side drops what every sample can spare.
-        left = int(_edge_count(samples, budget, order + 1).min())
-        right = int(_edge_count(samples[:, ::-1], budget, order + 1).min())
-        samples[:, :left] = 0.0
-        samples[:, stop - start - right :] = 0.0
-        samples *= phases[:, None]
-        magnitudes = np.abs(samples)
-        tiny = magnitudes < FLUSH_THRESHOLD
-        np.copyto(samples, 0.0, where=tiny)
-        np.copyto(magnitudes, 0.0, where=tiny)
+        left, right = _edge_count(samples, budget, order + 1).min(axis=1).tolist()
+        kept = slice(left, stop - start - right)
+        samples[:, : kept.start] = 0.0
+        samples[:, kept.stop :] = 0.0
+        inside = samples[:, kept]
+        inside *= phases[:, None]
+        magnitudes = np.empty(samples.shape)
+        magnitudes[:, : kept.start] = 0.0
+        magnitudes[:, kept.stop :] = 0.0
+        kept_magnitudes = magnitudes[:, kept]
+        np.abs(inside, out=kept_magnitudes)
+        tiny = kept_magnitudes < FLUSH_THRESHOLD
+        if tiny.any():
+            np.copyto(inside, 0.0, where=tiny)
+            np.copyto(kept_magnitudes, 0.0, where=tiny)
         # Label with the exact grid values; the evolved duration is the sum of
         # the block offsets, which telescopes to t exactly.
         support = (start + left, stop - right - 1)
         return Block(grid[:count], samples, magnitudes, start, support, order)
 
     def _expand(self, seed: np.ndarray, at: int, start: int, stop: int, coeffs: np.ndarray,
-                slots: int) -> np.ndarray:
+                need: np.ndarray, slots: int) -> np.ndarray:
         """Rows sum_k coeffs[s, k] U_k on the window [start, stop), as (S, stop - start) complex.
 
-        U_0 is `seed` placed at column `at` of the window.  The ring and its
-        scratch are freed on return, before the caller's per-block
-        temporaries are made.
+        U_0 is `seed` placed at column `at` of the window.  Sample s sums the
+        orders through the ring flush that holds its order need[s] - 1, not
+        the later ones; `need` is non-decreasing, so each flush updates a
+        suffix of the rows.  The views each recurrence step reads and writes
+        are made once per ring slot.  The ring and its scratch are freed on
+        return, before the caller's per-block temporaries are made.
         """
         order, width = coeffs.shape[1] - 1, stop - start
         # Slot k % slots holds U_k; the zero last slot stands in for U_{-1}.
@@ -280,44 +305,55 @@ class _Kernel:
             diag2 = self.diag2[start:stop]
             off2 = self.off2[start : stop - 1]
             tmp = np.empty(width - 1, dtype=complex)
+            # Per slot j, the views the step that writes U_k into it uses:
+            # U_k, U_k[:-1], U_k[1:], U_{k-1}, U_{k-1}[1:], U_{k-1}[:-1], U_{k-2}.
+            steps = []
+            for j in range(slots):
+                nxt, cur = ring[j], ring[j - 1]
+                steps.append((nxt, nxt[:-1], nxt[1:], cur, cur[1:], cur[:-1], ring[j - 2]))
         done = 0
         for k in range(order + 1):
             slot = k % slots
             if k >= 1:
                 # U_k = -2i Hs U_{k-1} + U_{k-2}
-                cur, nxt = ring[(k - 1) % slots], ring[slot]
+                nxt, nxt_lo, nxt_hi, cur, cur_hi, cur_lo, prev = steps[slot]
                 np.multiply(diag2, cur, out=nxt)
-                np.multiply(off2, cur[1:], out=tmp)
-                nxt[:-1] += tmp
-                np.multiply(off2, cur[:-1], out=tmp)
-                nxt[1:] += tmp
-                nxt += ring[(k - 2) % slots]
+                np.multiply(off2, cur_hi, out=tmp)
+                np.add(nxt_lo, tmp, out=nxt_lo)
+                np.multiply(off2, cur_lo, out=tmp)
+                np.add(nxt_hi, tmp, out=nxt_hi)
+                np.add(nxt, prev, out=nxt)
                 if k == 1:
                     nxt *= 0.5
             if slot == slots - 1 or k == order:
-                # rows (+)= coeffs[:, done:k+1] @ ring[:slot+1], in place.
-                stored = ring[: slot + 1].view(float).T
-                dgemm(1.0, stored, coeffs[:, done : k + 1], beta=float(done > 0), c=rows.T,
-                      trans_b=1, overwrite_c=1)
+                # rows[first:] (+)= coeffs[first:, done:k+1] @ ring[:slot+1], in
+                # place, for the samples that need an order past `done`; dgemm
+                # rejects an empty product, so none is made.
+                first = int(np.searchsorted(need, done, side="right"))
+                if first < len(rows):
+                    stored = ring[: slot + 1].view(float).T
+                    dgemm(1.0, stored, coeffs[first:, done : k + 1], beta=float(done > 0),
+                          c=rows[first:].T, trans_b=1, overwrite_c=1)
                 done = k + 1
         return rows.view(complex)
 
 
 def _edge_count(samples: np.ndarray, budget: float, rim: int) -> np.ndarray:
-    """Leading sites of each row of `samples` (S, width) whose summed weight is <= budget.
+    """Outer sites of each row of `samples` (S, width) whose summed weight is <= budget, as (2, S).
 
-    The search runs over the first `rim` sites and doubles them while any
-    sample's budget outlasts them.
+    Row 0 counts from the left end, row 1 from the right.  Both ends are
+    searched as one stack of 2S rows over their outer `rim` sites, doubled
+    while any sample's budget outlasts them.
     """
     width = samples.shape[1]
     while True:
         rim = min(rim, width)
-        edge = samples[:, :rim]
+        edge = np.concatenate((samples[:, :rim], samples[:, ::-1][:, :rim]))
         weight = np.square(edge.real)
         weight += np.square(edge.imag)
         count = np.count_nonzero(np.cumsum(weight, axis=1) <= budget, axis=1)
         if rim == width or np.all(count < rim):
-            return count
+            return count.reshape(2, -1)
         rim *= 2
 
 

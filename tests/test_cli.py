@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg._fblas
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -93,9 +93,15 @@ def csv_tables(draw):
     """A series table of 0-50 rows, and its analytic extras or None."""
     n = draw(st.integers(0, 50))
     time_cells = st.one_of(st.sampled_from(EDGE_FLOATS[:5]), st.floats(-1e300, 1e300))
-    times = draw(arrays(float, n, elements=time_cells, unique=True))
+    times = np.sort(draw(arrays(float, n, elements=time_cells)))
+    # Each repeat moves up to the next float above the time before it, so
+    # the times ascend with no draw rejected; the moved ones are neighbours
+    # that need all 17 digits.
+    for i in range(1, n):
+        if times[i] <= times[i - 1]:
+            times[i] = np.nextafter(times[i - 1], np.inf)
     width = len(MOMENT_COLUMNS) - 1 + (len(ANALYTIC_EXTRA_COLUMNS) if draw(st.booleans()) else 0)
-    table = np.column_stack((np.sort(times), draw(arrays(float, (n, width), elements=CELLS))))
+    table = np.column_stack((times, draw(arrays(float, (n, width), elements=CELLS))))
     extras = table[:, len(MOMENT_COLUMNS):]
     return table[:, : len(MOMENT_COLUMNS)], dict(zip(ANALYTIC_EXTRA_COLUMNS, extras.T)) or None
 
@@ -178,6 +184,11 @@ class TestSimulate:
     @pytest.mark.filterwarnings("ignore::entspread.propagator.ReflectionBudgetWarning")
     @settings(max_examples=40, deadline=None)
     @given(small_configs())
+    @example(config_from_dict(make_config(
+        chain={"num_sites": 13, "disorder": {"half_width": 3, "low": 0.0, "high": 2.5}},
+        times={"t_start": 0.0, "t_end": 1.875, "num_samples": 2},
+        ensemble={"num_realizations": 1, "base_seed": 7},
+    )))
     def test_table_is_the_per_state_table(self, config):
         # Bit for bit, not approximately: the block-level moments of the
         # simulate path against moment_m over evolve_series states.
@@ -193,16 +204,17 @@ class TestSimulate:
         raw["ensemble"]["num_realizations"] = 1
         stats = run_simulate(config_from_dict(raw), tmp_path)["realizations"][0]["stats"]
         assert stats.pop("max_norm_error") <= 1e-12
+        assert all(stats.pop(key) >= 0.0 for key in ("propagate_s", "observe_s", "write_s"))
         assert stats == {
-            "blocks": 250, "matvecs": 11750, "site_updates": 25460558,
-            "min_block_order": 47, "max_block_order": 47, "final_support_width": 4075,
+            "blocks": 167, "matvecs": 9845, "site_updates": 21568232,
+            "min_block_order": 58, "max_block_order": 59, "final_support_width": 4078,
         }
 
-    def test_desk_first_block_holds_t_zero_and_sixteen_samples(self):
+    def test_desk_first_block_holds_t_zero_and_twenty_four_samples(self):
         config = load_config(DESK)
         grid, origin = config.times.grid(), config.chain.origin
         block = next(evolve_blocks(build_hamiltonian(config.chain, 0), origin, grid, 50))
-        assert np.array_equal(block.times, grid[:17]) and block.order == 47
+        assert np.array_equal(block.times, grid[:25]) and block.order == 59
         seed = np.zeros(block.width, dtype=complex)
         seed[origin - block.start] = 1.0
         assert np.array_equal(block.amplitudes[0], seed)
@@ -216,6 +228,7 @@ class TestSimulate:
         series, stats = simulate_realization(config, 0)
         assert series.table.tolist() == [[0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]]
         assert not np.any(np.signbit(series.table))
+        assert stats.pop("propagate_s") >= 0.0 and stats.pop("observe_s") >= 0.0
         assert stats == {
             "blocks": 1, "matvecs": 0, "site_updates": 0, "min_block_order": 0,
             "max_block_order": 0, "max_norm_error": 0.0, "final_support_width": 1,
@@ -885,7 +898,7 @@ class TestReportSchemas:
         assert set(simulate["realizations"][0]) == record_keys | {"stats"}
         assert set(simulate["realizations"][0]["stats"]) == {
             "blocks", "matvecs", "site_updates", "min_block_order", "max_block_order",
-            "max_norm_error", "final_support_width",
+            "max_norm_error", "final_support_width", "propagate_s", "observe_s", "write_s",
         }
         assert set(analytic["realizations"][0]) == record_keys
         ensemble_keys = {"count", "median_exponent", "iqr_exponent"}

@@ -109,19 +109,20 @@ class TestChebyshev:
         rows = (-1j) ** np.abs(x) * scipy.special.jv(x, 2.0 * np.array([[5.0], [30.0], [60.0]]))
         budget = (0.5 * TAIL_TOLERANCE) ** 2
         counts = _edge_count(rows, budget, 8)
-        assert counts.tolist() != [0, 0, 0] and np.all(counts < 300)
+        assert counts.shape == (2, 3) and np.array_equal(counts[0], counts[1])
+        assert counts[0].tolist() != [0, 0, 0] and np.all(counts < 300)
         np.testing.assert_array_equal(_edge_count(1e-20 * rows, 1e-40 * budget, 8), counts)
 
     def test_trim_drops_a_faint_stretch_wider_than_the_light_cone(self):
         # 1e-30 amplitudes on 26 leading sites carry far less than the trim
         # budget, so the edge search doubles its 4-site rim until it reaches
-        # the bulk
+        # the bulk; the right ends, searched in the same stack, stop sooner
         rows = np.zeros((2, 64), dtype=complex)
         rows[:, :26] = 1e-30
         rows[0, 26:33] = 1.0 / math.sqrt(7.0)
         rows[1, 40:47] = 1.0 / math.sqrt(7.0)
         counts = _edge_count(rows, (0.5 * TAIL_TOLERANCE) ** 2, 4)
-        assert counts.tolist() == [26, 40]
+        assert counts.tolist() == [[26, 40], [31, 17]]
 
     def test_pure_phase_when_spectrum_degenerate(self):
         h = Hamiltonian(diag=np.full(3, 1.5), offdiag=np.zeros(2))
@@ -221,6 +222,20 @@ class TestWindowedStep:
         assert len(states) == 40
         assert calls == {"bessel_row": 1, "spectral_bounds": 1}
 
+    def test_flush_no_sample_needs_makes_no_product(self):
+        # A 13-site chain with samples at t = 0 and 1.875, both cut to the
+        # first ring of 3 orders: no sample needs a later flush, so no dgemm
+        # is made for it (an empty product raises), and the rows are those
+        # of the first 3 orders alone, bit for bit.
+        rng = np.random.Generator(np.random.PCG64(derive_seed(7, 0)))
+        kernel = entspread.propagator._Kernel(
+            Hamiltonian(diag=rng.uniform(0.0, 2.5, 13), offdiag=np.ones(12)))
+        coeffs, need, _ = kernel._coefficients(np.array([0.0, 1.875]))
+        assert need[0] == 1 and coeffs.shape[1] > 6
+        seed, cut = np.ones(1, dtype=complex), np.array([1, 3])
+        rows = kernel._expand(seed, 6, 0, 13, coeffs, cut, 3)
+        np.testing.assert_array_equal(rows, kernel._expand(seed, 6, 0, 13, coeffs[:, :3], cut, 3))
+
     def test_flushes_below_threshold(self):
         # far outside the light cone the amplitudes are exact zeros, not subnormals
         (state,) = evolve_series(ordered(801), 400, [5.0])
@@ -298,13 +313,27 @@ class TestBlockSeries:
         init = basis_state(h.num_sites, origin)
         blocks = []
         original_block = entspread.propagator._Kernel.block
+        original_expand = entspread.propagator._Kernel._expand
 
         def counted_block(kernel, *args):
             blocks.append(None)
             return original_block(kernel, *args)
 
+        def checked_expand(kernel, seed, at, start, stop, coeffs, need, slots):
+            # Each sample's rows, cut to the orders it needs, against the rows
+            # of the full coefficient matrix: within its own tail bound, which
+            # is TAIL_TOLERANCE ||seed||.  Adding a term e to an entry moves
+            # it by at most 2|e| once rounded, hence the factor 2.
+            rows = original_expand(kernel, seed, at, start, stop, coeffs, need, slots)
+            every = np.full_like(need, coeffs.shape[1])
+            full = original_expand(kernel, seed, at, start, stop, coeffs, every, slots)
+            gap = np.linalg.norm(rows - full, axis=1)
+            assert np.all(gap <= 2.0 * TAIL_TOLERANCE * np.linalg.norm(seed)), (gap, need)
+            return rows
+
         states = []
-        with mock.patch.object(entspread.propagator._Kernel, "block", counted_block):
+        with mock.patch.object(entspread.propagator._Kernel, "block", counted_block), \
+                mock.patch.object(entspread.propagator._Kernel, "_expand", checked_expand):
             for state in evolve_series(h, origin, times):
                 states.append((state, len(blocks)))
         assert [s.time for s, _ in states] == list(times)
