@@ -44,6 +44,9 @@ _RESCALE_FACTOR = 1e-250
 # Orders per slab when bessel_rows turns its order-major values into rows.
 _TRANSPOSE_SLAB = 128
 
+# Orders per slab of recurrence factors n (2 / x) that bessel_rows makes at once.
+_FACTOR_SLAB = 64
+
 
 def miller_start_order(order_max: int, argument: float) -> int:
     """Starting order for the downward recurrence.
@@ -118,15 +121,19 @@ def bessel_rows(order_max: int, arguments: np.ndarray) -> np.ndarray:
 
     The recurrence is order-major: ``v[n]`` holds the unnormalized order n
     of every argument, and each step writes ``v[n-1]`` straight into its row
-    from ``v[n]`` and ``v[n+1]``, with no per-step copy or temporary.  The
-    rescale test runs only at steps where a running bound on the batch's
-    largest magnitude, grown each step by the largest factor ``2n/x_min + 1``
-    (plus a 1e-12 margin for rounding), passes the rescale limit; each test
-    resets the bound to the true maximum.  So every rescale hits the same
-    elements at the same order as a test at every step would, which matters
-    because the rescale factor is not a power of two.  Batches with widely
-    mixed magnitudes test and rescale often; callers with long time grids
-    should chunk them into stretches of comparable argument.
+    from ``v[n]`` and ``v[n+1]``, with no per-step copy or temporary.  Its
+    factors ``n (2/x)`` come from one outer product per _FACTOR_SLAB orders,
+    and the even orders are summed undoubled, the sum doubled once at the
+    end: doubling is exact, so a step takes two or three ufunc calls and
+    keeps the scalar path's bits.  The rescale test runs only at steps where
+    a running bound on the batch's largest magnitude, grown each step by the
+    largest factor ``2n/x_min + 1`` (plus a 1e-12 margin for rounding),
+    passes the rescale limit; each test resets the bound to the true
+    maximum.  So every rescale hits the same elements at the same order as a
+    test at every step would, which matters because the rescale factor is
+    not a power of two.  Batches with widely mixed magnitudes test and
+    rescale often; callers with long time grids should chunk them into
+    stretches of comparable argument.
 
     The result is a C-contiguous float64 array, one row per argument.
     """
@@ -154,27 +161,30 @@ def bessel_rows(order_max: int, arguments: np.ndarray) -> np.ndarray:
     v = np.zeros((start + 2, args.size))  # v[start + 1] = 0 seeds the recurrence
     v[start] = 1.0
     orders = list(v)  # one view per order, made once
-    norm = np.zeros(args.size)
+    # Sum of the even orders above 0: the norm is 2 * half + v[0], and doubling
+    # is exact, so it has the bits of summing 2 v[n].
+    half = np.zeros(args.size)
     step = np.empty(args.size)
     bound = 1.0  # >= every |v[n]|, |v[n+1]| of the batch
-    for n in range(start, 0, -1):
-        vn = orders[n]
-        if (n & 1) == 0:
-            np.multiply(vn, 2.0, out=step)
-            np.add(norm, step, out=norm)
-        np.multiply(two_over_x, n, out=step)
-        np.multiply(step, vn, out=step)
-        np.subtract(step, orders[n + 1], out=orders[n - 1])
-        bound *= (n * growth + 1.0) * (1.0 + 1e-12)
-        if bound > _RESCALE_LIMIT:
-            big = np.abs(orders[n - 1]) > _RESCALE_LIMIT
-            if np.any(big):
-                # v[n-1], v[n] and the kept orders n+1..order_max; v[n+1]
-                # above order_max is never read again
-                v[n - 1 : max(n, order_max) + 1, big] *= _RESCALE_FACTOR
-                norm[big] *= _RESCALE_FACTOR
-            bound = float(np.abs(v[n - 1 : n + 1]).max())
-    norm += v[0]
+    for top in range(start, 0, -_FACTOR_SLAB):
+        # Row i is n (2 / x) for n = top - i, the product the scalar path forms.
+        factors = np.multiply.outer(np.arange(top, max(top - _FACTOR_SLAB, 0), -1.0), two_over_x)
+        for n, factor in zip(range(top, 0, -1), factors):
+            vn = orders[n]
+            if (n & 1) == 0:
+                np.add(half, vn, out=half)
+            np.multiply(factor, vn, out=step)
+            np.subtract(step, orders[n + 1], out=orders[n - 1])
+            bound *= (n * growth + 1.0) * (1.0 + 1e-12)
+            if bound > _RESCALE_LIMIT:
+                big = np.abs(orders[n - 1]) > _RESCALE_LIMIT
+                if np.any(big):
+                    # v[n-1], v[n] and the kept orders n+1..order_max; v[n+1]
+                    # above order_max is never read again
+                    v[n - 1 : max(n, order_max) + 1, big] *= _RESCALE_FACTOR
+                    half[big] *= _RESCALE_FACTOR
+                bound = float(np.abs(v[n - 1 : n + 1]).max())
+    norm = 2.0 * half + v[0]
 
     # Normalize into rows a slab of orders at a time: a whole-array
     # transposing copy strides through memory and is several times slower.

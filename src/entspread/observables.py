@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .propagator import Block, WaveState
+from .propagator import Block, WaveState, block_empty
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,8 @@ def moment_rows(block: Block, origin: int, half_width: int = 0) -> np.ndarray:
         raise ValueError(f"half_width must be >= 0, got {half_width}")
     lo, hi = block.support[0] - block.start, block.support[1] + 1 - block.start
     offsets = np.arange(block.start - origin, block.start + block.width - origin, dtype=float)
-    # Window-wide like the magnitudes: support-sized weights fragment the heap.
-    weights = block.magnitudes * (offsets * offsets)
+    # Window-wide and size-classed like the magnitudes, so blocks reuse the memory.
+    weights = np.multiply(block.magnitudes, offsets * offsets, out=block_empty(block.magnitudes.shape))
     # The core |x| <= half_width is one stretch of columns, cut to the support.
     core_lo, core_hi = origin - half_width - block.start, origin + half_width + 1 - block.start
     core = slice(min(max(core_lo, lo), hi), min(max(core_hi, lo), hi))

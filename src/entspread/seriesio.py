@@ -36,8 +36,11 @@ def write_series_csv(
     path.parent.mkdir(parents=True, exist_ok=True)
     table = np.column_stack((series.table, *extras.values()))
     header = ",".join((*MOMENT_COLUMNS, *extras))
+    # One format per row, applied to plain floats: no numpy scalar per cell.
+    row = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
     with path.open("w", newline="") as fh:
-        np.savetxt(fh, table, fmt="%.17g", delimiter=",", newline="\r\n", header=header, comments="")
+        fh.write(header + "\r\n")
+        fh.writelines(row % cells for cells in map(tuple, table.tolist()))
 
 
 def read_series_csv(path: str | Path) -> MomentSeries:
