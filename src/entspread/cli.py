@@ -129,7 +129,7 @@ def simulate_realization(
     the propagator's: blocks (the one that holds t = 0 too), matvecs (the sum
     of the block orders K), site-updates (K times the block's window width)
     and the smallest and largest K.  propagate_s and observe_s are the
-    seconds spent making the blocks and reducing them.
+    seconds spent making the blocks and reducing them, |a| included.
     """
     h = build_hamiltonian(config.chain, realization_index)
     origin, half_width = config.chain.origin, config.chain.disorder.half_width
@@ -177,6 +177,7 @@ def analytic_series(config: ExperimentConfig) -> tuple[MomentSeries, dict[str, n
     if abs(gamma) != 1.0:
         raise ConfigError("config.chain.gamma", f"the closed form needs |gamma| = 1, got {gamma:g}")
     times = config.times.grid()
+    core = config.chain.disorder.half_width
     chunks = []
     for lo in range(0, len(times), _ANALYTIC_CHUNK):
         chunk = times[lo : lo + _ANALYTIC_CHUNK]
@@ -184,12 +185,17 @@ def analytic_series(config: ExperimentConfig) -> tuple[MomentSeries, dict[str, n
         rows = bessel_rows(order_max, 2.0 * chunk)
         absrows = np.abs(rows)
         x2 = np.arange(order_max + 1, dtype=float) ** 2
-        w = 2.0 * (absrows[:, 1:] @ x2[1:])
+        # The one-sided sums split at the core edge |x| = L, as simulate splits
+        # m; with no core, w_inner is 0.0 and w is w_outer bit for bit.
+        w_inner = 2.0 * (absrows[:, 1 : core + 1] @ x2[1 : core + 1])
+        w_outer = 2.0 * (absrows[:, core + 1 :] @ x2[core + 1 :])
+        w = w_inner + w_outer
         alpha0 = absrows[:, 0]
         m = 2.0 * alpha0 * w
         # probability on the full chain: J_0^2 + 2 sum_k J_k^2
         norm_error = np.abs(1.0 - (rows[:, 0] ** 2 + 2.0 * np.sum(rows[:, 1:] ** 2, axis=1)))
-        chunks.append(np.column_stack((chunk, m, w, alpha0, m, np.zeros_like(m), norm_error)))
+        chunks.append(np.column_stack((chunk, m, w, alpha0, 2.0 * alpha0 * w_outer,
+                                       2.0 * alpha0 * w_inner, norm_error)))
     series = MomentSeries.from_table(np.concatenate(chunks), config_digest(config))
     # The asymptotes hold for t > 0; a sample at t = 0 gets zeros.
     asym = np.zeros((2, len(times)))

@@ -44,29 +44,30 @@ def moment_rows(block: Block, origin: int, half_width: int = 0) -> np.ndarray:
     Each column is one reduction per row over the block's support, the
     columns a state of the block is nonzero on, so numpy's pairwise summation
     groups the terms as for that state alone: `moment_m` on it gives the same
-    bits.  Offsets with |x| <= half_width count as the disordered-region share
-    m_d, the rest as m_o; by construction m = 2 * alpha0_abs * w and
-    m = m_o + m_d hold to rounding.
+    bits.  |a| and the weights |a| x^2 are taken on the support only.  Offsets
+    with |x| <= half_width count as the disordered-region share m_d, the rest
+    as m_o; by construction m = 2 * alpha0_abs * w and m = m_o + m_d hold to
+    rounding.
     """
     if half_width < 0:
         raise ValueError(f"half_width must be >= 0, got {half_width}")
     lo, hi = block.support[0] - block.start, block.support[1] + 1 - block.start
-    offsets = np.arange(block.start - origin, block.start + block.width - origin, dtype=float)
-    # Window-wide and size-classed like the magnitudes, so blocks reuse the memory.
-    weights = np.multiply(block.magnitudes, offsets * offsets, out=block_empty(block.magnitudes.shape))
-    # The core |x| <= half_width is one stretch of columns, cut to the support.
-    core_lo, core_hi = origin - half_width - block.start, origin + half_width + 1 - block.start
-    core = slice(min(max(core_lo, lo), hi), min(max(core_hi, lo), hi))
+    first, size = block.start + lo - origin, hi - lo  # the support's first offset x, its sites
+    # Size-classed like the block's rows, so blocks reuse the memory.
+    magnitudes = np.abs(block.amplitudes[:, lo:hi], out=block_empty((len(block.times), size)))
+    offsets = np.arange(first, first + size, dtype=float)
+    weights = np.multiply(magnitudes, offsets * offsets, out=block_empty(magnitudes.shape))
+    # The core |x| <= half_width is one stretch of the support's columns.
+    core = slice(min(max(-half_width - first, 0), size), min(max(half_width + 1 - first, 0), size))
     # np.add.reduce is np.sum without its wrapper.
-    w_total = np.add.reduce(weights[:, lo:hi], axis=1)
+    w_total = np.add.reduce(weights, axis=1)
     w_inner = np.add.reduce(weights[:, core], axis=1)
     # m_o is summed, not taken as m - m_d: while the front crosses the core
     # edge the difference is rounding noise.  Zeroing the core keeps the sum
     # over every site, so a weightless core gives m_o == m exactly.
     weights[:, core] = 0.0
-    w_outer = np.add.reduce(weights[:, lo:hi], axis=1)
-    np.square(block.magnitudes, out=weights)
-    norm_error = np.abs(1.0 - np.add.reduce(weights[:, lo:hi], axis=1))
+    w_outer = np.add.reduce(weights, axis=1)
+    norm_error = np.abs(1.0 - np.add.reduce(np.square(magnitudes, out=magnitudes), axis=1))
     alpha0 = np.zeros(len(weights))
     column = origin - block.start
     if 0 <= column < block.width:
@@ -83,7 +84,6 @@ def moment_m(state: WaveState, half_width: int = 0) -> MomentSample:
     the rows are those of `moment_rows` for the state as a one-sample block.
     """
     lo, hi = state.support if state.support is not None else (0, state.num_sites - 1)
-    amps = state.amplitudes[None, lo : hi + 1]
-    block = Block(np.array([state.time]), amps, np.abs(amps), lo, (lo, hi), 0)
+    block = Block(np.array([state.time]), state.amplitudes[None, lo : hi + 1], lo, (lo, hi), 0)
     row = moment_rows(block, state.origin, half_width)
     return MomentSample(*row[0].tolist())

@@ -43,24 +43,22 @@ The coefficients are exactly the Bessel rows the bessel module provides.
   Halving the 2-norm budget per side, rather than its square, leaves room
   for the error earlier trims left near the front: the exact state's weight
   outside the support stays below TAIL_TOLERANCE^2 on a chained ordered run.
-  Kept amplitudes below the bessel module's FLUSH_THRESHOLD are zeroed,
-  which keeps the arithmetic out of subnormals, and the block records its
-  support, so reductions can skip the zeros.
+  The trim is the block's one cut: every site outside the support is an
+  exact zero, and the block records its support, so reductions skip them.
 * Byte cap.  Up to 8 orders sit in a ring, added into the S sample rows
   whenever it fills; S is cut so that ring, sample and coefficient rows and
-  scratch fit WORKSPACE_BYTES.  The ring is freed before the block's
-  magnitudes are taken, and S is also cut so that the sample rows with the
-  magnitudes and the moment weights `observables.moment_rows` makes from
-  them fit.  Wider windows shrink the ring to as few as 3 orders; only one
-  over WORKSPACE_BYTES / 112 sites (75 000) passes the cap.  The ring, the
-  sample rows, the magnitudes and the moment weights each head a buffer
-  whose byte size is rounded up to a power of 2 ** (1 / _SIZE_CLASSES)
+  scratch fit WORKSPACE_BYTES, and so that after the ring is freed the
+  sample rows fit with the two real rows per sample, |a| and its weights,
+  that `observables.moment_rows` makes.  Wider windows shrink the ring to as
+  few as 3 orders; only one over WORKSPACE_BYTES / 112 sites (75 000) passes
+  the cap.  The ring, the sample rows, |a| and the weights each head a
+  buffer whose byte size is rounded up to a power of 2 ** (1 / _SIZE_CLASSES)
   (`block_empty`), so the next block gets back memory a block before it
   freed instead of faulting in fresh pages.  Those capacities, up to 12%
   over the arrays, are what count against WORKSPACE_BYTES.  The plan's
   margins (the padded order, the coefficient and scratch rows it reserves)
   leave room for them: the byte-cap test, which measures what is
-  allocated, peaks at 0.97 of a 1 MiB cap.
+  allocated, peaks at 0.93 of a 1 MiB cap.
 
 `evolve_blocks`, the kernel's one entry point, evolves the unit excitation at
 the origin forward and yields the blocks of its series; the simulate path
@@ -79,7 +77,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import dgemm
 
-from .bessel import FLUSH_THRESHOLD, bessel_row, bessel_rows
+from .bessel import bessel_row, bessel_rows
 from .chain import Hamiltonian, spectral_bounds
 
 # Bound on the discarded Chebyshev tail 2 * sum_{k>K} |J_k(b tau)| of one
@@ -198,13 +196,12 @@ class Block:
 
     Row s of `amplitudes` (S, width) is the state at `times[s]` on the
     window; every sample is zero outside the one `support`, (lo, hi) in chain
-    sites.  `magnitudes` is its np.abs.  `order` is the block's Chebyshev
-    order K, so it ran K matvecs over the window.
+    sites.  `order` is the block's Chebyshev order K, so it ran K matvecs
+    over the window.
     """
 
     times: np.ndarray
     amplitudes: np.ndarray
-    magnitudes: np.ndarray
     start: int
     support: tuple[int, int]
     order: int
@@ -261,9 +258,9 @@ class _Kernel:
         counts the offsets within BLOCK_Z_SPAN, cut so that the workspace fits
         WORKSPACE_BYTES on a window sized by the padded order: while the ring
         runs, S sample and coefficient rows beside it and three scratch rows;
-        after it, S sample rows with their magnitudes and moment weights.  The
-        positive offsets are then evened over the grid, so blocks of a linear
-        grid repeat them.  K is cut for the last offset; each sample sums only
+        after it, S sample rows with the two real rows per sample of
+        `observables.moment_rows`.  The positive offsets are then evened over
+        the grid, so blocks of a linear grid repeat them.  K is cut for the last offset; each sample sums only
         the orders its own tail needs.
 
         The samples are trimmed to one support: on each side, every sample
@@ -272,7 +269,7 @@ class _Kernel:
         both sides.  The support is never empty for the unit-norm seeds of
         `evolve_blocks`: no sample loses more than 2 (TAIL_TOLERANCE / 2)^2 of
         the seed's weight, and the step keeps a sample's within about 1e-13
-        of it.  The phases, magnitudes and flush then touch the support only.
+        of it.  The phases then touch the support only.
         """
         offsets = grid - now
         zero = int(offsets[0] == 0.0)
@@ -300,21 +297,11 @@ class _Kernel:
         kept = slice(left, stop - start - right)
         samples[:, : kept.start] = 0.0
         samples[:, kept.stop :] = 0.0
-        inside = samples[:, kept]
-        inside *= phases[:, None]
-        magnitudes = block_empty(samples.shape)
-        magnitudes[:, : kept.start] = 0.0
-        magnitudes[:, kept.stop :] = 0.0
-        kept_magnitudes = magnitudes[:, kept]
-        np.abs(inside, out=kept_magnitudes)
-        tiny = kept_magnitudes < FLUSH_THRESHOLD
-        if tiny.any():
-            np.copyto(inside, 0.0, where=tiny)
-            np.copyto(kept_magnitudes, 0.0, where=tiny)
+        samples[:, kept] *= phases[:, None]
         # Label with the exact grid values; the evolved duration is the sum of
         # the block offsets, which telescopes to t exactly.
         support = (start + left, stop - right - 1)
-        return Block(grid[:count], samples, magnitudes, start, support, order)
+        return Block(grid[:count], samples, start, support, order)
 
     def _expand(self, seed: np.ndarray, at: int, start: int, stop: int, coeffs: np.ndarray,
                 need: np.ndarray, slots: int) -> np.ndarray:

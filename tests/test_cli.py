@@ -416,6 +416,23 @@ class TestAnalytic:
                 closed.column(name), numeric.column(name), rtol=1e-9, atol=1e-12
             )
 
+    def test_core_split_matches_numeric(self):
+        # An ordered chain with a core (L = 5, zero disorder): both paths
+        # split m at |x| <= L, so m_d is the core's share, not zero.
+        raw = make_config(
+            chain={"num_sites": 201, "disorder": {"half_width": 5, "low": 0.0, "high": 0.0}},
+            times={"t_start": 0.0, "t_end": 10.0, "num_samples": 11},
+            ensemble={"num_realizations": 1, "base_seed": 0},
+        )
+        config = config_from_dict(raw)
+        closed, _ = analytic_series(config)
+        numeric, _ = simulate_realization(config, 0)
+        assert closed.column("m_d")[-1] > 1.0
+        for name in ("m", "w", "alpha0_abs", "m_o", "m_d"):
+            np.testing.assert_allclose(
+                closed.column(name), numeric.column(name), rtol=1e-9, atol=1e-12
+            )
+
 
 class TestFit:
     def test_exact_power_law_report(self, tmp_path):

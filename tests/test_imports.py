@@ -1,13 +1,14 @@
 """What the modules import: every name is read, and the package needs only its dependencies.
 
 No linter is a dependency of this package, so the checks parse each module
-with `ast`: an imported name counts as read when the module loads it as a
-plain name anywhere, or lists it in `__all__`.  `from __future__` imports
-are compiler directives and are skipped.  The third-party modules imported
-under src/ must be exactly the `[project] dependencies` of pyproject.toml,
-so a test-only library such as mpmath cannot creep back into the package,
-and fresh interpreters check that importing the package loads nothing and
-that the CLI does not load mpmath.
+under src/, tests/ and perfbench/ with `ast`: an imported name counts as
+read when the module loads it as a plain name anywhere, or lists it in
+`__all__`.  `from __future__` imports are compiler directives and are
+skipped.  The third-party modules imported under src/ must be exactly the
+`[project] dependencies` of pyproject.toml, so a test-only library such as
+mpmath cannot creep back into the package, and fresh interpreters check
+that importing the package loads nothing and that the CLI does not load
+mpmath.
 """
 
 import ast
@@ -20,7 +21,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC_MODULES = sorted((ROOT / "src").rglob("*.py"))
-MODULES = sorted([*SRC_MODULES, *(ROOT / "tests").glob("*.py")])
+MODULES = sorted([*SRC_MODULES, *(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:

@@ -33,6 +33,7 @@ from entspread.propagator import (
     ReflectionBudgetWarning,
     _edge_count,
     basis_state,
+    block_empty,
     chebyshev_order,
     evolve_blocks,
     evolve_series,
@@ -257,7 +258,8 @@ class TestWindowedStep:
         np.testing.assert_array_equal(rows, kernel._expand(seed, 6, 0, 13, coeffs[:, :3], cut, 3))
 
     def test_flushes_below_threshold(self):
-        # far outside the light cone the amplitudes are exact zeros, not subnormals
+        # far outside the light cone the amplitudes are exact zeros, not
+        # subnormals: the trim zeroes every site outside the support
         (state,) = evolve_series(ordered(801), 400, [5.0])
         mags = np.abs(state.amplitudes)
         assert np.all((mags == 0.0) | (mags >= 1e-300))
@@ -389,8 +391,8 @@ class TestBlockSeries:
 
     def test_blocks_hold_arrays_of_their_own(self):
         # A consumer may keep every block, as list() does, so however the
-        # kernel reuses memory, no two blocks share any, and neither do one
-        # block's amplitudes and magnitudes.  Desk core and step, to t = 300.
+        # kernel reuses memory, no two blocks' amplitudes share any.  Desk
+        # core and step, to t = 300.
         core = DisorderSpec(mode="jz_coupling", half_width=50, low=0.0, high=2.5, diag_sign="plus")
         spec = ChainSpec(num_sites=4223, disorder=core)
         times = np.linspace(0.0, 300.0, 1201)
@@ -403,13 +405,25 @@ class TestBlockSeries:
             assert block.start == start
             shape = (len(block.times), stop - start)
             seed = block.support
-            for array, dtype in ((block.amplitudes, complex), (block.magnitudes, float)):
-                assert array.shape == shape and array.dtype == dtype
-                assert array.flags.c_contiguous
-                arrays.append(array)
+            assert block.amplitudes.shape == shape and block.amplitudes.dtype == complex
+            assert block.amplitudes.flags.c_contiguous
+            arrays.append(block.amplitudes)
         for i, first in enumerate(arrays):
             for second in arrays[i + 1 :]:
                 assert not np.shares_memory(first, second)
+
+    @pytest.mark.parametrize("shape, dtype", [((24, 8001), complex), ((24, 16002), float),
+                                              ((3, 1000), float), ((4097,), float), ((0, 5), complex)])
+    def test_block_empty_heads_a_buffer_at_most_one_size_class_larger(self, shape, dtype):
+        # The byte plan counts the arrays' sizes; it leaves room for the at
+        # most 2 ** (1 / 6), or 12%, that a size class adds (and up to one
+        # item more, as the buffer holds whole items).
+        first, second = block_empty(shape, dtype), block_empty(shape, dtype)
+        for array in (first, second):
+            assert array.shape == shape and array.dtype == dtype and array.flags.c_contiguous
+            request, capacity = array.nbytes, array.base.nbytes
+            assert request <= capacity <= 2 ** (1 / 6) * request + array.itemsize
+        assert not np.shares_memory(first.base, second.base)
 
     def test_zero_hopping_constant_diagonal_is_a_pure_phase(self):
         # b = 0: every block is a phase, however many samples it spans
