@@ -35,7 +35,7 @@ from .analysis import (
     time_average,
     verify_bounds,
 )
-from .analytic import TRUNCATION_PAD, asymptotes_ordered, w_bounds_ordered
+from .analytic import asymptotes_ordered, truncation_radius, w_bounds_ordered
 from .bessel import bessel_row, bessel_rows
 from .chain import build_hamiltonian
 from .config import (
@@ -140,12 +140,11 @@ def simulate_realization(
         propagate_s += made - clock
         tables.append(moment_rows(block, origin, half_width))
         orders.append(block.order)
-        site_updates += block.order * block.width
+        site_updates += block.order * block.window
         clock = _time.perf_counter()
         observe_s += clock - made
     digest = config_digest(config, realization_index)
     series = MomentSeries.from_table(np.concatenate(tables), digest)
-    lo, hi = block.support
     stats = {
         "blocks": len(orders),
         "matvecs": sum(orders),
@@ -153,7 +152,7 @@ def simulate_realization(
         "min_block_order": min(orders),
         "max_block_order": max(orders),
         "max_norm_error": float(np.max(series.column("norm_error"))),
-        "final_support_width": hi - lo + 1,
+        "final_support_width": block.width,
         "propagate_s": round(propagate_s, 3),
         "observe_s": round(observe_s, 3),
     }
@@ -181,7 +180,7 @@ def analytic_series(config: ExperimentConfig) -> tuple[MomentSeries, dict[str, n
     chunks = []
     for lo in range(0, len(times), _ANALYTIC_CHUNK):
         chunk = times[lo : lo + _ANALYTIC_CHUNK]
-        order_max = math.ceil(2.0 * float(chunk[-1])) + TRUNCATION_PAD
+        order_max = truncation_radius(float(chunk[-1]))
         rows = bessel_rows(order_max, 2.0 * chunk)
         absrows = np.abs(rows)
         x2 = np.arange(order_max + 1, dtype=float) ** 2

@@ -41,20 +41,18 @@ MOMENT_COLUMNS = tuple(f.name for f in fields(MomentSample))
 def moment_rows(block: Block, origin: int, half_width: int = 0) -> np.ndarray:
     """Moment rows (columns MOMENT_COLUMNS) of the block's samples; the time column is `block.times`.
 
-    Each column is one reduction per row over the block's support, the
-    columns a state of the block is nonzero on, so numpy's pairwise summation
-    groups the terms as for that state alone: `moment_m` on it gives the same
-    bits.  |a| and the weights |a| x^2 are taken on the support only.  Offsets
+    Each column is one reduction per row over the block's columns, its
+    support, so numpy's pairwise summation groups the terms as for one state
+    of the block alone: `moment_m` on it gives the same bits.  Offsets
     with |x| <= half_width count as the disordered-region share m_d, the rest
     as m_o; by construction m = 2 * alpha0_abs * w and m = m_o + m_d hold to
     rounding.
     """
     if half_width < 0:
         raise ValueError(f"half_width must be >= 0, got {half_width}")
-    lo, hi = block.support[0] - block.start, block.support[1] + 1 - block.start
-    first, size = block.start + lo - origin, hi - lo  # the support's first offset x, its sites
+    first, size = block.start - origin, block.width  # the support's first offset x, its sites
     # Size-classed like the block's rows, so blocks reuse the memory.
-    magnitudes = np.abs(block.amplitudes[:, lo:hi], out=block_empty((len(block.times), size)))
+    magnitudes = np.abs(block.amplitudes, out=block_empty((len(block.times), size)))
     offsets = np.arange(first, first + size, dtype=float)
     weights = np.multiply(magnitudes, offsets * offsets, out=block_empty(magnitudes.shape))
     # The core |x| <= half_width is one stretch of the support's columns.
@@ -84,6 +82,6 @@ def moment_m(state: WaveState, half_width: int = 0) -> MomentSample:
     the rows are those of `moment_rows` for the state as a one-sample block.
     """
     lo, hi = state.support if state.support is not None else (0, state.num_sites - 1)
-    block = Block(np.array([state.time]), state.amplitudes[None, lo : hi + 1], lo, (lo, hi), 0)
+    block = Block(np.array([state.time]), state.amplitudes[None, lo : hi + 1], lo, hi + 1 - lo, 0)
     row = moment_rows(block, state.origin, half_width)
     return MomentSample(*row[0].tolist())

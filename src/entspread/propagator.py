@@ -37,14 +37,14 @@ The coefficients are exactly the Bessel rows the bessel module provides.
   light cone (Lieb & Robinson, Commun. Math. Phys. 28, 251 (1972)).  Its
   samples are trimmed to one support: the outer sites whose weight sum
   |a_x|^2 is within (TAIL_TOLERANCE / 2)^2 ||psi||^2 per side in every
-  sample are zeroed, psi the block's start state.  So a sample's error is
+  sample are dropped, psi the block's start state.  So a sample's error is
   the Chebyshev tail plus the trimmed edges, each at most TAIL_TOLERANCE
   in the 2-norm relative to psi; the next block starts from the last sample.
   Halving the 2-norm budget per side, rather than its square, leaves room
   for the error earlier trims left near the front: the exact state's weight
   outside the support stays below TAIL_TOLERANCE^2 on a chained ordered run.
-  The trim is the block's one cut: every site outside the support is an
-  exact zero, and the block records its support, so reductions skip them.
+  The trim is the block's one cut: a block stores its samples on the
+  support only, a view of the window-wide rows, and they are zero outside it.
 * Byte cap.  Up to 8 orders sit in a ring, added into the S sample rows
   whenever it fills; S is cut so that ring, sample and coefficient rows and
   scratch fit WORKSPACE_BYTES, and so that after the ring is freed the
@@ -192,18 +192,18 @@ def chebyshev_order(b: float, delta_t: float) -> int:
 
 @dataclass
 class Block:
-    """The samples one Chebyshev block yields, on the window [start, start + width) of the chain.
+    """The samples one Chebyshev block yields, on their support [start, start + width) of the chain.
 
     Row s of `amplitudes` (S, width) is the state at `times[s]` on the
-    window; every sample is zero outside the one `support`, (lo, hi) in chain
-    sites.  `order` is the block's Chebyshev order K, so it ran K matvecs
-    over the window.
+    support; every sample is zero outside it.  `order` is the block's
+    Chebyshev order K, and `window` the number of sites its K matvecs ran
+    over.
     """
 
     times: np.ndarray
     amplitudes: np.ndarray
     start: int
-    support: tuple[int, int]
+    window: int
     order: int
 
     @property
@@ -269,7 +269,8 @@ class _Kernel:
         both sides.  The support is never empty for the unit-norm seeds of
         `evolve_blocks`: no sample loses more than 2 (TAIL_TOLERANCE / 2)^2 of
         the seed's weight, and the step keeps a sample's within about 1e-13
-        of it.  The phases then touch the support only.
+        of it.  The block's amplitudes are the sample rows' support columns,
+        a view, and only they get the phases.
         """
         offsets = grid - now
         zero = int(offsets[0] == 0.0)
@@ -294,14 +295,11 @@ class _Kernel:
         # The cut almost always falls in the outer order + 1 sites, the ones the
         # light cone added; each side drops what every sample can spare.
         left, right = _edge_count(samples, budget, order + 1).min(axis=1).tolist()
-        kept = slice(left, stop - start - right)
-        samples[:, : kept.start] = 0.0
-        samples[:, kept.stop :] = 0.0
-        samples[:, kept] *= phases[:, None]
+        samples = samples[:, left : stop - start - right]
+        samples *= phases[:, None]
         # Label with the exact grid values; the evolved duration is the sum of
         # the block offsets, which telescopes to t exactly.
-        support = (start + left, stop - right - 1)
-        return Block(grid[:count], samples, start, support, order)
+        return Block(grid[:count], samples, start + left, stop - start, order)
 
     def _expand(self, seed: np.ndarray, at: int, start: int, stop: int, coeffs: np.ndarray,
                 need: np.ndarray, slots: int) -> np.ndarray:
@@ -404,9 +402,10 @@ def evolve_blocks(
 
     Starts from the unit excitation at `origin` at t = 0 and never restarts
     from scratch, so total work scales with the final time rather than the
-    sum of sample times.  Yields lazily: a long scan over a big chain holds
-    one block's workspace.  The front speed 2 gamma of the reflection check
-    reads gamma as the largest |hopping| of the chain.
+    sum of sample times: each block starts from the last sample before it,
+    on that sample's support.  Yields lazily: a long scan over a big chain
+    holds one block's workspace.  The front speed 2 gamma of the reflection
+    check reads gamma as the largest |hopping| of the chain.
     """
     if not 0 <= origin < h.num_sites:
         raise ValueError(f"origin {origin} outside chain of {h.num_sites} sites")
@@ -434,8 +433,7 @@ def evolve_blocks(
     while done < times.size:
         block = kernel.block(seed, lo, times[done:], now)
         # The next block starts from a private copy of the last sample.
-        lo, hi = block.support
-        seed = block.amplitudes[-1, lo - block.start : hi + 1 - block.start].copy()
+        seed, lo = block.amplitudes[-1].copy(), block.start
         yield block
         done, now = done + len(block.times), float(block.times[-1])
 
@@ -448,10 +446,11 @@ def evolve_series(
 ):
     """Yield the state at each sample time, from the blocks of `evolve_blocks`.
 
-    Each state has an amplitude array of its own.
+    Each state has an amplitude array of its own, and its block's support.
     """
     for block in evolve_blocks(h, origin, times, disorder_half_width):
+        support = (block.start, block.start + block.width - 1)
         for time, row in zip(block.times.tolist(), block.amplitudes):
             amplitudes = np.zeros(h.num_sites, dtype=complex)
             amplitudes[block.start : block.start + block.width] = row
-            yield WaveState(amplitudes, time, origin, block.support)
+            yield WaveState(amplitudes, time, origin, support)

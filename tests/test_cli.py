@@ -17,6 +17,7 @@ from hypothesis.extra.numpy import arrays
 
 import entspread.cli
 from entspread.analysis import MomentSeries
+from entspread.bessel import bessel_row
 from entspread.chain import build_hamiltonian
 from entspread.cli import (
     BoundaryBudgetError,
@@ -145,6 +146,21 @@ class TestSeriesIO:
         for a, b in zip(samples, back.samples):
             assert a == b
 
+    def test_extra_column_of_another_length_rejected(self, tmp_path):
+        table = np.zeros((3, len(MOMENT_COLUMNS)))
+        table[:, 0] = [0.0, 1.0, 2.0]
+        series = MomentSeries.from_table(table)
+        path = tmp_path / "series.csv"
+        with pytest.raises(ValueError, match="extra column 'w_lower_bound' has 2 rows, series has 3"):
+            write_series_csv(path, series, {"w_lower_bound": np.zeros(2)})
+        assert not path.exists()
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: empty CSV")):
+            read_series_csv(path)
+
     def test_missing_columns_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,m\n0.0,0.0\n")
@@ -224,7 +240,7 @@ class TestSimulate:
         config = config_from_dict(make_config(times={"t_start": 0.0, "t_end": 0.0, "num_samples": 1}))
         h, origin = build_hamiltonian(config.chain, 0), config.chain.origin
         (block,) = evolve_blocks(h, origin, config.times.grid(), 3)
-        assert block.order == 0 and block.support == (origin, origin)
+        assert block.order == 0 and block.start == origin and block.width == 1
         series, stats = simulate_realization(config, 0)
         assert series.table.tolist() == [[0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]]
         assert not np.any(np.signbit(series.table))
@@ -250,6 +266,20 @@ class TestSimulate:
                 assert abs(s.m) <= 1e-9
             else:
                 assert abs(s.m - a.m) <= 1e-6 * max(abs(s.m), abs(a.m))
+
+    def test_ordered_log_grid_matches_analytic(self):
+        # A log grid puts many short blocks early and few long ones late.
+        raw = make_config(
+            chain={"num_sites": 401},
+            times={"t_start": 0.01, "t_end": 60.0, "num_samples": 30, "spacing": "log"},
+            ensemble={"num_realizations": 1, "base_seed": 0},
+        )
+        config = config_from_dict(raw)
+        numeric, _ = simulate_realization(config, 0)
+        closed, _ = analytic_series(config)
+        assert np.array_equal(numeric.times(), config.times.grid())
+        for name in ("m", "w", "alpha0_abs"):
+            np.testing.assert_allclose(numeric.column(name), closed.column(name), rtol=1e-12, atol=0.0)
 
     def test_single_time_zero_row(self, tmp_path):
         raw = make_config(
@@ -395,6 +425,26 @@ class TestAnalytic:
         )
         series, _ = analytic_series(config_from_dict(raw))
         assert len(calls) == 1 and len(series) == 6
+
+    def test_late_rows_keep_the_airy_tail(self):
+        # Past the front |x| = 2t, J_x(2t) trails an Airy tail that widens as
+        # t^(1/3): cut 60 sites past the front, W lost 3.4e-9 of itself at
+        # t = 450 and 3.3e-7 at t = 1000.  At t = 450 the closed form meets the
+        # numeric run on a chain that holds the front; at t = 1000, W summed
+        # over one long row.
+        raw = make_config(
+            chain={"num_sites": 2001},
+            times={"t_start": 0.0, "t_end": 450.0, "num_samples": 11},
+            ensemble={"num_realizations": 1, "base_seed": 0},
+        )
+        config = config_from_dict(raw)
+        closed, _ = analytic_series(config)
+        numeric, _ = simulate_realization(config, 0)
+        np.testing.assert_allclose(closed.column("w"), numeric.column("w"), rtol=1e-13, atol=0.0)
+        raw["times"] = {"t_start": 1000.0, "t_end": 1000.0, "num_samples": 1}
+        (w,) = analytic_series(config_from_dict(raw))[0].column("w")
+        x = np.arange(2601, dtype=float)
+        assert w == pytest.approx(2.0 * (np.abs(bessel_row(2600, 2000.0)) @ (x * x)), rel=1e-13, abs=0.0)
 
     def test_rejects_disordered_config(self):
         config = config_from_dict(make_config())
@@ -630,6 +680,20 @@ class TestCommandLine:
         assert result.exit_code == 2, result.output
         assert "config.chain.disorder.high: need low <= high and a finite width" in result.output
         assert not out.exists()
+
+    def test_analytic_writes_the_run_analytic_csv(self, tmp_path):
+        raw = make_config(
+            chain={"num_sites": 201},
+            times={"t_start": 0.0, "t_end": 20.0, "num_samples": 41},
+            ensemble={"num_realizations": 1, "base_seed": 0},
+        )
+        path, out = write_config(tmp_path, raw), tmp_path / "cli"
+        result = CliRunner().invoke(main, ["analytic", "--config", str(path), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert result.output == f"analytic: wrote series_analytic.csv in {out}\n"
+        run_analytic(config_from_dict(raw), tmp_path / "direct")
+        expected = (tmp_path / "direct" / "series_analytic.csv").read_bytes()
+        assert (out / "series_analytic.csv").read_bytes() == expected
 
     def test_analytic_out_under_a_file_exit_code(self, tmp_path):
         path = write_config(tmp_path, make_config(chain={"num_sites": 201}))

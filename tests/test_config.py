@@ -2,6 +2,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from entspread.chain import ChainSpec
@@ -79,6 +80,12 @@ class TestSchema:
         raw["times"] = {"t_start": 0.0, "t_end": 1.0, "num_samples": 10, "spacing": "log"}
         with pytest.raises(ConfigError, match="log spacing"):
             config_from_dict(raw)
+
+    def test_log_grid_has_exact_ends_and_one_ratio(self):
+        grid = TimesSpec(t_start=0.01, t_end=100.0, num_samples=41, spacing="log").grid()
+        assert len(grid) == 41 and grid[0] == 0.01 and grid[-1] == 100.0
+        ratios = grid[1:] / grid[:-1]
+        assert np.allclose(ratios, 10.0 ** 0.1, rtol=1e-13, atol=0.0)
 
     def test_single_sample_at_fixed_time(self):
         raw = base_config()

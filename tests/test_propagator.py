@@ -259,7 +259,7 @@ class TestWindowedStep:
 
     def test_flushes_below_threshold(self):
         # far outside the light cone the amplitudes are exact zeros, not
-        # subnormals: the trim zeroes every site outside the support
+        # subnormals: a block stores only the support the trim leaves
         (state,) = evolve_series(ordered(801), 400, [5.0])
         mags = np.abs(state.amplitudes)
         assert np.all((mags == 0.0) | (mags >= 1e-300))
@@ -400,17 +400,30 @@ class TestBlockSeries:
         assert len(blocks) > 10
         arrays, seed = [], (spec.origin, spec.origin)
         for block in blocks:
-            # The window is the seed's support widened by K per side.
+            # The window is the seed's support widened by K per side, and the
+            # block stores the support the trim left inside it.
             start, stop = max(seed[0] - block.order, 0), min(seed[1] + 1 + block.order, spec.num_sites)
-            assert block.start == start
-            shape = (len(block.times), stop - start)
-            seed = block.support
+            assert block.window == stop - start
+            assert start <= block.start and block.start + block.width <= stop
+            seed = (block.start, block.start + block.width - 1)
+            shape = (len(block.times), block.width)
             assert block.amplitudes.shape == shape and block.amplitudes.dtype == complex
-            assert block.amplitudes.flags.c_contiguous
+            # The support columns of the C-contiguous (S, window) sample rows.
+            assert block.amplitudes.strides == (16 * block.window, 16)
             arrays.append(block.amplitudes)
         for i, first in enumerate(arrays):
             for second in arrays[i + 1 :]:
                 assert not np.shares_memory(first, second)
+
+    @pytest.mark.filterwarnings("ignore::entspread.propagator.ReflectionBudgetWarning")
+    @settings(max_examples=40, deadline=None)
+    @given(chains_and_grids())
+    def test_blocks_store_only_their_support(self, case):
+        # The trim drops every outer column that no sample needs, so the first
+        # and the last column a block stores are nonzero in some sample.
+        h, origin, times = case
+        for block in evolve_blocks(h, origin, times):
+            assert np.any(block.amplitudes[:, 0]) and np.any(block.amplitudes[:, -1])
 
     @pytest.mark.parametrize("shape, dtype", [((24, 8001), complex), ((24, 16002), float),
                                               ((3, 1000), float), ((4097,), float), ((0, 5), complex)])
@@ -457,6 +470,24 @@ class TestBlockSeries:
             assert len(kernels[-1]._blocks) <= 2
         assert 1 < calls["blocks"] < 2001
         assert calls["bessel_row"] <= calls["blocks"]
+
+    def test_long_jump_lengthens_the_bessel_row(self, monkeypatch):
+        # At z = b|dt| = 1500 the row first evaluated, to the padded order
+        # 1614, runs out before its tail falls to TAIL_TOLERANCE, so it is
+        # evaluated once more at twice the length.  K is then the first order
+        # whose tail 2 sum_{k>K} |J_k(z)| over one long row is <= TAIL_TOLERANCE.
+        calls = []
+        original_row = entspread.propagator.bessel_row
+
+        def counted_row(order, z):
+            calls.append(order)
+            return original_row(order, z)
+
+        monkeypatch.setattr(entspread.propagator, "bessel_row", counted_row)
+        order = chebyshev_order(1.0, 1500.0)
+        assert calls == [1614, 3228] and order > calls[0]
+        tail = 2.0 * np.cumsum(np.abs(original_row(3400, 1500.0)[::-1]))[::-1]
+        assert order == np.flatnonzero(tail[1:] <= TAIL_TOLERANCE)[0]
 
     @pytest.mark.parametrize("cap", [WORKSPACE_BYTES, 1 << 20], ids=["module_cap", "1MiB_cap"])
     @pytest.mark.filterwarnings("ignore::entspread.propagator.ReflectionBudgetWarning")
