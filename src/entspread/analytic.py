@@ -4,8 +4,9 @@ Covers the three exactly solvable situations the simulator is checked
 against: the infinite ordered chain launched from the origin, the ordered
 semi-infinite chain launched from its end site, and the infinite chain with
 a single-site core (one on-site field at the origin) leaking into ordered
-leads.  Infinite sums are truncated at |x| <= `truncation_radius(t)`, past
-the Airy tail that trails the wavefront and into its superexponential falloff.
+leads.  Infinite sums are truncated at |x| <= `bessel.tail_order(2t)`, past
+the Airy tail that trails the wavefront at |x| = 2t and into its
+superexponential falloff, where 2 sum |J_x(2t)| is below 1e-16.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 
 import numpy as np
 
-from .bessel import bessel_j, bessel_row
+from .bessel import bessel_j, bessel_row, tail_order
 from .propagator import WaveState
 
 # Powers of (-i) indexed by x mod 4.
@@ -26,17 +27,6 @@ def _phase(x: int) -> complex:
     return _PHASES[x % 4]
 
 
-def truncation_radius(t: float) -> int:
-    """Largest |x| the infinite-chain sums keep at time t: ceil(2t) + 60 + ceil(8 t^(1/3)).
-
-    Past the front |x| = 2t, J_x(2t) falls off as an Airy function of
-    (x - 2t) / t^(1/3), so the sites kept past it grow as t^(1/3).  The
-    discarded share of W is below 1e-13 for t up to 1e4 (6e-14 there, 2.5e-18
-    at t = 1000); a fixed 60 sites lost 3e-7 of W at t = 1000.
-    """
-    return math.ceil(2.0 * t) + 60 + math.ceil(8.0 * t ** (1.0 / 3.0))
-
-
 def infinite_amplitude(x: int, t: float) -> complex:
     """Amplitude (-i)^x J_x(2t) at signed offset x on the infinite ordered chain."""
     return _phase(x) * bessel_j(x, 2.0 * t)
@@ -45,12 +35,12 @@ def infinite_amplitude(x: int, t: float) -> complex:
 def infinite_state(t: float) -> WaveState:
     """The infinite-chain profile at time t as a finite WaveState.
 
-    The chain is truncated at |x| <= truncation_radius(t) around the origin,
+    The chain is truncated at |x| <= tail_order(2t) around the origin,
     where the discarded tail is below double precision.
     """
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
-    radius = truncation_radius(t)
+    radius = tail_order(2.0 * t)
     row = bessel_row(radius, 2.0 * t)
     amplitudes = np.empty(2 * radius + 1, dtype=complex)
     phases = np.array([_phase(x) for x in range(radius + 1)])

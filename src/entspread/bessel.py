@@ -61,6 +61,18 @@ def miller_start_order(order_max: int, argument: float) -> int:
     return max(order_max, math.ceil(argument)) + 20 + math.ceil(10.0 * math.sqrt(scale))
 
 
+def tail_order(z: float) -> int:
+    """An order past which the row J_k(z) is negligible: ceil(z) + 20 + ceil(15 (z/2)^(1/3)).
+
+    Past its turning point k ~ z, J_k(z) falls off as an Airy function of
+    (k - z) / (z/2)^(1/3) (DLMF 10.19(iii)), so the orders a row needs past z
+    grow as z^(1/3).  The first K with 2 sum_{k>K} |J_k(z)| <= 1e-16 lies at
+    least two orders below the returned one: 20 to 47 below it over
+    0 <= z <= 2e4, where K - z is 13.8 to 14.0 (z/2)^(1/3) from z = 300 on.
+    """
+    return math.ceil(z) + 20 + math.ceil(15.0 * (0.5 * z) ** (1.0 / 3.0))
+
+
 def _check_argument(argument: float) -> float:
     argument = float(argument)
     if not math.isfinite(argument):

@@ -35,8 +35,8 @@ from .analysis import (
     time_average,
     verify_bounds,
 )
-from .analytic import asymptotes_ordered, truncation_radius, w_bounds_ordered
-from .bessel import bessel_row, bessel_rows
+from .analytic import asymptotes_ordered, w_bounds_ordered
+from .bessel import bessel_row, bessel_rows, tail_order
 from .chain import build_hamiltonian
 from .config import (
     ConfigError,
@@ -180,7 +180,7 @@ def analytic_series(config: ExperimentConfig) -> tuple[MomentSeries, dict[str, n
     chunks = []
     for lo in range(0, len(times), _ANALYTIC_CHUNK):
         chunk = times[lo : lo + _ANALYTIC_CHUNK]
-        order_max = truncation_radius(float(chunk[-1]))
+        order_max = tail_order(2.0 * float(chunk[-1]))
         rows = bessel_rows(order_max, 2.0 * chunk)
         absrows = np.abs(rows)
         x2 = np.arange(order_max + 1, dtype=float) ** 2
@@ -230,6 +230,7 @@ def _set_blas_threads(count: int) -> int | None:
         set_threads = lib.scipy_openblas_set_num_threads
     except (OSError, AttributeError):
         return None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
     set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
     before = get_threads()
     set_threads(count)
@@ -348,9 +349,9 @@ def _bessel_identity_checks() -> list[dict]:
         residual = x * row[1:-1] - 0.5 * a * (row[:-2] + row[2:])
         checks.append(_identity_check("recurrence_moment", a, np.max(np.abs(residual)), 1e-10))
     # one-sided even-order sum: sum_{k>=1} (2k)^2 J_2k(a) = a^2 / 2
-    for a, k_max in ((2.0, 42), (50.0, 140), (100.0, 140)):
-        row = bessel_row(2 * k_max, a)
-        even = np.arange(2, 2 * k_max + 1, 2)
+    for a in (2.0, 50.0, 100.0):
+        row = bessel_row(tail_order(a), a)
+        even = np.arange(2, len(row), 2)
         total = np.sum(even**2 * row[2::2])
         checks.append(_identity_check("even_order_sum", a, abs(total - a * a / 2.0), 1e-6))
     return checks

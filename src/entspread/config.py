@@ -40,8 +40,8 @@ class TimesSpec:
             raise ConfigError("t_start", f"must be >= 0, got {self.t_start}")
         if self.num_samples < 1:
             raise ConfigError("num_samples", f"must be >= 1, got {self.num_samples}")
-        if self.num_samples == 1 and not self.t_end >= self.t_start:
-            raise ConfigError("t_end", f"must be >= t_start, got {self.t_end} < {self.t_start}")
+        if self.num_samples == 1 and self.t_end != self.t_start:
+            raise ConfigError("t_end", f"one sample needs t_end == t_start, got {self.t_end} != {self.t_start}")
         if self.num_samples > 1 and not self.t_end > self.t_start:
             raise ConfigError("t_end", f"must be > t_start, got {self.t_end} <= {self.t_start}")
         if not math.isfinite(self.t_end):

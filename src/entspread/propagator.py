@@ -31,6 +31,8 @@ The coefficients are exactly the Bessel rows the bessel module provides.
   Each ring of orders is then added only into the samples whose own tail
   from its first order on is still above TAIL_TOLERANCE, so every sample
   keeps that bound while its shorter offset is spared the orders past it.
+  K is read off one Bessel row evaluated to `bessel.tail_order(z)`, an
+  Airy-law order at least two past it.
 * Window.  A tridiagonal matvec widens the support of a vector by one site
   per side, so U_k lives on [lo - k, hi + k] when psi lives on [lo, hi].  A
   block runs on [lo - K, hi + K] only, which is exact: it is the discrete
@@ -56,7 +58,7 @@ The coefficients are exactly the Bessel rows the bessel module provides.
   (`block_empty`), so the next block gets back memory a block before it
   freed instead of faulting in fresh pages.  Those capacities, up to 12%
   over the arrays, are what count against WORKSPACE_BYTES.  The plan's
-  margins (the padded order, the coefficient and scratch rows it reserves)
+  margins (its order guess, the coefficient and scratch rows it reserves)
   leave room for them: the byte-cap test, which measures what is
   allocated, peaks at 0.93 of a 1 MiB cap.
 
@@ -77,7 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import dgemm
 
-from .bessel import bessel_row, bessel_rows
+from .bessel import bessel_row, bessel_rows, tail_order
 from .chain import Hamiltonian, spectral_bounds
 
 # Bound on the discarded Chebyshev tail 2 * sum_{k>K} |J_k(b tau)| of one
@@ -99,11 +101,6 @@ _RING_ORDERS = 8  # most orders stored between two accumulating products
 # peak RSS, and with 8 the fresh-process page faults ranged 6 500 - 11 700
 # with the memory layout.
 _SIZE_CLASSES = 6
-
-# The Bessel row is first evaluated to order ceil(z) + _ORDER_PAD +
-# ceil(10 ln(1 + z)), and doubled in length while its tail is still above
-# TAIL_TOLERANCE (only past z ~ 1000).
-_ORDER_PAD = 40
 
 
 class ReflectionBudgetWarning(UserWarning):
@@ -160,32 +157,23 @@ def block_empty(shape: tuple[int, ...], dtype=float) -> np.ndarray:
     return buffer[:count].reshape(shape)
 
 
-def _padded_order(z: float) -> int:
-    return math.ceil(z) + _ORDER_PAD + math.ceil(10.0 * math.log1p(z))
-
-
 def _truncated_row(z: float) -> tuple[np.ndarray, float]:
-    """J_0(z)..J_K(z) for the first K with 2 * sum_{k>K} |J_k(z)| <= TAIL_TOLERANCE, and that tail."""
-    order = _padded_order(z)
-    while True:
-        values = bessel_row(order, z)
-        # tail[k] = 2 * sum_{j>=k} |J_j(z)| over the evaluated row
-        tail = 2.0 * np.cumsum(np.abs(values[::-1]))[::-1]
-        # Demand one evaluated term past the cut, so the tail is not just the
-        # row running out.
-        below = np.flatnonzero(tail[1:-1] <= TAIL_TOLERANCE)
-        if below.size:
-            return values[: below[0] + 1], float(tail[below[0] + 1])
-        order *= 2
+    """J_0(z)..J_K(z) for the first K with 2 * sum_{k>K} |J_k(z)| <= TAIL_TOLERANCE, and that tail.
+
+    One row is evaluated, to `tail_order(z)`, which lies at least two orders past K.
+    """
+    values = bessel_row(tail_order(z), z)
+    # tail[k] = 2 * sum_{j>=k} |J_j(z)| over the evaluated row
+    tail = 2.0 * np.cumsum(np.abs(values[::-1]))[::-1]
+    cut = int(np.flatnonzero(tail[1:] <= TAIL_TOLERANCE)[0])
+    return values[: cut + 1], float(tail[cut + 1])
 
 
 def chebyshev_order(b: float, delta_t: float) -> int:
     """Order K for one offset: the first K whose tail 2 * sum_{k>K} |J_k(b|dt|)| is <= TAIL_TOLERANCE.
 
     At the desk step (z = b|dt| ~ 1.08) that is K = 15, and over a desk block
-    (z ~ 25.9) K = 59.  Up to z ~ 1000, K never exceeds the padded order
-    ceil(z) + 40 + ceil(10 ln(1 + z)) the row is first evaluated at; past
-    that the padding falls short of the tolerance and the row is lengthened.
+    (z ~ 25.9) K = 59.
     """
     return len(_truncated_row(b * abs(delta_t))[0]) - 1
 
@@ -256,7 +244,7 @@ class _Kernel:
         It holds the first S times of the remaining `grid`; only a grid from
         t = 0 has a zero offset, whose row J_0(0) = 1 yields the seed.  S
         counts the offsets within BLOCK_Z_SPAN, cut so that the workspace fits
-        WORKSPACE_BYTES on a window sized by the padded order: while the ring
+        WORKSPACE_BYTES on a window sized by the plan's order guess: while the ring
         runs, S sample and coefficient rows beside it and three scratch rows;
         after it, S sample rows with the two real rows per sample of
         `observables.moment_rows`.  The positive offsets are then evened over
@@ -277,7 +265,10 @@ class _Kernel:
         least = min(zero + 1, len(offsets))  # at least one positive offset, if any is left
         z = self.half_width * offsets
         count = max(int(np.searchsorted(z, BLOCK_Z_SPAN, side="right")), least)
-        orders = _padded_order(float(z[count - 1])) + 1
+        # The plan's guess at K + 1, which its byte margins were tuned with;
+        # the Bessel row cuts K itself.
+        last = float(z[count - 1])
+        orders = math.ceil(last) + 41 + math.ceil(10.0 * math.log1p(last))
         window = min(len(seed) + 2 * orders, self.num_sites)
         slots = min(_RING_ORDERS, max(3, WORKSPACE_BYTES // (32 * window)))
         free = WORKSPACE_BYTES - 16 * window * (slots + 3)

@@ -184,14 +184,18 @@ class TestSeriesIO:
 
 @st.composite
 def small_configs(draw):
-    """A short run on a small chain: any core half-width, t_start = 0 or later."""
+    """A short run on a small chain: any core half-width, t_start = 0 or later.
+
+    A grid of one sample ends where it starts.
+    """
     num_sites = 2 * draw(st.integers(1, 60)) + 1
     half_width = draw(st.integers(0, (num_sites - 1) // 2))
     t_start = 0.0 if draw(st.booleans()) else draw(st.floats(0.01, 3.0))
+    num_samples = draw(st.integers(1, 60))
+    span = draw(st.floats(0.5, 20.0)) if num_samples > 1 else 0.0
     return config_from_dict(make_config(
         chain={"num_sites": num_sites, "disorder": {"half_width": half_width, "low": 0.0, "high": 2.5}},
-        times={"t_start": t_start, "t_end": t_start + draw(st.floats(0.5, 20.0)),
-               "num_samples": draw(st.integers(1, 60))},
+        times={"t_start": t_start, "t_end": t_start + span, "num_samples": num_samples},
         ensemble={"num_realizations": 1, "base_seed": draw(st.integers(0, 2**32))},
     ))
 
@@ -430,8 +434,9 @@ class TestAnalytic:
         # Past the front |x| = 2t, J_x(2t) trails an Airy tail that widens as
         # t^(1/3): cut 60 sites past the front, W lost 3.4e-9 of itself at
         # t = 450 and 3.3e-7 at t = 1000.  At t = 450 the closed form meets the
-        # numeric run on a chain that holds the front; at t = 1000, W summed
-        # over one long row.
+        # numeric run on a chain that holds the front; at t = 5, 60 and 1000,
+        # W summed over one long row.  At t = 5 and 60 the cut, tail_order(2t),
+        # lies only 46 and 79 sites past the front.
         raw = make_config(
             chain={"num_sites": 2001},
             times={"t_start": 0.0, "t_end": 450.0, "num_samples": 11},
@@ -441,10 +446,12 @@ class TestAnalytic:
         closed, _ = analytic_series(config)
         numeric, _ = simulate_realization(config, 0)
         np.testing.assert_allclose(closed.column("w"), numeric.column("w"), rtol=1e-13, atol=0.0)
-        raw["times"] = {"t_start": 1000.0, "t_end": 1000.0, "num_samples": 1}
-        (w,) = analytic_series(config_from_dict(raw))[0].column("w")
         x = np.arange(2601, dtype=float)
-        assert w == pytest.approx(2.0 * (np.abs(bessel_row(2600, 2000.0)) @ (x * x)), rel=1e-13, abs=0.0)
+        for t in (5.0, 60.0, 1000.0):
+            raw["times"] = {"t_start": t, "t_end": t, "num_samples": 1}
+            (w,) = analytic_series(config_from_dict(raw))[0].column("w")
+            long_sum = 2.0 * (np.abs(bessel_row(2600, 2.0 * t)) @ (x * x))
+            assert w == pytest.approx(long_sum, rel=1e-13, abs=0.0), t
 
     def test_rejects_disordered_config(self):
         config = config_from_dict(make_config())
@@ -679,6 +686,17 @@ class TestCommandLine:
         result = CliRunner().invoke(main, ["simulate", "--config", str(path), "--out", str(out)])
         assert result.exit_code == 2, result.output
         assert "config.chain.disorder.high: need low <= high and a finite width" in result.output
+        assert not out.exists()
+
+    def test_one_sample_away_from_t_start_exit_code(self, tmp_path):
+        # A one-sample grid is its t_start; a t_end elsewhere is rejected, not
+        # dropped or used for the boundary budget.
+        raw = make_config(chain={"num_sites": 101}, times={"t_start": 0.0, "t_end": 1000.0, "num_samples": 1})
+        path, out = write_config(tmp_path, raw), tmp_path / "out"
+        for extra in ([], ["--allow-reflections"]):
+            result = CliRunner().invoke(main, ["simulate", "--config", str(path), "--out", str(out), *extra])
+            assert result.exit_code == 2, result.output
+            assert "config.times.t_end: one sample needs t_end == t_start" in result.output
         assert not out.exists()
 
     def test_analytic_writes_the_run_analytic_csv(self, tmp_path):

@@ -161,6 +161,7 @@ class TestSpecsInCode:
             (0.0, math.inf, 10),
             (0.0, 1.0, 10, "log"),
             (1.0, 2.0, 10, "cubic"),
+            (0.0, 1000.0, 1),  # one sample away from t_start
         ],
     )
     def test_bad_times_rejected(self, args):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import entspread.cli
 import entspread.propagator
 from entspread.analytic import infinite_amplitude
+from entspread.bessel import tail_order
 from entspread.chain import (
     ChainSpec,
     DisorderSpec,
@@ -32,6 +33,7 @@ from entspread.propagator import (
     WORKSPACE_BYTES,
     ReflectionBudgetWarning,
     _edge_count,
+    _truncated_row,
     basis_state,
     block_empty,
     chebyshev_order,
@@ -224,6 +226,27 @@ class TestWindowedStep:
             if order > 0:
                 assert tail + 2.0 * abs(scipy.special.jv(order, z)) > TAIL_TOLERANCE, (z, order)
             assert order <= padded_order(z), (z, order)
+
+    def test_one_row_at_the_tail_order_holds_the_cut(self, monkeypatch):
+        # K is the first order whose tail 2 sum_{k>K} |J_k(z)| over one long
+        # scipy row is <= TAIL_TOLERANCE; tail_order(z) lies at least two
+        # orders past it, so the cut evaluates one row at any z.
+        calls = []
+        original_row = entspread.propagator.bessel_row
+
+        def counted_row(order, z):
+            calls.append((order, z))
+            return original_row(order, z)
+
+        monkeypatch.setattr(entspread.propagator, "bessel_row", counted_row)
+        scan = np.concatenate(([0.0, 1.08, 25.9, 1500.0, 2e4], np.geomspace(0.01, 2e4, 95)))
+        for z in scan.tolist():
+            calls.clear()
+            row, _ = _truncated_row(z)
+            assert calls == [(tail_order(z), z)], z
+            tail = 2.0 * np.cumsum(np.abs(scipy.special.jv(np.arange(tail_order(z) + 400), z))[::-1])[::-1]
+            order = int(np.flatnonzero(tail[1:] <= TAIL_TOLERANCE)[0])
+            assert tail_order(z) >= order + 2 and len(row) == order + 1, (z, order)
 
     def test_desk_step_order(self):
         assert chebyshev_order(4.31, 0.25) == 15
@@ -472,10 +495,10 @@ class TestBlockSeries:
         assert calls["bessel_row"] <= calls["blocks"]
 
     def test_long_jump_lengthens_the_bessel_row(self, monkeypatch):
-        # At z = b|dt| = 1500 the row first evaluated, to the padded order
-        # 1614, runs out before its tail falls to TAIL_TOLERANCE, so it is
-        # evaluated once more at twice the length.  K is then the first order
-        # whose tail 2 sum_{k>K} |J_k(z)| over one long row is <= TAIL_TOLERANCE.
+        # At z = b|dt| = 1500, K + 1 = 1627 lies past the block plan's order
+        # guess, ceil(z) + 41 + ceil(10 ln(1 + z)) = 1615, and the one row
+        # evaluated runs to tail_order(z) = 1657.  K is the first order whose
+        # tail 2 sum_{k>K} |J_k(z)| over one long row is <= TAIL_TOLERANCE.
         calls = []
         original_row = entspread.propagator.bessel_row
 
@@ -485,7 +508,7 @@ class TestBlockSeries:
 
         monkeypatch.setattr(entspread.propagator, "bessel_row", counted_row)
         order = chebyshev_order(1.0, 1500.0)
-        assert calls == [1614, 3228] and order > calls[0]
+        assert calls == [tail_order(1500.0)] == [1657] and order == 1626
         tail = 2.0 * np.cumsum(np.abs(original_row(3400, 1500.0)[::-1]))[::-1]
         assert order == np.flatnonzero(tail[1:] <= TAIL_TOLERANCE)[0]
 
