@@ -22,6 +22,10 @@ The coefficients are exactly the Bessel rows the bessel module provides.
   -2i Hs U_{k-1} + U_{k-2}, one complex row per order, with -2i Hs set up
   once.  Its coefficients are purely imaginary, so each complex product is
   the one real product per part that two real rows would make, bit for bit.
+  The orders of a ring are one pass of the C function `ring_steps`
+  (`_ring.c`, built with `cc` on first import and cached; an import that
+  cannot build it fails), which groups each order's arithmetic as the six
+  numpy ufuncs it replaced did, so their bytes are kept.
   The GEMM's coefficients (2 - delta_k0) J_k(b tau) are real: it reads the
   ring as floats, (re, im) interleaved, and writes the samples into rows
   that are read back as complex.
@@ -49,7 +53,7 @@ The coefficients are exactly the Bessel rows the bessel module provides.
   support only, a view of the window-wide rows, and they are zero outside it.
 * Byte cap.  Up to 8 orders sit in a ring, added into the S sample rows
   whenever it fills; S is cut so that ring, sample and coefficient rows and
-  scratch fit WORKSPACE_BYTES, and so that after the ring is freed the
+  a margin fit WORKSPACE_BYTES, and so that after the ring is freed the
   sample rows fit with the two real rows per sample, |a| and its weights,
   that `observables.moment_rows` makes.  Wider windows shrink the ring to as
   few as 3 orders; only one over WORKSPACE_BYTES / 112 sites (75 000) passes
@@ -58,9 +62,9 @@ The coefficients are exactly the Bessel rows the bessel module provides.
   (`block_empty`), so the next block gets back memory a block before it
   freed instead of faulting in fresh pages.  Those capacities, up to 12%
   over the arrays, are what count against WORKSPACE_BYTES.  The plan's
-  margins (its order guess, the coefficient and scratch rows it reserves)
+  margins (its order guess, the coefficient rows and three spare rows)
   leave room for them: the byte-cap test, which measures what is
-  allocated, peaks at 0.93 of a 1 MiB cap.
+  allocated, peaks at 0.91 of a 1 MiB cap.
 
 `evolve_blocks`, the kernel's one entry point, evolves the unit excitation at
 the origin forward and yields the blocks of its series; the simulate path
@@ -72,9 +76,14 @@ Everything here is pure; distinct trajectories can be evolved concurrently.
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import math
+import os
+import platform
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg.blas import dgemm
@@ -101,6 +110,67 @@ _RING_ORDERS = 8  # most orders stored between two accumulating products
 # peak RSS, and with 8 the fresh-process page faults ranged 6 500 - 11 700
 # with the memory layout.
 _SIZE_CLASSES = 6
+
+
+# How `_ring.c` is built: no product is fused into an addition, so its
+# bytes are those of the numpy ufuncs it replaces.
+_RING_SOURCE = Path(__file__).with_name("_ring.c")
+_RING_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+
+
+def _own_file(path: Path) -> bool:
+    """Whether `path` is a file this user owns; one in a shared temp directory may be another's."""
+    return path.is_file() and path.stat().st_uid == os.getuid()
+
+
+def _ring_library() -> Path:
+    """The shared library built from `_ring.c`, compiled with `cc` on a cache miss.
+
+    It is cached in $XDG_CACHE_HOME/entspread (default ~/.cache/entspread),
+    or in the temp directory where that cannot be written, under a name
+    keyed by the source, the flags and the machine.  A build goes to a
+    temp file that is then renamed over the name, so processes that build
+    at once each leave a whole library.
+    """
+    source = _RING_SOURCE.read_bytes()
+    key = hashlib.sha256(b"\0".join([source, *map(str.encode, _RING_FLAGS),
+                                      platform.machine().encode()])).hexdigest()
+    name = f"entspread-ring-{key[:16]}.so"
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "entspread"
+    if _own_file(cache / name):
+        return cache / name
+    import subprocess
+    import tempfile
+
+    for directory in (cache, Path(tempfile.gettempdir())):
+        if _own_file(directory / name):
+            return directory / name
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+            handle, partial = tempfile.mkstemp(prefix=name, suffix=".partial", dir=directory)
+        except OSError:
+            continue
+        os.close(handle)
+        command = ["cc", *_RING_FLAGS, "-o", partial, str(_RING_SOURCE)]
+        try:
+            done = subprocess.run(command, capture_output=True, text=True)
+            if done.returncode == 0:
+                os.replace(partial, directory / name)
+                return directory / name
+            error = done.stderr.strip()
+        except OSError as exc:
+            error = str(exc)
+        finally:
+            if os.path.exists(partial):
+                os.remove(partial)
+        raise ImportError(f"cannot build the Chebyshev ring step: `{' '.join(command)}` failed: {error}")
+    raise ImportError(f"cannot write {name} to {cache} or {tempfile.gettempdir()}")
+
+
+_RING_PATH = _ring_library()
+_ring_steps = ctypes.CDLL(str(_RING_PATH)).ring_steps
+_ring_steps.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_long] * 4
+_ring_steps.restype = None
 
 
 class ReflectionBudgetWarning(UserWarning):
@@ -215,6 +285,7 @@ class _Kernel:
             # -2i Hs, so each recurrence order is one matvec and one addition.
             self.diag2 = -1j * (2.0 * (h.diag - self.center) / self.half_width)
             self.off2 = -1j * (2.0 * h.offdiag / self.half_width)
+            self.at_diag2, self.at_off2 = self.diag2.ctypes.data, self.off2.ctypes.data
         self._blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
 
     def _coefficients(self, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -245,7 +316,7 @@ class _Kernel:
         t = 0 has a zero offset, whose row J_0(0) = 1 yields the seed.  S
         counts the offsets within BLOCK_Z_SPAN, cut so that the workspace fits
         WORKSPACE_BYTES on a window sized by the plan's order guess: while the ring
-        runs, S sample and coefficient rows beside it and three scratch rows;
+        runs, S sample and coefficient rows beside it and three spare rows;
         after it, S sample rows with the two real rows per sample of
         `observables.moment_rows`.  The positive offsets are then evened over
         the grid, so blocks of a linear grid repeat them.  K is cut for the last offset; each sample sums only
@@ -296,56 +367,44 @@ class _Kernel:
                 need: np.ndarray, slots: int) -> np.ndarray:
         """Rows sum_k coeffs[s, k] U_k on the window [start, stop), as (S, stop - start) complex.
 
-        U_0 is `seed` placed at column `at` of the window.  Sample s sums the
-        orders through the ring flush that holds its order need[s] - 1, not
-        the later ones; `need` is non-decreasing, so each flush updates a
-        suffix of the rows.  The views each recurrence step reads and writes
-        are made once per ring slot.  The ring and its scratch are freed on
-        return, before the caller's per-block temporaries are made.
+        U_0 is `seed` placed at column `at` of the window.  Each ring of
+        orders is one call of the compiled `ring_steps`, then one dgemm.
+        Sample s sums the orders through the ring flush that holds its order
+        need[s] - 1, not the later ones; `need` is non-decreasing, so each
+        flush updates a suffix of the rows.  The ring is allocated after the
+        rows that outlive it, so that, freed on return, before the caller's
+        per-block temporaries are made, it rejoins the free memory past them:
+        in 24 fresh processes each, the desk run to t = 1900 faulted
+        19 000 - 23 700 pages so, and 23 000 - 41 000 with the ring first.
         """
         order, width = coeffs.shape[1] - 1, stop - start
+        if not (0 <= start < stop <= self.num_sites and slots >= 3):
+            # ring_steps would read or write past the arrays it is handed
+            raise ValueError(f"window [{start}, {stop}) of {self.num_sites} sites, {slots} ring slots")
+        # Row s holds sample s as interleaved (re, im) pairs: a complex view.
+        rows = block_empty((len(coeffs), 2 * width))
         # Slot k % slots holds U_k; the zero last slot stands in for U_{-1}.
         # The recurrence overwrites every other slot before reading it.
         ring = block_empty((slots, width), complex)
         ring[0] = 0.0
         ring[0, at : at + len(seed)] = seed
         ring[-1] = 0.0
-        # Row s holds sample s as interleaved (re, im) pairs: a complex view.
-        rows = block_empty((len(coeffs), 2 * width))
-        if order >= 1:
-            diag2 = self.diag2[start:stop]
-            off2 = self.off2[start : stop - 1]
-            tmp = np.empty(width - 1, dtype=complex)
-            # Per slot j, the views the step that writes U_k into it uses:
-            # U_k, U_k[:-1], U_k[1:], U_{k-1}, U_{k-1}[1:], U_{k-1}[:-1], U_{k-2}.
-            steps = []
-            for j in range(slots):
-                nxt, cur = ring[j], ring[j - 1]
-                steps.append((nxt, nxt[:-1], nxt[1:], cur, cur[1:], cur[:-1], ring[j - 2]))
-        done = 0
-        for k in range(order + 1):
-            slot = k % slots
+        at_ring = ring.ctypes.data
+        for done in range(0, order + 1, slots):
+            k = min(done + slots - 1, order)
             if k >= 1:
-                # U_k = -2i Hs U_{k-1} + U_{k-2}
-                nxt, nxt_lo, nxt_hi, cur, cur_hi, cur_lo, prev = steps[slot]
-                np.multiply(diag2, cur, out=nxt)
-                np.multiply(off2, cur_hi, out=tmp)
-                np.add(nxt_lo, tmp, out=nxt_lo)
-                np.multiply(off2, cur_lo, out=tmp)
-                np.add(nxt_hi, tmp, out=nxt_hi)
-                np.add(nxt, prev, out=nxt)
-                if k == 1:
-                    nxt *= 0.5
-            if slot == slots - 1 or k == order:
-                # rows[first:] (+)= coeffs[first:, done:k+1] @ ring[:slot+1], in
-                # place, for the samples that need an order past `done`; dgemm
-                # rejects an empty product, so none is made.
-                first = int(np.searchsorted(need, done, side="right"))
-                if first < len(rows):
-                    stored = ring[: slot + 1].view(float).T
-                    dgemm(1.0, stored, coeffs[first:, done : k + 1], beta=float(done > 0),
-                          c=rows[first:].T, trans_b=1, overwrite_c=1)
-                done = k + 1
+                # U_j = -2i Hs U_{j-1} + U_{j-2} for the ring's orders j >= 1;
+                # the operator's window starts 16 bytes (one complex) per site in.
+                _ring_steps(at_ring, self.at_diag2 + 16 * start, self.at_off2 + 16 * start,
+                            width, slots, max(done, 1), k)
+            # rows[first:] (+)= coeffs[first:, done:k+1] @ ring[:k+1-done], in
+            # place, for the samples that need an order past `done`; dgemm
+            # rejects an empty product, so none is made.
+            first = int(np.searchsorted(need, done, side="right"))
+            if first < len(rows):
+                stored = ring[: k + 1 - done].view(float).T
+                dgemm(1.0, stored, coeffs[first:, done : k + 1], beta=float(done > 0),
+                      c=rows[first:].T, trans_b=1, overwrite_c=1)
         return rows.view(complex)
 
 

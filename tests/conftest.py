@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entspread.propagator import WaveState
+from entspread.propagator import _RING_PATH, WaveState
 
 
 def random_unit_state(rng, n, origin=None):
@@ -12,6 +12,10 @@ def random_unit_state(rng, n, origin=None):
     if origin is None:
         origin = n // 2
     return WaveState(amplitudes=amps, time=0.0, origin=origin)
+
+
+def pytest_report_header(config):
+    return f"entspread ring library: {_RING_PATH}"
 
 
 @pytest.fixture

@@ -8,7 +8,9 @@ None of these is on the pipeline's path, so they live beside their tests:
   symmetric-tridiagonal eigendecomposition, for small chains;
 * `reduced_density_pair`, `wootters_concurrence`, `concurrence_pair`: the
   two-site concurrence by the spin-flip route, against which the product
-  form C_ij = 2 |a_i| |a_j| the moments rest on is checked.
+  form C_ij = 2 |a_i| |a_j| the moments rest on is checked;
+* `ring_steps_numpy`: the Chebyshev recurrence step as six numpy ufunc
+  calls, whose bytes the propagator's compiled step must reproduce.
 
 Tests import them as they import `conftest`: `from oracles import ...`.
 """
@@ -115,6 +117,26 @@ def evolve_diagonalization(h: Hamiltonian, initial: WaveState, delta_t: float) -
     modal = evecs.T @ initial.amplitudes
     amps = evecs @ (np.exp(-1j * evals * delta_t) * modal)
     return WaveState(amps, initial.time + delta_t, initial.origin)
+
+
+def ring_steps_numpy(ring: np.ndarray, diag2: np.ndarray, off2: np.ndarray, first: int, last: int) -> None:
+    """Orders first..last of U_k = -2i Hs U_{k-1} + U_{k-2}, in place in slot k % len(ring).
+
+    `ring` is (slots, width) complex; `diag2` and `off2` are -2i Hs on its
+    window.  Each order is six ufunc calls, and order 1 is halved last.
+    """
+    slots, width = ring.shape
+    tmp = np.empty(width - 1, dtype=complex)
+    for k in range(first, last + 1):
+        nxt, cur, prev = ring[k % slots], ring[(k - 1) % slots], ring[(k - 2) % slots]
+        np.multiply(diag2, cur, out=nxt)
+        np.multiply(off2, cur[1:], out=tmp)
+        np.add(nxt[:-1], tmp, out=nxt[:-1])
+        np.multiply(off2, cur[:-1], out=tmp)
+        np.add(nxt[1:], tmp, out=nxt[1:])
+        np.add(nxt, prev, out=nxt)
+        if k == 1:
+            nxt *= 0.5
 
 
 def _check_pair(state: WaveState, i: int, j: int) -> None:

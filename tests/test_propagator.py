@@ -582,7 +582,7 @@ class TestBlockSeries:
         # each come from freshly mapped pages, this run (desk chain and step,
         # to t = 1900, which its 8001 sites hold without reflections) would
         # fault 110 600 - 114 000 pages in a fresh process; size-classed, it
-        # faulted 13 300 - 15 900 over 12 fresh processes.
+        # faulted 19 000 - 23 700 over 24 fresh processes.
         pytest.importorskip("resource")
         config = json.loads(DESK.read_text())
         config["times"].update(t_end=1900.0, num_samples=7601)
