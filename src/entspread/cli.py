@@ -6,7 +6,8 @@ functions of a loaded config, which tests drive directly; the commands apply
 `--seed` first.  The click group maps their exceptions to exit codes in one
 place, `EXIT_CODES`: 2 for config or input problems, and for a path that
 cannot be read or written (an `OSError`, whose message names the path); 1 for
-a boundary-budget violation.  `verify` also exits 1 when a check fails.
+a boundary-budget violation.  `verify` also exits 1 when a check fails, and
+`simulate` when a realization failed; the others are still written.
 """
 
 from __future__ import annotations
@@ -62,6 +63,10 @@ EARLY_WINDOW_START = 1.0
 # Largest |1 - norm| that `verify` accepts in a series.
 UNITARITY_TOL = 1e-8
 
+# Sites at either chain end whose largest |a| the manifest reports, the
+# margin the boundary budget keeps the front from.
+EDGE_SITES = 10
+
 
 class BoundaryBudgetError(RuntimeError):
     """Requested evolution would let the wavefront reach the chain boundary."""
@@ -94,14 +99,16 @@ def _record(index: int | None, path: Path, spec_digest: str, started: float) -> 
 
 
 def _manifest(
-    command: str, config: ExperimentConfig, out_dir: Path, records: list[dict], started: float
+    command: str, config: ExperimentConfig, out_dir: Path, records: list[dict], started: float,
+    **extra,
 ) -> dict:
-    """The run manifest of `simulate` or `analytic`, also written as manifest.json."""
+    """The run manifest of `simulate` or `analytic`, with `extra` keys, also written as manifest.json."""
     manifest = {
         **_header(command),
         "config": config_to_dict(config),
         "config_digest": config_digest(config),
         "realizations": records,
+        **extra,
         "total_wall_time_s": round(_time.perf_counter() - started, 3),
     }
     if "json" in config.outputs.formats:
@@ -128,12 +135,15 @@ def simulate_realization(
     Each block is reduced straight to its moment rows.  The work counts are
     the propagator's: blocks (the one that holds t = 0 too), matvecs (the sum
     of the block orders K), site-updates (K times the block's window width)
-    and the smallest and largest K.  propagate_s and observe_s are the
-    seconds spent making the blocks and reducing them, |a| included.
+    and the smallest and largest K.  max_edge_amplitude is the largest |a|
+    on the EDGE_SITES sites at either chain end over all samples, 0.0 where
+    no block's support reaches them: how close the run came to reflecting.
+    propagate_s and observe_s are the seconds spent making the blocks and
+    reducing them.
     """
     h = build_hamiltonian(config.chain, realization_index)
     origin, half_width = config.chain.origin, config.chain.disorder.half_width
-    tables, orders, site_updates, propagate_s, observe_s = [], [], 0, 0.0, 0.0
+    tables, orders, site_updates, edge, propagate_s, observe_s = [], [], 0, 0.0, 0.0, 0.0
     clock = _time.perf_counter()
     for block in evolve_blocks(h, origin, config.times.grid(), half_width):
         made = _time.perf_counter()
@@ -141,6 +151,10 @@ def simulate_realization(
         tables.append(moment_rows(block, origin, half_width))
         orders.append(block.order)
         site_updates += block.order * block.window
+        if block.start < EDGE_SITES or block.start + block.width > h.num_sites - EDGE_SITES:
+            sites = np.arange(block.start, block.start + block.width)
+            near = (sites < EDGE_SITES) | (sites >= h.num_sites - EDGE_SITES)
+            edge = max(edge, float(np.max(np.abs(block.amplitudes[:, near]), initial=0.0)))
         clock = _time.perf_counter()
         observe_s += clock - made
     digest = config_digest(config, realization_index)
@@ -153,6 +167,7 @@ def simulate_realization(
         "max_block_order": max(orders),
         "max_norm_error": float(np.max(series.column("norm_error"))),
         "final_support_width": block.width,
+        "max_edge_amplitude": edge,
         "propagate_s": round(propagate_s, 3),
         "observe_s": round(observe_s, 3),
     }
@@ -243,13 +258,25 @@ def run_simulate(
     allow_reflections: bool = False,
     jobs: int = 1,
 ) -> dict:
-    """Simulate every realization in the ensemble; returns the manifest."""
+    """Simulate every realization in the ensemble; returns the manifest.
+
+    A realization that raises is recorded under the manifest's `failures`
+    as {"index", "error"}, and the others are still simulated and written.
+    """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     _check_budget(config, allow_reflections)
     out_dir = Path(out_dir)
     indices = range(config.ensemble.num_realizations)
     started = _time.perf_counter()
+    records, failures = [], []
+
+    def settle(index: int, run, *args) -> None:
+        try:
+            records.append(run(*args))
+        except Exception as exc:
+            failures.append({"index": index, "error": f"{type(exc).__name__}: {exc}"})
+
     if jobs > 1 and len(indices) > 1:
         # The pool starts all its workers at once: no more than there is work for.
         with concurrent.futures.ProcessPoolExecutor(
@@ -257,15 +284,17 @@ def run_simulate(
         ) as pool:
             futures = [pool.submit(_simulate_worker, config, idx, out_dir) for idx in indices]
             # Slots are keyed by realization index, never by completion order.
-            records = [future.result() for future in futures]
+            for idx, future in zip(indices, futures):
+                settle(idx, future.result)
     else:
         before = _set_blas_threads(1)
         try:
-            records = [_simulate_worker(config, idx, out_dir) for idx in indices]
+            for idx in indices:
+                settle(idx, _simulate_worker, config, idx, out_dir)
         finally:
             if before is not None:
                 _set_blas_threads(before)
-    return _manifest("simulate", config, out_dir, records, started)
+    return _manifest("simulate", config, out_dir, records, started, failures=failures)
 
 
 def run_analytic(config: ExperimentConfig, out_dir: str | Path) -> dict:
@@ -408,8 +437,8 @@ def run_sweep(
 
     A window that holds fewer than two grid times, or without averaging a
     grid time t <= 0, is rejected before any simulation.  A realization
-    whose series cannot be read or fitted is recorded under `failures` and
-    does not stop the sweep.
+    that failed to simulate, or whose series cannot be read or fitted, is
+    recorded under `failures` and does not stop the sweep.
     """
     _check_average_window(average_window)
     if window is None:
@@ -427,7 +456,7 @@ def run_sweep(
     out_dir = Path(out_dir)
 
     entries = []
-    failures = []
+    failures = list(manifest["failures"])
     for record in manifest["realizations"]:
         try:
             series = read_series_csv(out_dir / record["csv"])
@@ -444,7 +473,7 @@ def run_sweep(
         "average_window": average_window,
         "field": field_name,
         "realizations": entries,
-        "failures": failures,
+        "failures": sorted(failures, key=lambda failure: failure["index"]),
         "ensemble": _ensemble([e["exponent"] for e in entries]),
     }
     if "json" in config.outputs.formats:
@@ -523,6 +552,10 @@ def simulate(config_path, out_dir, allow_reflections, jobs, seed):
         f"simulate: {len(manifest['realizations'])} realization(s) -> {out} "
         f"({manifest['total_wall_time_s']:.1f} s)"
     )
+    for failure in manifest["failures"]:
+        click.echo(f"simulate error: realization {failure['index']}: {failure['error']}", err=True)
+    if manifest["failures"]:
+        raise SystemExit(1)
 
 
 @main.command(params=[_CONFIG, _OUT_DIR, _SEED])

@@ -51,20 +51,26 @@ The coefficients are exactly the Bessel rows the bessel module provides.
   outside the support stays below TAIL_TOLERANCE^2 on a chained ordered run.
   The trim is the block's one cut: a block stores its samples on the
   support only, a view of the window-wide rows, and they are zero outside it.
+  The trim's search and the phase exp(-i a tau) are C passes over the rows
+  too (`edge_counts`, `phase_rows`), in numpy's arithmetic: a running sum
+  as np.cumsum makes it, and numpy's complex product, fused where numpy's
+  loops fuse it in this process (`_numpy_fuses`).
 * Byte cap.  Up to 8 orders sit in a ring, added into the S sample rows
   whenever it fills; S is cut so that ring, sample and coefficient rows and
   a margin fit WORKSPACE_BYTES, and so that after the ring is freed the
-  sample rows fit with the two real rows per sample, |a| and its weights,
-  that `observables.moment_rows` makes.  Wider windows shrink the ring to as
-  few as 3 orders; only one over WORKSPACE_BYTES / 112 sites (75 000) passes
-  the cap.  The ring, the sample rows, |a| and the weights each head a
+  sample rows fit with two real rows per sample.  Those held |a| and its
+  weights when `observables.moment_rows` made them; its compiled pass makes
+  neither, so they are margin now, kept because dropping them moves S on
+  wide windows and so the bytes of long runs.  Wider windows shrink the
+  ring to as few as 3 orders; only one over WORKSPACE_BYTES / 112 sites
+  (75 000) passes the cap.  The ring and the sample rows each head a
   buffer whose byte size is rounded up to a power of 2 ** (1 / _SIZE_CLASSES)
   (`block_empty`), so the next block gets back memory a block before it
   freed instead of faulting in fresh pages.  Those capacities, up to 12%
   over the arrays, are what count against WORKSPACE_BYTES.  The plan's
-  margins (its order guess, the coefficient rows and three spare rows)
-  leave room for them: the byte-cap test, which measures what is
-  allocated, peaks at 0.91 of a 1 MiB cap.
+  margins (its order guess, the coefficient rows, three spare rows and the
+  two rows per sample) leave room for them: the byte-cap test, which
+  measures what is allocated, peaks at 0.88 of a 1 MiB cap.
 
 `evolve_blocks`, the kernel's one entry point, evolves the unit excitation at
 the origin forward and yields the blocks of its series; the simulate path
@@ -77,6 +83,7 @@ Everything here is pure; distinct trajectories can be evolved concurrently.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import math
 import os
@@ -112,10 +119,10 @@ _RING_ORDERS = 8  # most orders stored between two accumulating products
 _SIZE_CLASSES = 6
 
 
-# How `_ring.c` is built: no product is fused into an addition, so its
-# bytes are those of the numpy ufuncs it replaces.
+# How `_ring.c` is built; its header says how the flags keep numpy's bytes.
 _RING_SOURCE = Path(__file__).with_name("_ring.c")
-_RING_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+_RING_FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
+_RING_LIBS = ("-lm",)
 
 
 def _own_file(path: Path) -> bool:
@@ -133,7 +140,7 @@ def _ring_library() -> Path:
     at once each leave a whole library.
     """
     source = _RING_SOURCE.read_bytes()
-    key = hashlib.sha256(b"\0".join([source, *map(str.encode, _RING_FLAGS),
+    key = hashlib.sha256(b"\0".join([source, *map(str.encode, _RING_FLAGS + _RING_LIBS),
                                       platform.machine().encode()])).hexdigest()
     name = f"entspread-ring-{key[:16]}.so"
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "entspread"
@@ -151,7 +158,7 @@ def _ring_library() -> Path:
         except OSError:
             continue
         os.close(handle)
-        command = ["cc", *_RING_FLAGS, "-o", partial, str(_RING_SOURCE)]
+        command = ["cc", *_RING_FLAGS, "-o", partial, str(_RING_SOURCE), *_RING_LIBS]
         try:
             done = subprocess.run(command, capture_output=True, text=True)
             if done.returncode == 0:
@@ -167,10 +174,102 @@ def _ring_library() -> Path:
     raise ImportError(f"cannot write {name} to {cache} or {tempfile.gettempdir()}")
 
 
+@functools.cache
+def _numpy_fuses() -> tuple[bool, bool, bool]:
+    """Whether numpy fuses a product into a sum here: in a complex product of rows, of one element in place, and in |a|.
+
+    numpy picks its loops by the CPU (and NPY_DISABLE_CPU_FEATURES): with
+    FMA they compute a b as (fma(ar, br, -ai bi), fma(ar, bi, ai br)) and
+    |a| as L sqrt(fma(q, q, 1)), L = max(|ar|, |ai|), q = min / L; without,
+    as the plain products and sums.  It multiplies a lone element in place
+    with a plain scalar loop.  Each is probed on values where the two forms
+    round apart, and compared with the plain form.  The probe runs on first
+    use: it maps in numpy's complex loops, about 0.26 MB, which a process
+    that runs no block never needs.
+    """
+    x = 1.0 + 2.0**-27  # x x - 1 is exact only when fused
+    products = []
+    for sites in (8, 1):
+        rows = np.full((1, sites), complex(x, 1.0))
+        rows *= rows[:, :1].copy()  # as `_Kernel.block` applies its phases
+        products.append(bool(np.any(rows.real != x * x - 1.0)))
+    ratio = np.arange(1, 257) * 0.6180339887498949 % 1.0  # some give |1 + i ratio| two roundings
+    magnitudes = np.abs(1.0 + 1j * ratio)
+    return *products, bool(np.any(magnitudes != np.sqrt(ratio * ratio + 1.0)))
+
+
 _RING_PATH = _ring_library()
-_ring_steps = ctypes.CDLL(str(_RING_PATH)).ring_steps
-_ring_steps.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_long] * 4
-_ring_steps.restype = None
+_LIBRARY = ctypes.CDLL(str(_RING_PATH))
+
+
+def _bind(name: str, *argtypes):
+    function = getattr(_LIBRARY, name)
+    function.argtypes, function.restype = argtypes, None
+    return function
+
+
+_P, _N = ctypes.c_void_p, ctypes.c_long
+_ring_steps = _bind("ring_steps", _P, _P, _P, _N, _N, _N, _N)
+_edge_counts_c = _bind("edge_counts", _P, _N, _N, _N, ctypes.c_double, _P)
+_phase_rows_c = _bind("phase_rows", _P, _N, _N, _N, _P, _N)
+_moment_sums_c = _bind("moment_sums", _P, _N, _N, _N, _N, _N, _N, _N, _P)
+
+
+def _c_rows(rows: np.ndarray) -> bool:
+    """Whether the C passes read `rows` in place: aligned 2-d complex128, each row's sites contiguous."""
+    return (rows.ndim == 2 and rows.dtype == np.complex128 and rows.flags.aligned
+            and (rows.shape[1] <= 1 or rows.strides[1] == 16)
+            and (rows.shape[0] <= 1 or rows.strides[0] % 16 == 0))
+
+
+def _row_args(rows: np.ndarray) -> tuple[int, int, int, int]:
+    """(address, row stride in complex items, rows, sites) of `rows` for a C pass.
+
+    Raises ValueError for rows the pass would read or write outside of.
+    """
+    if not _c_rows(rows):
+        raise ValueError(f"C passes take aligned complex128 rows with contiguous sites, got "
+                         f"{rows.dtype} of shape {rows.shape} and strides {rows.strides}")
+    count, width = rows.shape
+    return rows.ctypes.data, rows.strides[0] // 16 if count > 1 else 0, count, width
+
+
+def _edge_counts(rows: np.ndarray, budget: float) -> np.ndarray:
+    """Outer sites of each row of `rows` (S, width) whose running weight sum |a_x|^2 is <= budget, as (2, S).
+
+    Row 0 counts from the left end, row 1 from the right; the sum runs site
+    by site, as np.cumsum does.
+    """
+    address, stride, count, width = _row_args(rows)
+    counts = np.empty((2, count), dtype=np.int64)
+    _edge_counts_c(address, stride, count, width, budget, counts.ctypes.data)
+    return counts
+
+
+def _phase_rows(rows: np.ndarray, phases: np.ndarray) -> None:
+    """rows[s] *= phases[s] in place, bit for bit as numpy's `rows *= phases[:, None]`."""
+    address, stride, count, width = _row_args(rows)
+    phases = np.ascontiguousarray(phases, dtype=complex)
+    if not rows.flags.writeable or phases.shape != (count,):
+        raise ValueError(f"{count} writeable rows need as many phases, got {phases.shape}")
+    rows_fused, lone_fused, _ = _numpy_fuses()
+    fused = lone_fused if count * width == 1 else rows_fused
+    _phase_rows_c(address, stride, count, width, phases.ctypes.data, fused)
+
+
+def _moment_sums(rows: np.ndarray, first: int, core: tuple[int, int]) -> np.ndarray:
+    """Sums over each row of `rows` (S, width), as (4, S): of x^2 |a_x|, of it off the core, on the core, and of |a_x|^2.
+
+    x = first + column; the core is the columns [core[0], core[1]).  Each
+    is the pairwise sum np.add.reduce makes of numpy's own |a| and
+    products, so they equal the numpy reductions bit for bit.
+    """
+    address, stride, count, width = _row_args(rows)
+    if not 0 <= core[0] <= core[1] <= width:
+        raise ValueError(f"core columns {core} outside {width} sites")
+    sums = np.empty((4, count))
+    _moment_sums_c(address, stride, count, width, first, *core, _numpy_fuses()[2], sums.ctypes.data)
+    return sums
 
 
 class ReflectionBudgetWarning(UserWarning):
@@ -317,8 +416,8 @@ class _Kernel:
         counts the offsets within BLOCK_Z_SPAN, cut so that the workspace fits
         WORKSPACE_BYTES on a window sized by the plan's order guess: while the ring
         runs, S sample and coefficient rows beside it and three spare rows;
-        after it, S sample rows with the two real rows per sample of
-        `observables.moment_rows`.  The positive offsets are then evened over
+        after it, S sample rows with two real rows per sample, which the moment
+        rows' |a| and weights once took.  The positive offsets are then evened over
         the grid, so blocks of a linear grid repeat them.  K is cut for the last offset; each sample sums only
         the orders its own tail needs.
 
@@ -329,7 +428,7 @@ class _Kernel:
         `evolve_blocks`: no sample loses more than 2 (TAIL_TOLERANCE / 2)^2 of
         the seed's weight, and the step keeps a sample's within about 1e-13
         of it.  The block's amplitudes are the sample rows' support columns,
-        a view, and only they get the phases.
+        a view, and only they get the phases, in place.
         """
         offsets = grid - now
         zero = int(offsets[0] == 0.0)
@@ -354,11 +453,12 @@ class _Kernel:
         stop = min(lo + len(seed) + order, self.num_sites)
         samples = self._expand(seed, lo - start, start, stop, coeffs, need, slots)
         budget = (0.5 * TAIL_TOLERANCE) ** 2 * float(np.vdot(seed, seed).real)
-        # The cut almost always falls in the outer order + 1 sites, the ones the
-        # light cone added; each side drops what every sample can spare.
-        left, right = _edge_count(samples, budget, order + 1).min(axis=1).tolist()
+        # Each side drops what every sample can spare; each row's search stops
+        # at its first site past the budget, almost always among the outer
+        # order + 1 sites the light cone added.
+        left, right = _edge_counts(samples, budget).min(axis=1).tolist()
         samples = samples[:, left : stop - start - right]
-        samples *= phases[:, None]
+        _phase_rows(samples, phases)
         # Label with the exact grid values; the evolved duration is the sum of
         # the block offsets, which telescopes to t exactly.
         return Block(grid[:count], samples, start + left, stop - start, order)
@@ -406,25 +506,6 @@ class _Kernel:
                 dgemm(1.0, stored, coeffs[first:, done : k + 1], beta=float(done > 0),
                       c=rows[first:].T, trans_b=1, overwrite_c=1)
         return rows.view(complex)
-
-
-def _edge_count(samples: np.ndarray, budget: float, rim: int) -> np.ndarray:
-    """Outer sites of each row of `samples` (S, width) whose summed weight is <= budget, as (2, S).
-
-    Row 0 counts from the left end, row 1 from the right.  Both ends are
-    searched as one stack of 2S rows over their outer `rim` sites, doubled
-    while any sample's budget outlasts them.
-    """
-    width = samples.shape[1]
-    while True:
-        rim = min(rim, width)
-        edge = np.concatenate((samples[:, :rim], samples[:, ::-1][:, :rim]))
-        weight = np.square(edge.real)
-        weight += np.square(edge.imag)
-        count = np.count_nonzero(np.cumsum(weight, axis=1) <= budget, axis=1)
-        if rim == width or np.all(count < rim):
-            return count.reshape(2, -1)
-        rim *= 2
 
 
 def reflection_budget_violation(

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entspread.propagator import _RING_PATH, WaveState
+from entspread.propagator import _RING_PATH, WaveState, _numpy_fuses
 
 
 def random_unit_state(rng, n, origin=None):
@@ -15,7 +15,12 @@ def random_unit_state(rng, n, origin=None):
 
 
 def pytest_report_header(config):
-    return f"entspread ring library: {_RING_PATH}"
+    # The compiled passes copy numpy's complex product and absolute, fused
+    # or not as numpy's loops are here; a byte-test failure reads against this.
+    product, lone_product, absolute = _numpy_fuses()
+    return [f"entspread ring library: {_RING_PATH}",
+            f"numpy FMA: complex product {product} (one element in place {lone_product}), "
+            f"complex absolute {absolute}"]
 
 
 @pytest.fixture

@@ -9,8 +9,10 @@ None of these is on the pipeline's path, so they live beside their tests:
 * `reduced_density_pair`, `wootters_concurrence`, `concurrence_pair`: the
   two-site concurrence by the spin-flip route, against which the product
   form C_ij = 2 |a_i| |a_j| the moments rest on is checked;
-* `ring_steps_numpy`: the Chebyshev recurrence step as six numpy ufunc
-  calls, whose bytes the propagator's compiled step must reproduce.
+* `ring_steps_numpy`, `edge_count_numpy` and `moment_rows_numpy`: the
+  Chebyshev recurrence step, the block trim's edge search and a block's
+  moment rows as numpy calls, whose bytes the compiled passes of `_ring.c`
+  must reproduce.
 
 Tests import them as they import `conftest`: `from oracles import ...`.
 """
@@ -24,7 +26,7 @@ import numpy as np
 import scipy.linalg
 
 from entspread.chain import Hamiltonian
-from entspread.propagator import WaveState
+from entspread.propagator import Block, WaveState
 
 # Validity box of the ascending-series oracle in these units; beyond it the
 # alternating series loses too many digits even at extended precision budgets
@@ -137,6 +139,45 @@ def ring_steps_numpy(ring: np.ndarray, diag2: np.ndarray, off2: np.ndarray, firs
         np.add(nxt, prev, out=nxt)
         if k == 1:
             nxt *= 0.5
+
+
+def edge_count_numpy(samples: np.ndarray, budget: float, rim: int) -> np.ndarray:
+    """Outer sites of each row of `samples` (S, width) whose summed weight is <= budget, as (2, S).
+
+    Row 0 counts from the left end, row 1 from the right.  Both ends are
+    searched as one stack of 2S rows over their outer `rim` sites, doubled
+    while any sample's budget outlasts them.
+    """
+    width = samples.shape[1]
+    while True:
+        rim = min(rim, width)
+        edge = np.concatenate((samples[:, :rim], samples[:, ::-1][:, :rim]))
+        weight = np.square(edge.real)
+        weight += np.square(edge.imag)
+        count = np.count_nonzero(np.cumsum(weight, axis=1) <= budget, axis=1)
+        if rim == width or np.all(count < rim):
+            return count.reshape(2, -1)
+        rim *= 2
+
+
+def moment_rows_numpy(block: Block, origin: int, half_width: int = 0) -> np.ndarray:
+    """`observables.moment_rows` as numpy reductions: np.abs, then one np.add.reduce per row and column."""
+    first, size = block.start - origin, block.width
+    magnitudes = np.abs(block.amplitudes)
+    offsets = np.arange(first, first + size, dtype=float)
+    weights = np.multiply(magnitudes, offsets * offsets)
+    core = slice(min(max(-half_width - first, 0), size), min(max(half_width + 1 - first, 0), size))
+    w_total = np.add.reduce(weights, axis=1)
+    w_inner = np.add.reduce(weights[:, core], axis=1)
+    weights[:, core] = 0.0
+    w_outer = np.add.reduce(weights, axis=1)
+    norm_error = np.abs(1.0 - np.add.reduce(np.square(magnitudes), axis=1))
+    alpha0 = np.zeros(len(weights))
+    column = origin - block.start
+    if 0 <= column < block.width:
+        alpha0[:] = [abs(a) for a in block.amplitudes[:, column]]
+    return np.column_stack((block.times, 2.0 * alpha0 * w_total, w_total, alpha0,
+                            2.0 * alpha0 * w_outer, 2.0 * alpha0 * w_inner, norm_error))
 
 
 def _check_pair(state: WaveState, i: int, j: int) -> None:

@@ -228,6 +228,7 @@ class TestSimulate:
         assert stats == {
             "blocks": 167, "matvecs": 9845, "site_updates": 21568232,
             "min_block_order": 58, "max_block_order": 59, "final_support_width": 4078,
+            "max_edge_amplitude": 0.0,
         }
 
     def test_desk_first_block_holds_t_zero_and_twenty_four_samples(self):
@@ -252,6 +253,7 @@ class TestSimulate:
         assert stats == {
             "blocks": 1, "matvecs": 0, "site_updates": 0, "min_block_order": 0,
             "max_block_order": 0, "max_norm_error": 0.0, "final_support_width": 1,
+            "max_edge_amplitude": 0.0,
         }
 
     def test_ordered_matches_analytic(self, tmp_path):
@@ -318,6 +320,55 @@ class TestSimulate:
         with pytest.raises(BoundaryBudgetError):
             run_simulate(config_from_dict(raw), tmp_path)
         run_simulate(config_from_dict(raw), tmp_path, allow_reflections=True)
+
+    @pytest.mark.filterwarnings("ignore::entspread.propagator.ReflectionBudgetWarning")
+    def test_reflecting_run_reports_its_edge_amplitude(self, tmp_path):
+        # The front of a 201-site chain reaches its ends by t = 50, and the
+        # largest |a| on the 10 sites at either end says so; within the
+        # budget (t = 20) the support stops short of them.
+        raw = make_config(times={"t_start": 0.0, "t_end": 60.0, "num_samples": 61},
+                          ensemble={"num_realizations": 1, "base_seed": 7})
+        args = ["simulate", "--config", str(write_config(tmp_path, raw)), "--out", str(tmp_path / "out")]
+        result = CliRunner().invoke(main, [*args, "--allow-reflections"])
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert 1e-3 < manifest["realizations"][0]["stats"]["max_edge_amplitude"] < 1.0
+        _, stats = simulate_realization(config_from_dict(make_config()), 0)
+        assert stats["max_edge_amplitude"] == 0.0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_failing_realization_keeps_the_others(self, tmp_path, monkeypatch, jobs):
+        # Pool workers fork from this process, so they see the patch too.
+        original = entspread.cli.build_hamiltonian
+
+        def failing(chain, index):
+            if index == 1:
+                raise RuntimeError("no chain for realization 1")
+            return original(chain, index)
+
+        monkeypatch.setattr(entspread.cli, "build_hamiltonian", failing)
+        config = config_from_dict(make_config(ensemble={"num_realizations": 3, "base_seed": 7}))
+        manifest = run_simulate(config, tmp_path / "out", jobs=jobs)
+        failure = {"index": 1, "error": "RuntimeError: no chain for realization 1"}
+        assert manifest["failures"] == [failure]
+        assert [record["index"] for record in manifest["realizations"]] == [0, 2]
+        assert sorted(p.name for p in (tmp_path / "out").glob("*.csv")) == ["series_r0000.csv", "series_r0002.csv"]
+        assert json.loads((tmp_path / "out" / "manifest.json").read_text())["failures"] == [failure]
+        run_simulate(config_from_dict(make_config()), tmp_path / "whole", jobs=jobs)
+        assert (tmp_path / "out" / "series_r0000.csv").read_bytes() == (
+            tmp_path / "whole" / "series_r0000.csv"
+        ).read_bytes()
+        path = write_config(tmp_path, make_config(ensemble={"num_realizations": 3, "base_seed": 7}))
+        args = ["--config", str(path), "--jobs", str(jobs)]
+        result = CliRunner().invoke(main, ["simulate", *args, "--out", str(tmp_path / "cli")])
+        assert result.exit_code == 1, result.output
+        assert "realization 1: RuntimeError: no chain for realization 1" in result.output
+        assert json.loads((tmp_path / "cli" / "manifest.json").read_text())["failures"] == [failure]
+        result = CliRunner().invoke(main, ["sweep", *args, "--out", str(tmp_path / "sweep"), "--window", "4:20"])
+        assert result.exit_code == 0, result.output
+        aggregate = json.loads((tmp_path / "sweep" / "aggregate.json").read_text())
+        assert aggregate["failures"] == [failure]
+        assert [entry["index"] for entry in aggregate["realizations"]] == [0, 2]
 
     def test_seed_override_changes_output(self, tmp_path):
         path = write_config(tmp_path, make_config())
@@ -983,7 +1034,7 @@ class TestReportSchemas:
         sweep = run_sweep(config, tmp_path / "sweep", window=(2.0, 20.0))
 
         manifest_keys = self.HEADER | {"config", "config_digest", "realizations", "total_wall_time_s"}
-        assert set(simulate) == manifest_keys
+        assert set(simulate) == manifest_keys | {"failures"}
         assert set(analytic) == manifest_keys
         assert set(fit) == self.HEADER | {"realizations", "ensemble"}
         assert set(verify) == self.HEADER | {
@@ -997,9 +1048,10 @@ class TestReportSchemas:
         assert set(simulate["realizations"][0]) == record_keys | {"stats"}
         assert set(simulate["realizations"][0]["stats"]) == {
             "blocks", "matvecs", "site_updates", "min_block_order", "max_block_order",
-            "max_norm_error", "final_support_width", "propagate_s", "observe_s", "write_s",
+            "max_norm_error", "final_support_width", "max_edge_amplitude", "propagate_s", "observe_s",
+            "write_s",
         }
         assert set(analytic["realizations"][0]) == record_keys
         ensemble_keys = {"count", "median_exponent", "iqr_exponent"}
         assert set(fit["ensemble"]) == set(sweep["ensemble"]) == ensemble_keys
-        assert json.loads((tmp_path / "sim" / "manifest.json").read_text()).keys() == manifest_keys
+        assert json.loads((tmp_path / "sim" / "manifest.json").read_text()).keys() == manifest_keys | {"failures"}

@@ -32,7 +32,7 @@ from entspread.propagator import (
     TAIL_TOLERANCE,
     WORKSPACE_BYTES,
     ReflectionBudgetWarning,
-    _edge_count,
+    _edge_counts,
     _truncated_row,
     basis_state,
     block_empty,
@@ -131,20 +131,20 @@ class TestChebyshev:
         x = np.arange(-300, 301)
         rows = (-1j) ** np.abs(x) * scipy.special.jv(x, 2.0 * np.array([[5.0], [30.0], [60.0]]))
         budget = (0.5 * TAIL_TOLERANCE) ** 2
-        counts = _edge_count(rows, budget, 8)
+        counts = _edge_counts(rows, budget)
         assert counts.shape == (2, 3) and np.array_equal(counts[0], counts[1])
         assert counts[0].tolist() != [0, 0, 0] and np.all(counts < 300)
-        np.testing.assert_array_equal(_edge_count(1e-20 * rows, 1e-40 * budget, 8), counts)
+        np.testing.assert_array_equal(_edge_counts(1e-20 * rows, 1e-40 * budget), counts)
 
     def test_trim_drops_a_faint_stretch_wider_than_the_light_cone(self):
         # 1e-30 amplitudes on 26 leading sites carry far less than the trim
-        # budget, so the edge search doubles its 4-site rim until it reaches
-        # the bulk; the right ends, searched in the same stack, stop sooner
+        # budget, so the edge search runs on to the bulk, however far past
+        # the light cone's sites that lies; the right ends stop where theirs starts
         rows = np.zeros((2, 64), dtype=complex)
         rows[:, :26] = 1e-30
         rows[0, 26:33] = 1.0 / math.sqrt(7.0)
         rows[1, 40:47] = 1.0 / math.sqrt(7.0)
-        counts = _edge_count(rows, (0.5 * TAIL_TOLERANCE) ** 2, 4)
+        counts = _edge_counts(rows, (0.5 * TAIL_TOLERANCE) ** 2)
         assert counts.tolist() == [[26, 40], [31, 17]]
 
     def test_pure_phase_when_spectrum_degenerate(self):
