@@ -1,7 +1,9 @@
-/* The compiled passes of entspread: the Chebyshev recurrence step, and the
-   per-block trim, phase and moment sums.
+/* The compiled passes of entspread: the Chebyshev recurrence step and the
+   flush of its orders into the samples, and the per-block trim, phase and
+   moment sums.
 
-   Every CSV keeps the bytes numpy gave, so each pass does numpy's own
+   ring_flush defines its own arithmetic, one fma per term (see there).  The
+   other passes keep the bytes numpy gave, so each does numpy's own
    arithmetic in numpy's order.  Built with -ffp-contract=off, so no product
    is fused into an addition unless written as fma(), save that GCC's
    vectorizer fuses what it takes for a complex product (see phase_rows);
@@ -19,7 +21,8 @@
        U_k = -2i Hs U_{k-1} + U_{k-2}
 
    in place: order k goes into slot k % slots of `ring`, `slots` rows of
-   `width` values, and reads its two predecessors from the slots before it.
+   `width` values `spacing` complex values apart, and reads its two
+   predecessors from the slots before it.
    `d` (width values) and `o` (width - 1 values) are the diagonal and
    off-diagonal of -2i Hs on the window.  The arithmetic is grouped as the
    numpy step's ufuncs group it,
@@ -44,13 +47,13 @@
     re = a[0] * b[0] - a[1] * b[1];          \
     im = a[0] * b[1] + a[1] * b[0]
 
-CLONES void ring_steps(double *ring, const double *d, const double *o, long width, long slots,
-                       long first, long last)
+CLONES void ring_steps(double *ring, long spacing, const double *d, const double *o,
+                       long width, long slots, long first, long last)
 {
     for (long k = first; k <= last; ++k) {
-        double *restrict next = ring + 2 * width * (k % slots);
-        const double *restrict cur = ring + 2 * width * ((k - 1) % slots);
-        const double *restrict prev = ring + 2 * width * ((k - 2 + slots) % slots);
+        double *restrict next = ring + 2 * spacing * (k % slots);
+        const double *restrict cur = ring + 2 * spacing * ((k - 1) % slots);
+        const double *restrict prev = ring + 2 * spacing * ((k - 2 + slots) % slots);
         double re, im, pr, pi;
         if (width == 1) {
             MUL(d, cur, re, im);
@@ -229,5 +232,126 @@ CLONES void moment_sums(const double *rows, long stride, long count, long width,
         out[count + s] = 0.0 + all[1];
         out[2 * count + s] = 0.0 + core[0];
         out[3 * count + s] = 0.0 + all[2];
+    }
+}
+
+/* ring_flush: the orders done..last of a ring added into the sample rows.
+   For each sample s whose need[s] > done,
+
+       rows[s] = fma(coeffs[s, j], U_j, rows[s])   for j = done .. min(last, need[s] - 1)
+
+   in ascending j, one real fma per double of the (re, im) rows, U_j being
+   slot j % slots of `ring` (as in ring_steps) and coeffs[s, j] at
+   `coeff_stride` doubles per row.  The first flush (done == 0) starts
+   every row from 0.0.  So each double of sample s is one fixed sequence of
+   roundings over its first need[s] orders, whatever the ring size or the
+   tiling below.  fma() is written out, not left to -ffp-contract: a clone
+   without an FMA unit calls libm's, which rounds alike.
+
+   The rows are cut into tiles of TILE_ROWS samples by TILE_COLS doubles,
+   each tile's sums held in registers while the ring's orders pass over it;
+   a tile column's ring orders stay in L1 while its tiles run down the
+   samples.  A sample that stops inside the ring, and samples and doubles
+   past the last whole tile, take the same fmas one row at a time.  The
+   kernel starts every ring slot on a 64-byte line, so that no vector load
+   of the ring splits a cache line. */
+#define TILE_ROWS 4
+#define TILE_VECS 3
+#define TILE_LANES 8
+#define TILE_COLS (TILE_VECS * TILE_LANES)
+
+typedef double lanes __attribute__((vector_size(TILE_LANES * sizeof(double)), aligned(8)));
+
+/* The orders from..stop-1 into `count` rows (TILE_ROWS or 1) of one tile. */
+static inline __attribute__((always_inline)) void
+flush_tile(double *rows, long stride, int count, const double *ring, long spacing, long slots,
+           const double *coeffs, long coeff_stride, long from, long stop)
+{
+    lanes sums[TILE_ROWS][TILE_VECS];
+#pragma GCC unroll 16
+    for (int r = 0; r < count; ++r)
+#pragma GCC unroll 16
+        for (int v = 0; v < TILE_VECS; ++v) {
+            /* these rows' next tile column, due once this column's tiles are done */
+            __builtin_prefetch(rows + stride * r + TILE_LANES * v + TILE_COLS, 1);
+            sums[r][v] = from == 0 ? (lanes){0.0}
+                                   : *(const lanes *)(rows + stride * r + TILE_LANES * v);
+        }
+    const double *u = ring + spacing * (from % slots);
+    for (long j = from; j < stop; ++j, u += spacing) {
+        if (u == ring + spacing * slots)
+            u = ring;
+#pragma GCC unroll 16
+        for (int r = 0; r < count; ++r) {
+            double c = coeffs[coeff_stride * r + j];
+#pragma GCC unroll 16
+            for (int v = 0; v < TILE_VECS; ++v) {
+                /* lane by lane, which each clone vectorizes as its ISA allows */
+                lanes sum = sums[r][v], x = *(const lanes *)(u + TILE_LANES * v);
+                for (int i = 0; i < TILE_LANES; ++i)
+                    sum[i] = fma(c, x[i], sum[i]);
+                sums[r][v] = sum;
+            }
+        }
+    }
+#pragma GCC unroll 16
+    for (int r = 0; r < count; ++r)
+#pragma GCC unroll 16
+        for (int v = 0; v < TILE_VECS; ++v)
+            *(lanes *)(rows + stride * r + TILE_LANES * v) = sums[r][v];
+}
+
+/* The orders from..stop-1 into the doubles [first, length) of one row. */
+static inline __attribute__((always_inline)) void
+flush_rest(double *row, long first, long length, const double *ring, long spacing, long slots,
+           const double *coeffs, long from, long stop)
+{
+    for (long q = first; q < length; ++q) {
+        double sum = from == 0 ? 0.0 : row[q];
+        const double *u = ring + spacing * (from % slots) + q;
+        for (long j = from; j < stop; ++j, u += spacing) {
+            if (u >= ring + spacing * slots)
+                u -= spacing * slots;
+            sum = fma(coeffs[j], *u, sum);
+        }
+        row[q] = sum;
+    }
+}
+
+/* Whether the samples first..first+TILE_ROWS-1 all sum the whole ring. */
+static inline int whole_tile(const int64_t *need, long first, long last)
+{
+    for (long s = first; s < first + TILE_ROWS; ++s)
+        if (need[s] <= last)
+            return 0;
+    return 1;
+}
+
+CLONES void ring_flush(double *rows, long stride, long count, long width, const double *ring,
+                       long spacing, long slots, const double *coeffs, long coeff_stride,
+                       const int64_t *need, long done, long last)
+{
+    long length = 2 * width, tiled = length - length % TILE_COLS;
+    stride *= 2, spacing *= 2;
+    /* Samples [tiles, count) go in tiles: a block's later samples need more
+       orders, so those that sum the whole ring are a suffix. */
+    long tiles = count;
+    while (tiles >= TILE_ROWS && whole_tile(need, tiles - TILE_ROWS, last))
+        tiles -= TILE_ROWS;
+    for (long q = 0; q < tiled; q += TILE_COLS)
+        for (long s = tiles; s < count; s += TILE_ROWS)
+            flush_tile(rows + stride * s + q, stride, TILE_ROWS, ring + q, spacing, slots,
+                       coeffs + coeff_stride * s, coeff_stride, done, last + 1);
+    for (long s = 0; s < count; ++s) {
+        long stop = need[s] > last ? last + 1 : need[s];
+        if (done > 0 && stop <= done)
+            continue;
+        double *row = rows + stride * s;
+        const double *c = coeffs + coeff_stride * s;
+        if (s < tiles)
+            for (long q = 0; q < tiled; q += TILE_COLS)
+                flush_tile(row + q, stride, 1, ring + q, spacing, slots, c, coeff_stride, done,
+                           stop);
+        flush_rest(row, tiled, length, ring, spacing, slots, c, done, stop);
     }
 }

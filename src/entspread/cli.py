@@ -13,7 +13,6 @@ a boundary-budget violation.  `verify` also exits 1 when a check fails, and
 from __future__ import annotations
 
 import concurrent.futures
-import ctypes
 import hashlib
 import json
 import math
@@ -23,7 +22,6 @@ from pathlib import Path
 
 import click
 import numpy as np
-import scipy.linalg._fblas
 
 from . import __version__
 from .analysis import (
@@ -117,13 +115,21 @@ def _manifest(
 
 
 def _ensemble(exponents: list[float]) -> dict:
-    """Median and interquartile range of fitted exponents; None when nothing was fitted."""
+    """Median and interquartile range of fitted exponents; None when nothing was fitted.
+
+    The quartiles interpolate linearly, as np.percentile's default does,
+    but through `statistics`: np.percentile imports numpy.ma on first use,
+    about 10 ms of a fresh process's fit.
+    """
     if not exponents:
         return {"count": 0, "median_exponent": None, "iqr_exponent": None}
+    lower = upper = 0.0
+    if len(exponents) > 1:
+        lower, _, upper = statistics.quantiles(exponents, n=4, method="inclusive")
     return {
         "count": len(exponents),
         "median_exponent": float(statistics.median(exponents)),
-        "iqr_exponent": float(np.percentile(exponents, 75) - np.percentile(exponents, 25)),
+        "iqr_exponent": float(upper - lower),
     }
 
 
@@ -231,27 +237,6 @@ def _simulate_worker(config: ExperimentConfig, realization_index: int, out_dir: 
     return {**_record(realization_index, path, series.spec_digest, started), "stats": stats}
 
 
-def _set_blas_threads(count: int) -> int | None:
-    """Set scipy's bundled OpenBLAS to `count` threads in this process; returns the old count.
-
-    By default OpenBLAS starts one thread per core, but the block products
-    are too small to gain from them: a serial run is slower, and `jobs` pool
-    workers oversubscribe the cores.  Does nothing and returns None where
-    scipy links another BLAS.
-    """
-    try:
-        lib = ctypes.CDLL(scipy.linalg._fblas.__file__)
-        get_threads = lib.scipy_openblas_get_num_threads
-        set_threads = lib.scipy_openblas_set_num_threads
-    except (OSError, AttributeError):
-        return None
-    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    before = get_threads()
-    set_threads(count)
-    return before
-
-
 def run_simulate(
     config: ExperimentConfig,
     out_dir: str | Path,
@@ -279,21 +264,14 @@ def run_simulate(
 
     if jobs > 1 and len(indices) > 1:
         # The pool starts all its workers at once: no more than there is work for.
-        with concurrent.futures.ProcessPoolExecutor(
-            min(jobs, len(indices)), initializer=_set_blas_threads, initargs=(1,)
-        ) as pool:
+        with concurrent.futures.ProcessPoolExecutor(min(jobs, len(indices))) as pool:
             futures = [pool.submit(_simulate_worker, config, idx, out_dir) for idx in indices]
             # Slots are keyed by realization index, never by completion order.
             for idx, future in zip(indices, futures):
                 settle(idx, future.result)
     else:
-        before = _set_blas_threads(1)
-        try:
-            for idx in indices:
-                settle(idx, _simulate_worker, config, idx, out_dir)
-        finally:
-            if before is not None:
-                _set_blas_threads(before)
+        for idx in indices:
+            settle(idx, _simulate_worker, config, idx, out_dir)
     return _manifest("simulate", config, out_dir, records, started, failures=failures)
 
 

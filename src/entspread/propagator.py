@@ -11,12 +11,12 @@ The coefficients are exactly the Bessel rows the bessel module provides.
 
 * Blocks.  T_k(Hs) psi does not depend on t, so one recurrence from a
   block's start state serves its S samples within b tau <= BLOCK_Z_SPAN:
-  each is a coefficient row times the stored vectors, all S one matrix
-  product (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984); Weisse et
-  al., Rev. Mod. Phys. 78, 275 (2006)).  The last sample starts the next.
-  A grid from t = 0 puts offset 0, where J_0(0) = 1, into its first block.
-  At the desk step that is 24 samples for K = 59 matvecs, and the product
-  skips the orders a sample does not need (see Order).
+  each is its coefficient row times the stored vectors (Tal-Ezer & Kosloff,
+  J. Chem. Phys. 81, 3967 (1984); Weisse et al., Rev. Mod. Phys. 78, 275
+  (2006)).  The last sample starts the next.  A grid from t = 0 puts offset
+  0, where J_0(0) = 1, into its first block.  At the desk step that is 24
+  samples for K = 59 matvecs, and each sample skips the orders it does not
+  need (see Order).
 * Complex ring.  Even orders carry real coefficients and odd orders
   imaginary ones, so the recurrence runs on U_k = (-i)^k T_k(Hs) psi =
   -2i Hs U_{k-1} + U_{k-2}, one complex row per order, with -2i Hs set up
@@ -26,15 +26,16 @@ The coefficients are exactly the Bessel rows the bessel module provides.
   (`_ring.c`, built with `cc` on first import and cached; an import that
   cannot build it fails), which groups each order's arithmetic as the six
   numpy ufuncs it replaced did, so their bytes are kept.
-  The GEMM's coefficients (2 - delta_k0) J_k(b tau) are real: it reads the
-  ring as floats, (re, im) interleaved, and writes the samples into rows
-  that are read back as complex.
+  The coefficients (2 - delta_k0) J_k(b tau) are real, so when the ring
+  fills, `ring_flush` adds its orders into the sample rows as one fma per
+  double of the (re, im) rows, order by order: each double of a sample is
+  one fixed sequence of roundings, whatever the ring size.
 * Order.  As |T_k(Hs)| <= 1 on the spectrum, cutting after order K changes
   a sample by at most 2 sum_{k>K} |J_k(b tau)| in the 2-norm.  A block is
   cut where that tail first is <= TAIL_TOLERANCE for its longest offset.
-  Each ring of orders is then added only into the samples whose own tail
-  from its first order on is still above TAIL_TOLERANCE, so every sample
-  keeps that bound while its shorter offset is spared the orders past it.
+  Each sample then sums only the orders whose own tail from them on is
+  still above TAIL_TOLERANCE, so every sample keeps that bound while its
+  shorter offset is spared the orders past it.
   K is read off one Bessel row evaluated to `bessel.tail_order(z)`, an
   Airy-law order at least two past it.
 * Window.  A tridiagonal matvec widens the support of a vector by one site
@@ -57,20 +58,16 @@ The coefficients are exactly the Bessel rows the bessel module provides.
   loops fuse it in this process (`_numpy_fuses`).
 * Byte cap.  Up to 8 orders sit in a ring, added into the S sample rows
   whenever it fills; S is cut so that ring, sample and coefficient rows and
-  a margin fit WORKSPACE_BYTES, and so that after the ring is freed the
-  sample rows fit with two real rows per sample.  Those held |a| and its
-  weights when `observables.moment_rows` made them; its compiled pass makes
-  neither, so they are margin now, kept because dropping them moves S on
-  wide windows and so the bytes of long runs.  Wider windows shrink the
-  ring to as few as 3 orders; only one over WORKSPACE_BYTES / 112 sites
-  (75 000) passes the cap.  The ring and the sample rows each head a
-  buffer whose byte size is rounded up to a power of 2 ** (1 / _SIZE_CLASSES)
-  (`block_empty`), so the next block gets back memory a block before it
-  freed instead of faulting in fresh pages.  Those capacities, up to 12%
-  over the arrays, are what count against WORKSPACE_BYTES.  The plan's
-  margins (its order guess, the coefficient rows, three spare rows and the
-  two rows per sample) leave room for them: the byte-cap test, which
-  measures what is allocated, peaks at 0.88 of a 1 MiB cap.
+  a margin fit WORKSPACE_BYTES.  Wider windows shrink the ring to as few
+  as 3 orders; only one over WORKSPACE_BYTES / 112 sites (75 000) passes
+  the cap.  The ring and the sample rows each head a buffer whose byte
+  size is rounded up to a power of 2 ** (1 / _SIZE_CLASSES) (`block_empty`),
+  so the next block gets back memory a block before it freed instead of
+  faulting in fresh pages.  Those capacities, up to 12% over the arrays,
+  are what count against WORKSPACE_BYTES.  The plan's margins (its order
+  guess, the coefficient rows and three spare rows) leave room for them:
+  the byte-cap test, which measures what is allocated, peaks at 0.92 of a
+  1 MiB cap, and at 1.02 without the spare rows.
 
 `evolve_blocks`, the kernel's one entry point, evolves the unit excitation at
 the origin forward and yields the blocks of its series; the simulate path
@@ -93,7 +90,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg.blas import dgemm
 
 from .bessel import bessel_row, bessel_rows, tail_order
 from .chain import Hamiltonian, spectral_bounds
@@ -209,17 +205,19 @@ def _bind(name: str, *argtypes):
 
 
 _P, _N = ctypes.c_void_p, ctypes.c_long
-_ring_steps = _bind("ring_steps", _P, _P, _P, _N, _N, _N, _N)
+_ring_steps = _bind("ring_steps", _P, _N, _P, _P, _N, _N, _N, _N)
 _edge_counts_c = _bind("edge_counts", _P, _N, _N, _N, ctypes.c_double, _P)
 _phase_rows_c = _bind("phase_rows", _P, _N, _N, _N, _P, _N)
 _moment_sums_c = _bind("moment_sums", _P, _N, _N, _N, _N, _N, _N, _N, _P)
+_ring_flush = _bind("ring_flush", _P, _N, _N, _N, _P, _N, _N, _P, _N, _P, _N, _N)
 
 
-def _c_rows(rows: np.ndarray) -> bool:
-    """Whether the C passes read `rows` in place: aligned 2-d complex128, each row's sites contiguous."""
-    return (rows.ndim == 2 and rows.dtype == np.complex128 and rows.flags.aligned
-            and (rows.shape[1] <= 1 or rows.strides[1] == 16)
-            and (rows.shape[0] <= 1 or rows.strides[0] % 16 == 0))
+def _c_rows(rows: np.ndarray, dtype=np.complex128) -> bool:
+    """Whether the C passes read `rows` in place: aligned 2-d of `dtype`, each row's items contiguous."""
+    item = np.dtype(dtype).itemsize
+    return (rows.ndim == 2 and rows.dtype == dtype and rows.flags.aligned
+            and (rows.shape[1] <= 1 or rows.strides[1] == item)
+            and (rows.shape[0] <= 1 or rows.strides[0] % item == 0))
 
 
 def _row_args(rows: np.ndarray) -> tuple[int, int, int, int]:
@@ -414,12 +412,12 @@ class _Kernel:
         It holds the first S times of the remaining `grid`; only a grid from
         t = 0 has a zero offset, whose row J_0(0) = 1 yields the seed.  S
         counts the offsets within BLOCK_Z_SPAN, cut so that the workspace fits
-        WORKSPACE_BYTES on a window sized by the plan's order guess: while the ring
-        runs, S sample and coefficient rows beside it and three spare rows;
-        after it, S sample rows with two real rows per sample, which the moment
-        rows' |a| and weights once took.  The positive offsets are then evened over
-        the grid, so blocks of a linear grid repeat them.  K is cut for the last offset; each sample sums only
-        the orders its own tail needs.
+        WORKSPACE_BYTES on a window sized by the plan's order guess: the ring,
+        S sample and coefficient rows beside it, and three spare rows, which
+        hold the size classes' rounding (see "Byte cap").  The positive offsets
+        are then evened over the grid, so blocks of a linear grid repeat them.
+        K is cut for the last offset; each sample sums only the orders its
+        own tail needs.
 
         The samples are trimmed to one support: on each side, every sample
         loses the outer sites whose weight sum |a_x|^2 stays within
@@ -442,8 +440,7 @@ class _Kernel:
         window = min(len(seed) + 2 * orders, self.num_sites)
         slots = min(_RING_ORDERS, max(3, WORKSPACE_BYTES // (32 * window)))
         free = WORKSPACE_BYTES - 16 * window * (slots + 3)
-        after = WORKSPACE_BYTES // (32 * window + 32 * orders)
-        count = max(least, min(count, free // (16 * window + 32 * orders), after))
+        count = max(least, min(count, free // (16 * window + 32 * orders)))
         positive = len(offsets) - zero
         if positive:
             count = zero + -(-positive // -(-positive // (count - zero)))
@@ -468,44 +465,53 @@ class _Kernel:
         """Rows sum_k coeffs[s, k] U_k on the window [start, stop), as (S, stop - start) complex.
 
         U_0 is `seed` placed at column `at` of the window.  Each ring of
-        orders is one call of the compiled `ring_steps`, then one dgemm.
-        Sample s sums the orders through the ring flush that holds its order
-        need[s] - 1, not the later ones; `need` is non-decreasing, so each
-        flush updates a suffix of the rows.  The ring is allocated after the
+        orders is one call of the compiled `ring_steps`, then one of
+        `ring_flush`, which adds the orders k < need[s] of the ring into row s
+        with one fma per double, in ascending k, from 0.0 at the first ring.
+        So a row is the same bytes whatever the ring size.  `coeffs` is read
+        in place at its own row stride; rows it cannot be read as raise
+        ValueError before any compiled call.  The ring is allocated after the
         rows that outlive it, so that, freed on return, before the caller's
         per-block temporaries are made, it rejoins the free memory past them:
         in 24 fresh processes each, the desk run to t = 1900 faulted
         19 000 - 23 700 pages so, and 23 000 - 41 000 with the ring first.
         """
-        order, width = coeffs.shape[1] - 1, stop - start
         if not (0 <= start < stop <= self.num_sites and slots >= 3):
             # ring_steps would read or write past the arrays it is handed
             raise ValueError(f"window [{start}, {stop}) of {self.num_sites} sites, {slots} ring slots")
-        # Row s holds sample s as interleaved (re, im) pairs: a complex view.
-        rows = block_empty((len(coeffs), 2 * width))
+        need = np.ascontiguousarray(need, dtype=np.int64)
+        if not _c_rows(coeffs, np.float64) or need.shape != coeffs.shape[:1]:
+            # ring_flush reads coeffs[s, k] at the rows' own stride, and need[s]
+            raise ValueError(f"the flush takes aligned float64 coefficient rows with contiguous orders "
+                             f"and a need for each, got {coeffs.dtype} of shape {coeffs.shape} and "
+                             f"strides {coeffs.strides}, and {need.shape[0]} needs")
+        order, width = coeffs.shape[1] - 1, stop - start
+        rows = block_empty((len(coeffs), width), complex)
         # Slot k % slots holds U_k; the zero last slot stands in for U_{-1}.
-        # The recurrence overwrites every other slot before reading it.
-        ring = block_empty((slots, width), complex)
+        # The recurrence overwrites every other slot before reading it.  Each
+        # slot starts on a 64-byte line, padded to whole lines, so that
+        # ring_flush's vector loads of it split none: at desk widths the flush
+        # then takes 0.88 of the time it takes on slots 16 bytes off a line.
+        padded = width + -width % 4
+        ring = block_empty((slots * padded + 3,), complex)
+        skip = -ring.ctypes.data % 64 // 16
+        ring = ring[skip : skip + slots * padded].reshape(slots, padded)[:, :width]
         ring[0] = 0.0
         ring[0, at : at + len(seed)] = seed
         ring[-1] = 0.0
-        at_ring = ring.ctypes.data
+        at_ring, spacing = ring.ctypes.data, ring.strides[0] // 16
+        flush = (rows.ctypes.data, rows.strides[0] // 16, len(rows), width, at_ring, spacing, slots,
+                 coeffs.ctypes.data, coeffs.strides[0] // 8 if len(coeffs) > 1 else 0, need.ctypes.data)
         for done in range(0, order + 1, slots):
             k = min(done + slots - 1, order)
             if k >= 1:
                 # U_j = -2i Hs U_{j-1} + U_{j-2} for the ring's orders j >= 1;
                 # the operator's window starts 16 bytes (one complex) per site in.
-                _ring_steps(at_ring, self.at_diag2 + 16 * start, self.at_off2 + 16 * start,
+                _ring_steps(at_ring, spacing, self.at_diag2 + 16 * start, self.at_off2 + 16 * start,
                             width, slots, max(done, 1), k)
-            # rows[first:] (+)= coeffs[first:, done:k+1] @ ring[:k+1-done], in
-            # place, for the samples that need an order past `done`; dgemm
-            # rejects an empty product, so none is made.
-            first = int(np.searchsorted(need, done, side="right"))
-            if first < len(rows):
-                stored = ring[: k + 1 - done].view(float).T
-                dgemm(1.0, stored, coeffs[first:, done : k + 1], beta=float(done > 0),
-                      c=rows[first:].T, trans_b=1, overwrite_c=1)
-        return rows.view(complex)
+            # rows[s] (+)= sum_j coeffs[s, j] U_j over the ring's orders j < need[s]
+            _ring_flush(*flush, done, k)
+        return rows
 
 
 def reflection_budget_violation(

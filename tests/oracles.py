@@ -12,7 +12,10 @@ None of these is on the pipeline's path, so they live beside their tests:
 * `ring_steps_numpy`, `edge_count_numpy` and `moment_rows_numpy`: the
   Chebyshev recurrence step, the block trim's edge search and a block's
   moment rows as numpy calls, whose bytes the compiled passes of `_ring.c`
-  must reproduce.
+  must reproduce;
+* `ring_flush_exact`: a ring's orders added into the sample rows, each fma
+  rounded once from its exact value in rationals, as the compiled
+  `ring_flush` must round it.
 
 Tests import them as they import `conftest`: `from oracles import ...`.
 """
@@ -20,6 +23,7 @@ Tests import them as they import `conftest`: `from oracles import ...`.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -139,6 +143,42 @@ def ring_steps_numpy(ring: np.ndarray, diag2: np.ndarray, off2: np.ndarray, firs
         np.add(nxt, prev, out=nxt)
         if k == 1:
             nxt *= 0.5
+
+
+def fma_exact(a: float, b: float, c: float) -> float:
+    """a b + c rounded once to the nearest double, for finite a, b, c.
+
+    An exact zero is +0.0, save -0.0 when both addends are zeros of that
+    sign, as IEEE 754 rounds to nearest.
+    """
+    exact = Fraction(a) * Fraction(b) + Fraction(c)
+    if exact == 0:
+        return -0.0 if (a == 0.0 or b == 0.0) and math.copysign(1.0, a * b) + math.copysign(1.0, c) == -2.0 else 0.0
+    return float(exact)
+
+
+def ring_flush_exact(rows: np.ndarray, ring: np.ndarray, coeffs: np.ndarray, need: np.ndarray, done: int,
+                     last: int) -> np.ndarray:
+    """`rows` after the ring's orders done..last are added into them, each term one exact fma.
+
+    rows (S, width) and ring (slots, width) are complex, U_j in slot
+    j % slots.  Each double x of sample s, real and imaginary parts alike,
+    becomes fma(coeffs[s, j], U_j, x) for j = done .. min(last, need[s] - 1)
+    in turn, from 0.0 when done == 0; a sample with need[s] <= done keeps its
+    row, save that the first flush makes it 0.0.
+    """
+    out = np.array(rows, dtype=complex).view(float)
+    parts = np.ascontiguousarray(ring).view(float)
+    for s in range(len(out)):
+        stop = min(int(need[s]), last + 1)
+        if done > 0 and stop <= done:
+            continue
+        for q in range(out.shape[1]):
+            x = 0.0 if done == 0 else float(out[s, q])
+            for j in range(done, stop):
+                x = fma_exact(float(coeffs[s, j]), float(parts[j % len(parts), q]), x)
+            out[s, q] = x
+    return out.view(complex)
 
 
 def edge_count_numpy(samples: np.ndarray, budget: float, rim: int) -> np.ndarray:

@@ -216,7 +216,8 @@ class TestBesselRowsBatch:
 
     @pytest.mark.parametrize("args", [[0.5, 0.0, 3.0], [0.5, 1.5, 3.0]])
     def test_layout_is_one_c_contiguous_row_per_argument(self, args):
-        # the analytic GEMV and the kernel's dgemm sum in this layout's order
+        # the analytic GEMV sums in this layout's order, and the kernel's
+        # ring_flush reads each row in place
         batch = bessel_rows(47, np.array(args))
         assert batch.shape == (3, 48)
         assert batch.dtype == np.float64

@@ -1,6 +1,5 @@
 import concurrent.futures
 import csv
-import ctypes
 import io
 import json
 import re
@@ -9,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg._fblas
 from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -53,17 +51,6 @@ def make_config(**tweaks):
     for key, value in tweaks.items():
         raw[key] = value
     return raw
-
-
-def openblas():
-    """scipy's bundled OpenBLAS, or None when scipy links another BLAS."""
-    lib = ctypes.CDLL(scipy.linalg._fblas.__file__)
-    return lib if hasattr(lib, "scipy_openblas_get_num_threads") else None
-
-
-def report_blas_threads(config, realization_index, out_dir):
-    """Stands in for the simulate worker: the manifest record of the BLAS threads it got."""
-    return {"index": realization_index, "blas_threads": openblas().scipy_openblas_get_num_threads()}
 
 
 def write_config(tmp_path, raw, name="config.json"):
@@ -402,37 +389,6 @@ class TestSimulate:
                 tmp_path / "par" / name
             ).read_bytes()
 
-    @pytest.mark.skipif(openblas() is None, reason="scipy does not bundle OpenBLAS")
-    def test_pool_workers_run_one_blas_thread(self, tmp_path, monkeypatch):
-        # Unset, the variable leaves OpenBLAS one thread per core, which
-        # forked workers inherit; two threads stand in for a two-core host.
-        lib = openblas()
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-        monkeypatch.setattr(entspread.cli, "_simulate_worker", report_blas_threads)
-        before = lib.scipy_openblas_get_num_threads()
-        lib.scipy_openblas_set_num_threads(2)
-        try:
-            manifest = run_simulate(config_from_dict(make_config()), tmp_path, jobs=2)
-        finally:
-            lib.scipy_openblas_set_num_threads(before)
-        assert [r["blas_threads"] for r in manifest["realizations"]] == [1, 1]
-
-    @pytest.mark.skipif(openblas() is None, reason="scipy does not bundle OpenBLAS")
-    def test_serial_run_uses_one_blas_thread_and_restores_the_caller(self, tmp_path, monkeypatch):
-        # The block products are too small for a second thread; a serial run
-        # must not keep the caller's count while it works, nor change it after.
-        lib = openblas()
-        monkeypatch.setattr(entspread.cli, "_simulate_worker", report_blas_threads)
-        before = lib.scipy_openblas_get_num_threads()
-        lib.scipy_openblas_set_num_threads(2)
-        try:
-            manifest = run_simulate(config_from_dict(make_config()), tmp_path, jobs=1)
-            after = lib.scipy_openblas_get_num_threads()
-        finally:
-            lib.scipy_openblas_set_num_threads(before)
-        assert [r["blas_threads"] for r in manifest["realizations"]] == [1, 1]
-        assert after == 2
-
 
 class TestAnalytic:
     def test_extra_columns_and_lower_bound(self, tmp_path):
@@ -562,6 +518,7 @@ class TestFit:
             paths.append(path)
         report = run_fit(paths, window=(2.0, 95.0), average_window=0.0)
         assert report["ensemble"]["median_exponent"] == pytest.approx(2.5, abs=1e-6)
+        assert report["ensemble"]["iqr_exponent"] == pytest.approx(0.5, abs=1e-6)
         assert report["ensemble"]["count"] == 3
 
     @pytest.mark.parametrize("times", [[1.0, 2.0], [0.0, 1.0, 2.0]], ids=["two", "t0_and_two"])

@@ -7,8 +7,8 @@ read when the module loads it as a plain name anywhere, or lists it in
 skipped.  The third-party modules imported under src/ must be exactly the
 `[project] dependencies` of pyproject.toml, so a test-only library such as
 mpmath cannot creep back into the package, and fresh interpreters check
-that importing the package loads nothing and that the CLI does not load
-mpmath.
+that importing the package loads nothing, that the CLI loads neither
+mpmath nor scipy, and that its ensemble statistics load no numpy.ma.
 """
 
 import ast
@@ -110,3 +110,17 @@ def test_cli_import_loads_no_mpmath():
     loaded = modules_after("import entspread.cli")
     assert "entspread.cli" in loaded
     assert "mpmath" not in loaded
+
+
+def test_cli_import_loads_no_scipy():
+    # The kernel's passes are its own compiled code; scipy serves the tests.
+    loaded = modules_after("import entspread.cli")
+    assert "entspread.cli" in loaded
+    assert not [name for name in loaded if name.startswith("scipy")]
+
+
+def test_ensemble_statistics_load_no_numpy_ma():
+    # np.percentile would import numpy.ma inside a fresh process's first fit;
+    # scipy, no longer imported, used to load it at start-up instead.
+    loaded = modules_after("import entspread.cli; entspread.cli._ensemble([2.0, 2.5, 3.0])")
+    assert "numpy.ma" not in loaded

@@ -268,9 +268,9 @@ class TestWindowedStep:
 
     def test_flush_no_sample_needs_makes_no_product(self):
         # A 13-site chain with samples at t = 0 and 1.875, both cut to the
-        # first ring of 3 orders: no sample needs a later flush, so no dgemm
-        # is made for it (an empty product raises), and the rows are those
-        # of the first 3 orders alone, bit for bit.
+        # first ring of 3 orders: no sample needs a later flush, so the later
+        # ones add nothing, and the rows are those of the first 3 orders
+        # alone, bit for bit, read from coefficient rows cut to 3 columns.
         rng = np.random.Generator(np.random.PCG64(derive_seed(7, 0)))
         kernel = entspread.propagator._Kernel(
             Hamiltonian(diag=rng.uniform(0.0, 2.5, 13), offdiag=np.ones(12)))

@@ -1,10 +1,12 @@
-"""The compiled passes of `_ring.c`: their bytes against numpy, and how their library is built.
+"""The compiled passes of `_ring.c`: their bytes against their oracles, and how their library is built.
 
 `ring_steps` must reproduce the numpy step of `oracles.ring_steps_numpy` bit
 for bit, and the block passes (the trim's edge search, the phase and the
 moment sums) `oracles.edge_count_numpy`, numpy's `rows *= phases[:, None]`
-and `oracles.moment_rows_numpy`, so that every CSV keeps its bytes.  The
-build tests, and the check of numpy's unfused loops, run fresh interpreters.
+and `oracles.moment_rows_numpy`, so that every CSV keeps its bytes.
+`ring_flush` must round each of its fmas once, as `oracles.ring_flush_exact`
+does in rationals.  The build tests, and the check of numpy's unfused
+loops, run fresh interpreters.
 """
 
 import os
@@ -17,7 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entspread.chain import Hamiltonian
+import entspread.propagator
+from entspread.chain import Hamiltonian, build_hamiltonian
+from entspread.config import load_config
 from entspread.observables import moment_m, moment_rows
 from entspread.propagator import (
     Block,
@@ -27,10 +31,12 @@ from entspread.propagator import (
     _moment_sums,
     _numpy_fuses,
     _phase_rows,
+    _ring_flush,
     _ring_steps,
+    evolve_blocks,
 )
 
-from oracles import edge_count_numpy, moment_rows_numpy, ring_steps_numpy
+from oracles import edge_count_numpy, moment_rows_numpy, ring_flush_exact, ring_steps_numpy
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -48,7 +54,8 @@ def random_ring(slots: int, width: int, seed: int) -> np.ndarray:
 
 
 def compiled(ring: np.ndarray, diag2: np.ndarray, off2: np.ndarray, first: int, last: int) -> None:
-    _ring_steps(ring.ctypes.data, diag2.ctypes.data, off2.ctypes.data, ring.shape[1], len(ring), first, last)
+    _ring_steps(ring.ctypes.data, ring.strides[0] // 16, diag2.ctypes.data, off2.ctypes.data, ring.shape[1], len(ring),
+                first, last)
 
 
 def assert_same_bytes(ring, diag2, off2, first, last):
@@ -100,6 +107,116 @@ class TestRingStep:
         diag2, off2 = operator(width + 1, seed)
         assert_same_bytes(random_ring(slots, width, seed), diag2[:width], off2[: width - 1], first,
                           first + count - 1)
+
+
+def flush(rows: np.ndarray, ring: np.ndarray, coeffs: np.ndarray, need: np.ndarray, done: int, last: int) -> None:
+    """The compiled `ring_flush` of orders done..last, in place in `rows`, at their own row strides."""
+    _ring_flush(rows.ctypes.data, rows.strides[0] // 16, len(rows), rows.shape[1], ring.ctypes.data,
+                ring.strides[0] // 16, len(ring), coeffs.ctypes.data, coeffs.strides[0] // 8, need.ctypes.data, done,
+                last)
+
+
+def flush_case(count: int, width: int, slots: int, orders: int, seed: int):
+    """Rows, ring and coefficient rows, each strided wider than it is; the ring holds a light cone's zeros.
+
+    Values span 1e-20 .. 1 in size, with both signs, so the sums round.
+    """
+    rng = np.random.default_rng(seed)
+    sized = lambda *shape: rng.normal(size=shape) * 10.0 ** rng.uniform(-20.0, 0.0, size=shape)
+    rows = (sized(count, width + 5) + 1j * sized(count, width + 5))[:, 2 : 2 + width]
+    ring = (sized(slots, width + 3) + 1j * sized(slots, width + 3))[:, :width]
+    ring[:, : width // 3] = 0.0
+    coeffs = sized(count, orders + 7)[:, :orders]
+    return rows, ring, coeffs
+
+
+def assert_flush_exact(rows, ring, coeffs, need, done, last):
+    expected = ring_flush_exact(rows, ring, coeffs, need, done, last)
+    flush(rows, ring, coeffs, need, done, last)
+    assert rows.tobytes() == expected.tobytes()
+
+
+class TestRingFlush:
+    """ring_flush against the exact fma, whatever the tiling of samples and doubles makes of a case."""
+
+    @pytest.mark.parametrize("width", [1, 7, 12, 13, 37])
+    @pytest.mark.parametrize("count", [1, 3, 4, 5, 9])
+    def test_flushes_match_the_exact_fma(self, count, width):
+        # Two rings of 8: the first flush starts from 0.0 and a later one adds
+        # in.  Samples stop in the first ring, in the second or past both;
+        # odd widths leave rows off 64-byte alignment and doubles past the
+        # last tile of 24.
+        rows, ring, coeffs = flush_case(count, width, 8, 16, seed=count * 100 + width)
+        need = np.sort(np.random.default_rng(width).integers(1, 20, count))
+        for done in (0, 8):
+            assert_flush_exact(rows, ring, coeffs, need, done, done + 7)
+            ring = flush_case(count, width, 8, 16, seed=done + 1)[1]
+
+    @pytest.mark.parametrize("orders", range(1, 9))
+    def test_rings_of_any_length_match_the_exact_fma(self, orders):
+        # A later ring of 1 .. 8 orders, whose slots wrap as the kernel's do.
+        slots = max(orders, 3)
+        rows, ring, coeffs = flush_case(6, 13, slots, 3 * slots, seed=orders)
+        need = np.full(6, 3 * slots, dtype=np.int64)
+        assert_flush_exact(rows, ring, coeffs, need, slots, slots + orders - 1)
+
+    def test_samples_done_before_the_ring_keep_their_rows(self):
+        # need[s] <= done: samples 0 and 1 summed all their orders in an
+        # earlier ring, and only the suffix from sample 2 on is added to.
+        rows, ring, coeffs = flush_case(7, 30, 8, 24, seed=3)
+        need = np.array([3, 8, 9, 12, 24, 24, 24])
+        kept = rows[:2].tobytes()
+        assert_flush_exact(rows, ring, coeffs, need, 8, 15)
+        assert rows[:2].tobytes() == kept
+
+    def test_first_flush_of_a_sample_that_needs_no_order_is_zero(self):
+        rows, ring, coeffs = flush_case(5, 13, 8, 8, seed=4)
+        assert_flush_exact(rows, ring, coeffs, np.array([0, 8, 8, 8, 8]), 0, 7)
+        assert not np.any(rows[0]) and not np.any(np.signbit(rows[0].view(float)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(count=st.integers(1, 12), width=st.integers(1, 40), slots=st.integers(3, 8),
+           ring_index=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_exact_fma_on_random_rings(self, count, width, slots, ring_index, seed):
+        done = ring_index * slots
+        rows, ring, coeffs = flush_case(count, width, slots, done + slots, seed)
+        need = np.random.default_rng(seed).integers(0, done + slots + 2, count)
+        assert_flush_exact(rows, ring, coeffs, need, done, done + slots - 1)
+
+    def test_expand_rows_do_not_depend_on_the_ring_size(self):
+        # Each double of a sample is one fma per order it needs, in order, so
+        # a desk block's rows are the same bytes from rings of 3 to 8 orders.
+        config = load_config(ROOT / "configs" / "fig1_desk.json")
+        h = build_hamiltonian(config.chain, 0)
+        blocks = evolve_blocks(h, config.chain.origin, config.times.grid()[:401], 50)
+        *_, block = blocks
+        kernel = _Kernel(h)
+        coeffs, need, _ = kernel._coefficients(0.25 * np.arange(1, 25))
+        order = coeffs.shape[1] - 1
+        start, stop = block.start - order, block.start + block.width + order
+        rows = [kernel._expand(block.amplitudes[-1], order, start, stop, coeffs, need, slots).tobytes()
+                for slots in range(3, 9)]
+        assert len(set(rows)) == 1 and stop - start > 500
+
+    @pytest.mark.parametrize("kind", ["float32", "fortran", "every_other_order", "one_row", "short_need"])
+    def test_expand_rejects_coefficients_it_cannot_read_in_place(self, kind, monkeypatch):
+        kernel = _Kernel(Hamiltonian(diag=np.linspace(0.0, 1.0, 13), offdiag=np.ones(12)))
+        coeffs, need, _ = kernel._coefficients(np.array([0.5, 1.0, 1.5]))
+        coeffs, need = {
+            "float32": (coeffs.astype(np.float32), need),
+            "fortran": (np.asfortranarray(coeffs), need),
+            "every_other_order": (coeffs[:, ::2], need),
+            "one_row": (coeffs[0], need[:1]),
+            "short_need": (coeffs, need[:2]),
+        }[kind]
+
+        def foreign(*args):
+            raise AssertionError("a compiled pass was called")
+
+        monkeypatch.setattr(entspread.propagator, "_ring_steps", foreign)
+        monkeypatch.setattr(entspread.propagator, "_ring_flush", foreign)
+        with pytest.raises(ValueError, match="coefficient rows"):
+            kernel._expand(np.ones(1, dtype=complex), 6, 0, 13, coeffs, need, 3)
 
 
 WIDTHS = [1, 7, 8, 9, 127, 128, 129, 2167]
