@@ -1,10 +1,15 @@
 /* The compiled passes of entspread: the Chebyshev recurrence step and the
-   flush of its orders into the samples, and the per-block trim, phase and
-   moment sums.
+   flush of its orders into the samples, the per-block trim, phase and
+   moment sums, and the closed form's Bessel rows (miller_rows) and their
+   sums over the orders (order_sums).  The bessel module builds and loads
+   this one library; the propagator binds its passes from there.
 
-   ring_flush defines its own arithmetic, one fma per term (see there).  The
-   other passes keep the bytes numpy gave, so each does numpy's own
-   arithmetic in numpy's order.  Built with -ffp-contract=off, so no product
+   ring_flush defines its own arithmetic, one fma per term (see there), and
+   the moment and order sums share one pairwise rule, numpy's, as the
+   module's own (`pairwise`).  miller_rows and the other passes keep the
+   bytes numpy gave, so each does numpy's own arithmetic in numpy's order;
+   none of miller_rows, order_sums and ring_flush depends on what numpy
+   dispatches or on a BLAS.  Built with -ffp-contract=off, so no product
    is fused into an addition unless written as fma(), save that GCC's
    vectorizer fuses what it takes for a complex product (see phase_rows);
    in ring_steps that changes no bit, as one product of each part is exact
@@ -35,6 +40,7 @@
 
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 #if defined(__x86_64__)
 #define CLONES __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
@@ -181,26 +187,42 @@ static inline double block_sum(const double *v, long n)
     return sum;
 }
 
-/* Three sums over the sites lo..lo+n-1 of one row, into sums[0..2]: of the
-   weights x^2 |a| (x = first + site), of those weights with the core sites
-   [core_lo, core_hi) as 0.0, and of |a|^2.  Each is numpy's pairwise sum
-   (np.add.reduce): `block_sum` up to 128 terms, a longer run split in two
-   at n / 2 rounded down to a multiple of 8.  It recurses, so it is not
-   inlined into moment_sums, and a helper a clone calls is built for the
-   baseline ISA unless it carries CLONES itself. */
-CLONES static void pairwise(const double *row, long lo, long n, long first, long core_lo,
-                            long core_hi, int fused, double sums[3])
+/* What a pairwise sum adds up.  SITES: three sums over the sites of a row
+   of amplitudes, of the weights x^2 |a| (x = first + site), of those
+   weights with the core sites [core_lo, core_hi) as 0.0, and of |a|^2.
+   WEIGHTS and SQUARES: one sum over the orders k of a real Bessel row, of
+   k^2 |J_k| or of J_k^2. */
+enum terms { SITES, WEIGHTS, SQUARES };
+
+struct summand {
+    enum terms kind;
+    const double *row;
+    long first, core_lo, core_hi;
+    int fused;
+};
+
+/* The terms lo..lo+n-1 (n <= 128) of `of` into t[0..]; returns how many sums they feed. */
+static inline int terms(const struct summand *of, long lo, long n, double t[3][128])
 {
-    if (n > 128) {
-        long half = n / 2;
-        half -= half % 8;
-        double right[3];
-        pairwise(row, lo, half, first, core_lo, core_hi, fused, sums);
-        pairwise(row, lo + half, n - half, first, core_lo, core_hi, fused, right);
-        sums[0] += right[0], sums[1] += right[1], sums[2] += right[2];
-        return;
+    const double *row = of->row;
+    if (of->kind == WEIGHTS) {
+        for (long i = 0; i < n; ++i) {
+            double k = (double)(lo + i);
+            t[0][i] = fabs(row[lo + i]) * (k * k);
+        }
+        return 1;
     }
-    double a[128], w[128], o[128];
+    if (of->kind == SQUARES) {
+        for (long i = 0; i < n; ++i)
+            t[0][i] = row[lo + i] * row[lo + i];
+        return 1;
+    }
+    /* The fields are read once: for all GCC knows, stores into t could
+       change them, and reading them per term kept the loops from being
+       vectorized (moment_sums took 1.5 times as long). */
+    double *a = t[2], *w = t[0], *o = t[1];
+    long first = of->first, core_lo = of->core_lo, core_hi = of->core_hi;
+    int fused = of->fused;
     const double *at = row + 2 * lo;
     for (long i = 0; i < n; ++i)
         a[i] = magnitude(at[2 * i], at[2 * i + 1], fused);
@@ -211,7 +233,32 @@ CLONES static void pairwise(const double *row, long lo, long n, long first, long
         o[i] = (site >= core_lo && site < core_hi) ? 0.0 : w[i];
         a[i] = a[i] * a[i];
     }
-    sums[0] = block_sum(w, n), sums[1] = block_sum(o, n), sums[2] = block_sum(a, n);
+    return 3;
+}
+
+/* The sums of `of` over the terms lo..lo+n-1, into sums[0..]; returns how
+   many.  Each is the module's pairwise sum, numpy's rule for np.add.reduce:
+   `block_sum` up to 128 terms, a longer run split in two at n / 2 rounded
+   down to a multiple of 8.  It recurses, so it is not inlined into its
+   callers, and a helper a clone calls is built for the baseline ISA unless
+   it carries CLONES itself. */
+CLONES static int pairwise(const struct summand *of, long lo, long n, double sums[3])
+{
+    if (n > 128) {
+        long half = n / 2;
+        half -= half % 8;
+        double right[3];
+        int count = pairwise(of, lo, half, sums);
+        pairwise(of, lo + half, n - half, right);
+        for (int j = 0; j < count; ++j)
+            sums[j] += right[j];
+        return count;
+    }
+    double t[3][128];
+    int count = terms(of, lo, n, t);
+    for (int j = 0; j < count; ++j)
+        sums[j] = block_sum(t[j], n);
+    return count;
 }
 
 /* moment_sums: for each row s of `count`, out[s], out[count + s],
@@ -224,14 +271,118 @@ CLONES void moment_sums(const double *rows, long stride, long count, long width,
                         long core_lo, long core_hi, long fused, double *out)
 {
     for (long s = 0; s < count; ++s) {
-        const double *row = rows + 2 * stride * s;
-        double all[3], core[3];
-        pairwise(row, 0, width, first, core_lo, core_hi, fused, all);
-        pairwise(row, core_lo, core_hi - core_lo, first, 0, 0, fused, core);
-        out[s] = 0.0 + all[0];
-        out[count + s] = 0.0 + all[1];
-        out[2 * count + s] = 0.0 + core[0];
-        out[3 * count + s] = 0.0 + all[2];
+        struct summand all = {SITES, rows + 2 * stride * s, first, core_lo, core_hi, fused};
+        struct summand core = {SITES, all.row, first, 0, 0, fused};
+        double sums[3], on_core[3];
+        pairwise(&all, 0, width, sums);
+        pairwise(&core, core_lo, core_hi - core_lo, on_core);
+        out[s] = 0.0 + sums[0];
+        out[count + s] = 0.0 + sums[1];
+        out[2 * count + s] = 0.0 + on_core[0];
+        out[3 * count + s] = 0.0 + sums[2];
+    }
+}
+
+/* order_sums: for each Bessel row s of `count`, J_0..J_{length-1} at
+   `length` doubles per row, out[s] and out[count + s] are the sums of
+   k^2 |J_k| over the orders 1..core and core+1..length-1, and
+   out[2 count + s] the sum of J_k^2 over 1..length-1, each added to 0.0
+   as np.add.reduce of the slice adds it. */
+CLONES void order_sums(const double *rows, long count, long length, long core, double *out)
+{
+    long inner = core < length - 1 ? core : length - 1;
+    for (long s = 0; s < count; ++s) {
+        struct summand weights = {WEIGHTS, rows + length * s, 0, 0, 0, 0};
+        struct summand squares = {SQUARES, weights.row, 0, 0, 0, 0};
+        double on_core[3], off_core[3], sum_squares[3];
+        pairwise(&weights, 1, inner, on_core);
+        pairwise(&weights, 1 + inner, length - 1 - inner, off_core);
+        pairwise(&squares, 1, length - 1, sum_squares);
+        out[s] = 0.0 + on_core[0];
+        out[count + s] = 0.0 + off_core[0];
+        out[2 * count + s] = 0.0 + sum_squares[0];
+    }
+}
+
+/* miller_rows: the rows J_0(x)..J_{order_max}(x) of `count` arguments
+   x > 0, one row of order_max + 1 doubles per argument, by Miller's
+   backward recurrence from order `start` (Gautschi, SIAM Rev. 9, 24
+   (1967)).  From v_{start+1} = 0 and v_start = 1 it runs, for n = start
+   down to 1,
+
+       v_{n-1} = ((double)n * (2 / x)) v_n - v_{n+1},
+
+   adding each even v_n (n >= 2) into `half` before its step.  A v_{n-1}
+   past RESCALE_LIMIT scales v_{n-1}, v_n, the stored orders n..order_max
+   and half by RESCALE_FACTOR, for that argument alone.  Each row is then
+   divided by its norm 2 half + v_0 (as J_0 + 2 sum_k J_2k = 1), and a
+   value below FLUSH_THRESHOLD in magnitude becomes +0.0.  These are the
+   numpy recurrence's operations in its order, so the rows keep its bytes
+   (the test suite's bessel_rows_numpy).  MILLER_LANES arguments run side
+   by side as one vector; spare lanes of the last group repeat its last
+   argument and store nothing. */
+#define MILLER_LANES 8
+#define RESCALE_LIMIT 1e250
+#define RESCALE_FACTOR 1e-250
+#define FLUSH_THRESHOLD 1e-300
+
+typedef double miller_lanes __attribute__((vector_size(MILLER_LANES * sizeof(double))));
+typedef int64_t lane_mask __attribute__((vector_size(MILLER_LANES * sizeof(double))));
+
+/* Whether any lane of `*set` is set: its lanes or-ed together in halves. */
+static inline int any_lane(const lane_mask *set)
+{
+    lane_mask mask = *set;
+    for (int width = MILLER_LANES / 2; width > 0; width /= 2) {
+        lane_mask turned;
+        for (int i = 0; i < MILLER_LANES; ++i)
+            turned[i] = mask[(i + width) % MILLER_LANES];
+        mask |= turned;
+    }
+    return mask[0] != 0;
+}
+
+CLONES void miller_rows(const double *args, long count, long order_max, long start, double *rows)
+{
+    /* |v| > RESCALE_LIMIT is compared on the bits of |v|, which order as
+       the magnitudes do. */
+    double limit = RESCALE_LIMIT;
+    int64_t limit_bits;
+    memcpy(&limit_bits, &limit, sizeof limit_bits);
+    long length = order_max + 1;
+    for (long g = 0; g < count; g += MILLER_LANES) {
+        long lanes = count - g < MILLER_LANES ? count - g : MILLER_LANES;
+        double *out = rows + length * g;
+        miller_lanes t, vp = {0.0}, vc, half = {0.0};
+        for (int i = 0; i < MILLER_LANES; ++i)
+            t[i] = 2.0 / args[g + (i < lanes ? i : lanes - 1)], vc[i] = 1.0;
+        for (long n = start; n > 0; --n) {
+            if (n <= order_max)
+                for (long i = 0; i < lanes; ++i)
+                    out[length * i + n] = vc[i];
+            if ((n & 1) == 0)
+                half += vc;
+            miller_lanes vm = ((double)n * t) * vc - vp;
+            lane_mask big = ((lane_mask)vm & INT64_MAX) > limit_bits;
+            if (any_lane(&big))
+                for (long i = 0; i < MILLER_LANES; ++i)
+                    if (big[i]) {
+                        vm[i] *= RESCALE_FACTOR, vc[i] *= RESCALE_FACTOR;
+                        half[i] *= RESCALE_FACTOR;
+                        if (i < lanes)
+                            for (long k = n; k <= order_max; ++k)
+                                out[length * i + k] *= RESCALE_FACTOR;
+                    }
+            vp = vc, vc = vm;
+        }
+        for (long i = 0; i < lanes; ++i) {
+            double *row = out + length * i, norm = 2.0 * half[i] + vc[i];
+            row[0] = vc[i];
+            for (long k = 0; k < length; ++k) {
+                double y = row[k] / norm;
+                row[k] = fabs(y) < FLUSH_THRESHOLD ? 0.0 : y;
+            }
+        }
     }
 }
 

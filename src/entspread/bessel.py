@@ -13,13 +13,12 @@ identity J_0(x) + 2 sum_{k>=1} J_{2k}(x) = 1.  Downward recursion is stable
 precisely where upward recursion is not (order > argument), which is the
 regime the superexponentially decaying wavefront tail lives in.
 
-The batch evaluator `bessel_rows` runs the same recurrence across many
-arguments at once and stores it order-major: one contiguous row per order,
-holding that order for every argument, so each step writes the next lower
-order in place from the two rows above it.  The unnormalized values grow
-fast below the start, so they are rescaled whenever one would pass 1e250;
-a cheap running bound tells the loop at which steps that test must run.
-Only when normalizing does it turn the orders into one row per argument.
+Both evaluators are one compiled pass, `miller_rows` in `_ring.c`: the batch
+evaluator `bessel_rows` runs the recurrence for several arguments side by
+side, each with its own rescales, and `bessel_row` is its one-argument
+call.  This module also builds and loads the library of compiled passes
+(`_ring.c`, built with `cc` on first import and cached), which the
+propagator binds its own passes from.
 
 The independent cross-check, an ascending-series evaluator in extended
 precision that shares no code with the recurrence, is in the test suite's
@@ -28,24 +27,90 @@ precision that shares no code with the recurrence, is in the test suite's
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import math
+import os
+import platform
+from pathlib import Path
 
 import numpy as np
 
 # Magnitudes below this are flushed to exactly zero after normalization;
-# keeps long moment sums out of subnormal arithmetic.
+# keeps long moment sums out of subnormal arithmetic.  `miller_rows`
+# (`_ring.c`) holds the same value, beside the 1e250 past which it rescales
+# to keep the downward pass clear of float64 overflow.
 FLUSH_THRESHOLD = 1e-300
 
-# Unnormalized recurrence values are rescaled once they exceed this, to keep
-# the downward pass clear of float64 overflow.
-_RESCALE_LIMIT = 1e250
-_RESCALE_FACTOR = 1e-250
+# How `_ring.c` is built; its header says how the flags fix the bytes.
+_RING_SOURCE = Path(__file__).with_name("_ring.c")
+_RING_FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
+_RING_LIBS = ("-lm",)
 
-# Orders per slab when bessel_rows turns its order-major values into rows.
-_TRANSPOSE_SLAB = 128
 
-# Orders per slab of recurrence factors n (2 / x) that bessel_rows makes at once.
-_FACTOR_SLAB = 64
+def _own_file(path: Path) -> bool:
+    """Whether `path` is a file this user owns; one in a shared temp directory may be another's."""
+    return path.is_file() and path.stat().st_uid == os.getuid()
+
+
+def _ring_library() -> tuple[Path, bool]:
+    """The shared library built from `_ring.c`, and whether this call built it with `cc`.
+
+    It is cached in $XDG_CACHE_HOME/entspread (default ~/.cache/entspread),
+    or in the temp directory where that cannot be written, under a name
+    keyed by the source, the flags and the machine.  A build goes to a
+    temp file that is then renamed over the name, so processes that build
+    at once each leave a whole library.
+    """
+    source = _RING_SOURCE.read_bytes()
+    key = hashlib.sha256(b"\0".join([source, *map(str.encode, _RING_FLAGS + _RING_LIBS),
+                                      platform.machine().encode()])).hexdigest()
+    name = f"entspread-ring-{key[:16]}.so"
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "entspread"
+    if _own_file(cache / name):
+        return cache / name, False
+    import subprocess
+    import tempfile
+
+    for directory in (cache, Path(tempfile.gettempdir())):
+        if _own_file(directory / name):
+            return directory / name, False
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+            handle, partial = tempfile.mkstemp(prefix=name, suffix=".partial", dir=directory)
+        except OSError:
+            continue
+        os.close(handle)
+        command = ["cc", *_RING_FLAGS, "-o", partial, str(_RING_SOURCE), *_RING_LIBS]
+        try:
+            done = subprocess.run(command, capture_output=True, text=True)
+            if done.returncode == 0:
+                os.replace(partial, directory / name)
+                return directory / name, True
+            error = done.stderr.strip()
+        except OSError as exc:
+            error = str(exc)
+        finally:
+            if os.path.exists(partial):
+                os.remove(partial)
+        raise ImportError(f"cannot build the Chebyshev ring step: `{' '.join(command)}` failed: {error}")
+    raise ImportError(f"cannot write {name} to {cache} or {tempfile.gettempdir()}")
+
+
+# The one library of compiled passes this process loads, and whether it built it.
+_RING_PATH, _RING_BUILT = _ring_library()
+_LIBRARY = ctypes.CDLL(str(_RING_PATH))
+
+
+def _bind(name: str, *argtypes):
+    function = getattr(_LIBRARY, name)
+    function.argtypes, function.restype = argtypes, None
+    return function
+
+
+_P, _N = ctypes.c_void_p, ctypes.c_long
+_miller_rows = _bind("miller_rows", _P, _N, _N, _N, _P)
+_order_sums = _bind("order_sums", _P, _N, _N, _N, _P)
 
 
 def miller_start_order(order_max: int, argument: float) -> int:
@@ -83,75 +148,36 @@ def _check_argument(argument: float) -> float:
 
 
 def bessel_row(order_max: int, argument: float) -> np.ndarray:
-    """Values J_0(x)..J_{order_max}(x) at one argument x, via normalized Miller recurrence."""
+    """Values J_0(x)..J_{order_max}(x) at one argument x: :func:`bessel_rows` of that argument alone."""
     if order_max < 0:
         raise ValueError(f"order_max must be >= 0, got {order_max}")
     argument = _check_argument(argument)
 
+    values = np.zeros(order_max + 1)
     if argument == 0.0:
-        values = np.zeros(order_max + 1)
         values[0] = 1.0
-        return values
-
-    start = miller_start_order(order_max, argument)
-    out = [0.0] * (order_max + 1)
-    vp = 0.0  # unnormalized J_{n+1}
-    vc = 1.0  # unnormalized J_n, n == start
-    norm = 0.0  # accumulates J_0 + 2 sum J_{2k} on the same scale
-    two_over_x = 2.0 / argument
-    n = start
-    while n > 0:
-        if n <= order_max:
-            out[n] = vc
-        if (n & 1) == 0:
-            norm += 2.0 * vc
-        vm = n * two_over_x * vc - vp
-        if abs(vm) > _RESCALE_LIMIT:
-            vm *= _RESCALE_FACTOR
-            vc *= _RESCALE_FACTOR
-            norm *= _RESCALE_FACTOR
-            for k in range(n, order_max + 1):
-                out[k] *= _RESCALE_FACTOR
-        vp = vc
-        vc = vm
-        n -= 1
-    out[0] = vc
-    norm += vc
-
-    values = np.asarray(out) / norm
-    values[np.abs(values) < FLUSH_THRESHOLD] = 0.0
+    else:
+        start = miller_start_order(order_max, argument)
+        _miller_rows(ctypes.byref(ctypes.c_double(argument)), 1, order_max, start, values.ctypes.data)
     return values
 
 
 def bessel_rows(order_max: int, arguments: np.ndarray) -> np.ndarray:
     """Rows J_0..J_{order_max} for a batch of arguments, shape (len(arguments), order_max+1).
 
-    Same arithmetic as :func:`bessel_row` run elementwise across the batch,
-    with one shared starting order sized for the largest argument; a larger
-    start only adds decay margin, so per-element accuracy matches the scalar
-    path, and a batch of one argument gives the scalar row bit for bit.
-
-    The recurrence is order-major: ``v[n]`` holds the unnormalized order n
-    of every argument, and each step writes ``v[n-1]`` straight into its row
-    from ``v[n]`` and ``v[n+1]``, with no per-step copy or temporary.  Its
-    factors ``n (2/x)`` come from one outer product per _FACTOR_SLAB orders,
-    and the even orders are summed undoubled, the sum doubled once at the
-    end: doubling is exact, so a step takes two or three ufunc calls and
-    keeps the scalar path's bits.  The rescale test runs only at steps where
-    a running bound on the batch's largest magnitude, grown each step by the
-    largest factor ``2n/x_min + 1`` (plus a 1e-12 margin for rounding),
-    passes the rescale limit; each test resets the bound to the true
-    maximum.  So every rescale hits the same elements at the same order as a
-    test at every step would, which matters because the rescale factor is
-    not a power of two.  Batches with widely mixed magnitudes test and
-    rescale often; callers with long time grids should chunk them into
-    stretches of comparable argument.
+    One Miller recurrence per argument, with one shared starting order sized
+    for the largest argument; a larger start only adds decay margin, so
+    per-element accuracy matches a row of its own, and a batch of one
+    argument is :func:`bessel_row` bit for bit.  The recurrence is the
+    compiled pass `miller_rows` (`_ring.c`): each argument's factors
+    n (2/x), rescales and norm are its own, so a row does not depend on
+    which arguments share its batch, only on the start order.
 
     The result is a C-contiguous float64 array, one row per argument.
     """
     if order_max < 0:
         raise ValueError(f"order_max must be >= 0, got {order_max}")
-    args = np.asarray(arguments, dtype=float)
+    args = np.ascontiguousarray(arguments, dtype=float)
     if args.ndim != 1:
         raise ValueError("arguments must be a 1-d array")
     if args.size == 0:
@@ -168,44 +194,26 @@ def bessel_rows(order_max: int, arguments: np.ndarray) -> np.ndarray:
         return out
 
     start = miller_start_order(order_max, float(args.max()))
-    two_over_x = 2.0 / args
-    growth = float(two_over_x.max())
-    v = np.zeros((start + 2, args.size))  # v[start + 1] = 0 seeds the recurrence
-    v[start] = 1.0
-    orders = list(v)  # one view per order, made once
-    # Sum of the even orders above 0: the norm is 2 * half + v[0], and doubling
-    # is exact, so it has the bits of summing 2 v[n].
-    half = np.zeros(args.size)
-    step = np.empty(args.size)
-    bound = 1.0  # >= every |v[n]|, |v[n+1]| of the batch
-    for top in range(start, 0, -_FACTOR_SLAB):
-        # Row i is n (2 / x) for n = top - i, the product the scalar path forms.
-        factors = np.multiply.outer(np.arange(top, max(top - _FACTOR_SLAB, 0), -1.0), two_over_x)
-        for n, factor in zip(range(top, 0, -1), factors):
-            vn = orders[n]
-            if (n & 1) == 0:
-                np.add(half, vn, out=half)
-            np.multiply(factor, vn, out=step)
-            np.subtract(step, orders[n + 1], out=orders[n - 1])
-            bound *= (n * growth + 1.0) * (1.0 + 1e-12)
-            if bound > _RESCALE_LIMIT:
-                big = np.abs(orders[n - 1]) > _RESCALE_LIMIT
-                if np.any(big):
-                    # v[n-1], v[n] and the kept orders n+1..order_max; v[n+1]
-                    # above order_max is never read again
-                    v[n - 1 : max(n, order_max) + 1, big] *= _RESCALE_FACTOR
-                    half[big] *= _RESCALE_FACTOR
-                bound = float(np.abs(v[n - 1 : n + 1]).max())
-    norm = 2.0 * half + v[0]
-
-    # Normalize into rows a slab of orders at a time: a whole-array
-    # transposing copy strides through memory and is several times slower.
     rows = np.empty((args.size, order_max + 1))
-    for lo in range(0, order_max + 1, _TRANSPOSE_SLAB):
-        slab = rows[:, lo : lo + _TRANSPOSE_SLAB]
-        np.divide(v[lo : lo + slab.shape[1]].T, norm[:, None], out=slab)
-        slab[np.abs(slab) < FLUSH_THRESHOLD] = 0.0
+    _miller_rows(args.ctypes.data, args.size, order_max, start, rows.ctypes.data)
     return rows
+
+
+def order_sums(rows: np.ndarray, core: int) -> np.ndarray:
+    """Sums over each Bessel row J_0..J_K of `rows` (S, K + 1), as (3, S).
+
+    They are of k^2 |J_k| over the orders 1..core and core+1..K, and of
+    J_k^2 over 1..K: bit for bit np.add.reduce(np.abs(rows[:, a:b]) * k2[a:b],
+    axis=1) with k2 = k^2, and np.add.reduce(rows[:, 1:] ** 2, axis=1).
+    Each is the pairwise sum of the compiled pass `order_sums`, so the bytes
+    depend on no BLAS and no CPU dispatch.
+    """
+    rows = np.ascontiguousarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] == 0 or core < 0:
+        raise ValueError(f"order sums take rows J_0..J_K and a core >= 0, got {rows.shape} and {core}")
+    sums = np.empty((3, len(rows)))
+    _order_sums(rows.ctypes.data, len(rows), rows.shape[1], core, sums.ctypes.data)
+    return sums
 
 
 def bessel_j(order: int, argument: float) -> float:

@@ -35,7 +35,7 @@ from .analysis import (
     verify_bounds,
 )
 from .analytic import asymptotes_ordered, w_bounds_ordered
-from .bessel import bessel_row, bessel_rows, tail_order
+from .bessel import _RING_BUILT, _RING_PATH, bessel_row, bessel_rows, order_sums, tail_order
 from .chain import build_hamiltonian
 from .config import (
     ConfigError,
@@ -100,11 +100,17 @@ def _manifest(
     command: str, config: ExperimentConfig, out_dir: Path, records: list[dict], started: float,
     **extra,
 ) -> dict:
-    """The run manifest of `simulate` or `analytic`, with `extra` keys, also written as manifest.json."""
+    """The run manifest of `simulate` or `analytic`, with `extra` keys, also written as manifest.json.
+
+    `library` names the compiled passes' shared library, keyed by their
+    source, flags and machine, and says whether this process built it or
+    found it in the cache.
+    """
     manifest = {
         **_header(command),
         "config": config_to_dict(config),
         "config_digest": config_digest(config),
+        "library": {"file": _RING_PATH.name, "built": _RING_BUILT},
         "realizations": records,
         **extra,
         "total_wall_time_s": round(_time.perf_counter() - started, 3),
@@ -189,7 +195,10 @@ def analytic_series(config: ExperimentConfig) -> tuple[MomentSeries, dict[str, n
     rows share one truncation order and one Miller start order, sized for
     its last time, so early times do not pay for late ones.  One chunk for
     the whole desk grid would need rows of about 66 MB, and its shared start
-    order would move the last bits of the early rows.
+    order would move the last bits of the early rows.  The sums over the
+    orders, w split at the core edge and sum_k J_k^2 of the norm, are one
+    compiled pass per chunk (`bessel.order_sums`): pairwise sums of a fixed
+    order, so the CSV's bytes depend on no BLAS kernel and no CPU dispatch.
     """
     if not config.chain.disorder.is_ordered:
         raise ConfigError("config.chain.disorder", "the closed form needs an ordered chain")
@@ -201,19 +210,16 @@ def analytic_series(config: ExperimentConfig) -> tuple[MomentSeries, dict[str, n
     chunks = []
     for lo in range(0, len(times), _ANALYTIC_CHUNK):
         chunk = times[lo : lo + _ANALYTIC_CHUNK]
-        order_max = tail_order(2.0 * float(chunk[-1]))
-        rows = bessel_rows(order_max, 2.0 * chunk)
-        absrows = np.abs(rows)
-        x2 = np.arange(order_max + 1, dtype=float) ** 2
+        rows = bessel_rows(tail_order(2.0 * float(chunk[-1])), 2.0 * chunk)
         # The one-sided sums split at the core edge |x| = L, as simulate splits
         # m; with no core, w_inner is 0.0 and w is w_outer bit for bit.
-        w_inner = 2.0 * (absrows[:, 1 : core + 1] @ x2[1 : core + 1])
-        w_outer = 2.0 * (absrows[:, core + 1 :] @ x2[core + 1 :])
+        inner, outer, squares = order_sums(rows, core)
+        w_inner, w_outer = 2.0 * inner, 2.0 * outer
         w = w_inner + w_outer
-        alpha0 = absrows[:, 0]
+        alpha0 = np.abs(rows[:, 0])
         m = 2.0 * alpha0 * w
         # probability on the full chain: J_0^2 + 2 sum_k J_k^2
-        norm_error = np.abs(1.0 - (rows[:, 0] ** 2 + 2.0 * np.sum(rows[:, 1:] ** 2, axis=1)))
+        norm_error = np.abs(1.0 - (rows[:, 0] ** 2 + 2.0 * squares))
         chunks.append(np.column_stack((chunk, m, w, alpha0, 2.0 * alpha0 * w_outer,
                                        2.0 * alpha0 * w_inner, norm_error)))
     series = MomentSeries.from_table(np.concatenate(chunks), config_digest(config))

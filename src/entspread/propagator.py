@@ -23,9 +23,10 @@ The coefficients are exactly the Bessel rows the bessel module provides.
   once.  Its coefficients are purely imaginary, so each complex product is
   the one real product per part that two real rows would make, bit for bit.
   The orders of a ring are one pass of the C function `ring_steps`
-  (`_ring.c`, built with `cc` on first import and cached; an import that
-  cannot build it fails), which groups each order's arithmetic as the six
-  numpy ufuncs it replaced did, so their bytes are kept.
+  (`_ring.c`, whose library the bessel module builds with `cc` on first
+  import and caches; an import that cannot build it fails), which groups
+  each order's arithmetic as the six numpy ufuncs it replaced did, so
+  their bytes are kept.
   The coefficients (2 - delta_k0) J_k(b tau) are real, so when the ring
   fills, `ring_flush` adds its orders into the sample rows as one fma per
   double of the (re, im) rows, order by order: each double of a sample is
@@ -81,17 +82,13 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
 import math
-import os
-import platform
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .bessel import bessel_row, bessel_rows, tail_order
+from .bessel import _N, _P, _bind, bessel_row, bessel_rows, tail_order
 from .chain import Hamiltonian, spectral_bounds
 
 # Bound on the discarded Chebyshev tail 2 * sum_{k>K} |J_k(b tau)| of one
@@ -113,61 +110,6 @@ _RING_ORDERS = 8  # most orders stored between two accumulating products
 # peak RSS, and with 8 the fresh-process page faults ranged 6 500 - 11 700
 # with the memory layout.
 _SIZE_CLASSES = 6
-
-
-# How `_ring.c` is built; its header says how the flags keep numpy's bytes.
-_RING_SOURCE = Path(__file__).with_name("_ring.c")
-_RING_FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
-_RING_LIBS = ("-lm",)
-
-
-def _own_file(path: Path) -> bool:
-    """Whether `path` is a file this user owns; one in a shared temp directory may be another's."""
-    return path.is_file() and path.stat().st_uid == os.getuid()
-
-
-def _ring_library() -> Path:
-    """The shared library built from `_ring.c`, compiled with `cc` on a cache miss.
-
-    It is cached in $XDG_CACHE_HOME/entspread (default ~/.cache/entspread),
-    or in the temp directory where that cannot be written, under a name
-    keyed by the source, the flags and the machine.  A build goes to a
-    temp file that is then renamed over the name, so processes that build
-    at once each leave a whole library.
-    """
-    source = _RING_SOURCE.read_bytes()
-    key = hashlib.sha256(b"\0".join([source, *map(str.encode, _RING_FLAGS + _RING_LIBS),
-                                      platform.machine().encode()])).hexdigest()
-    name = f"entspread-ring-{key[:16]}.so"
-    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "entspread"
-    if _own_file(cache / name):
-        return cache / name
-    import subprocess
-    import tempfile
-
-    for directory in (cache, Path(tempfile.gettempdir())):
-        if _own_file(directory / name):
-            return directory / name
-        try:
-            directory.mkdir(parents=True, exist_ok=True)
-            handle, partial = tempfile.mkstemp(prefix=name, suffix=".partial", dir=directory)
-        except OSError:
-            continue
-        os.close(handle)
-        command = ["cc", *_RING_FLAGS, "-o", partial, str(_RING_SOURCE), *_RING_LIBS]
-        try:
-            done = subprocess.run(command, capture_output=True, text=True)
-            if done.returncode == 0:
-                os.replace(partial, directory / name)
-                return directory / name
-            error = done.stderr.strip()
-        except OSError as exc:
-            error = str(exc)
-        finally:
-            if os.path.exists(partial):
-                os.remove(partial)
-        raise ImportError(f"cannot build the Chebyshev ring step: `{' '.join(command)}` failed: {error}")
-    raise ImportError(f"cannot write {name} to {cache} or {tempfile.gettempdir()}")
 
 
 @functools.cache
@@ -194,17 +136,6 @@ def _numpy_fuses() -> tuple[bool, bool, bool]:
     return *products, bool(np.any(magnitudes != np.sqrt(ratio * ratio + 1.0)))
 
 
-_RING_PATH = _ring_library()
-_LIBRARY = ctypes.CDLL(str(_RING_PATH))
-
-
-def _bind(name: str, *argtypes):
-    function = getattr(_LIBRARY, name)
-    function.argtypes, function.restype = argtypes, None
-    return function
-
-
-_P, _N = ctypes.c_void_p, ctypes.c_long
 _ring_steps = _bind("ring_steps", _P, _N, _P, _P, _N, _N, _N, _N)
 _edge_counts_c = _bind("edge_counts", _P, _N, _N, _N, ctypes.c_double, _P)
 _phase_rows_c = _bind("phase_rows", _P, _N, _N, _N, _P, _N)

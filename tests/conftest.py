@@ -3,7 +3,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entspread.propagator import _RING_PATH, WaveState, _numpy_fuses
+from entspread.bessel import _RING_PATH
+from entspread.propagator import WaveState, _numpy_fuses
 
 
 def random_unit_state(rng, n, origin=None):

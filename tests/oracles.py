@@ -4,6 +4,8 @@ None of these is on the pipeline's path, so they live beside their tests:
 
 * `bessel_j_series_oracle`: J_n(x) from the ascending power series in
   extended precision (mpmath), sharing no code with the Miller recurrence;
+* `bessel_rows_numpy`: the Miller recurrence as numpy calls over a batch,
+  whose bytes the compiled `miller_rows` must reproduce;
 * `evolve_diagonalization`: exact evolution through a full
   symmetric-tridiagonal eigendecomposition, for small chains;
 * `reduced_density_pair`, `wootters_concurrence`, `concurrence_pair`: the
@@ -29,6 +31,7 @@ import mpmath
 import numpy as np
 import scipy.linalg
 
+from entspread.bessel import FLUSH_THRESHOLD, miller_start_order
 from entspread.chain import Hamiltonian
 from entspread.propagator import Block, WaveState
 
@@ -99,6 +102,58 @@ def bessel_j_series_oracle(order: int, argument: float, terms: int) -> float:
             term *= step / (m * (m + order))
             total += term
         return float(total)
+
+
+def bessel_rows_numpy(order_max: int, args: np.ndarray) -> np.ndarray:
+    """`bessel.bessel_rows` as numpy calls: rows J_0..J_{order_max}, one per argument.
+
+    The recurrence is order-major: ``v[n]`` holds the unnormalized order n
+    of every argument, and each step writes ``v[n-1]`` from ``v[n]`` and
+    ``v[n+1]`` as ``n (2/x) v[n] - v[n+1]``, its factors made one outer
+    product per 64 orders.  The even orders are summed undoubled, the norm
+    being ``2 half + v[0]``.  Where an element of ``v[n-1]`` passes 1e250,
+    that element's ``v[n-1]``, ``v[n]``, kept orders up to order_max and
+    ``half`` are scaled by 1e-250; a running bound on the batch's largest
+    magnitude tells at which steps that test must run.  The rows are then
+    divided by their norms, and magnitudes below FLUSH_THRESHOLD set to 0.0.
+    """
+    args = np.asarray(args, dtype=float)
+    positive = args > 0.0
+    if not positive.all():
+        out = np.zeros((args.size, order_max + 1))
+        out[~positive, 0] = 1.0
+        if positive.any():
+            out[positive] = bessel_rows_numpy(order_max, args[positive])
+        return out
+
+    start = miller_start_order(order_max, float(args.max()))
+    two_over_x = 2.0 / args
+    growth = float(two_over_x.max())
+    v = np.zeros((start + 2, args.size))  # v[start + 1] = 0 seeds the recurrence
+    v[start] = 1.0
+    orders = list(v)
+    half = np.zeros(args.size)
+    step = np.empty(args.size)
+    bound = 1.0  # >= every |v[n]|, |v[n+1]| of the batch
+    for top in range(start, 0, -64):
+        factors = np.multiply.outer(np.arange(top, max(top - 64, 0), -1.0), two_over_x)
+        for n, factor in zip(range(top, 0, -1), factors):
+            vn = orders[n]
+            if (n & 1) == 0:
+                np.add(half, vn, out=half)
+            np.multiply(factor, vn, out=step)
+            np.subtract(step, orders[n + 1], out=orders[n - 1])
+            bound *= (n * growth + 1.0) * (1.0 + 1e-12)
+            if bound > 1e250:
+                big = np.abs(orders[n - 1]) > 1e250
+                if np.any(big):
+                    v[n - 1 : max(n, order_max) + 1, big] *= 1e-250
+                    half[big] *= 1e-250
+                bound = float(np.abs(v[n - 1 : n + 1]).max())
+    norm = 2.0 * half + v[0]
+    rows = v[: order_max + 1].T / norm[:, None]
+    rows[np.abs(rows) < FLUSH_THRESHOLD] = 0.0
+    return np.ascontiguousarray(rows)
 
 
 def evolve_diagonalization(h: Hamiltonian, initial: WaveState, delta_t: float) -> WaveState:

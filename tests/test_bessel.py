@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entspread.bessel import (
     FLUSH_THRESHOLD,
@@ -9,9 +11,12 @@ from entspread.bessel import (
     bessel_row,
     bessel_rows,
     miller_start_order,
+    order_sums,
+    tail_order,
 )
+from entspread.config import config_from_dict
 
-from oracles import bessel_j_series_oracle
+from oracles import bessel_j_series_oracle, bessel_rows_numpy
 
 # Reference values from the extended-precision ascending series.
 J0_2 = 0.22389077914123567
@@ -216,8 +221,7 @@ class TestBesselRowsBatch:
 
     @pytest.mark.parametrize("args", [[0.5, 0.0, 3.0], [0.5, 1.5, 3.0]])
     def test_layout_is_one_c_contiguous_row_per_argument(self, args):
-        # the analytic GEMV sums in this layout's order, and the kernel's
-        # ring_flush reads each row in place
+        # order_sums and the kernel's ring_flush read each row in place
         batch = bessel_rows(47, np.array(args))
         assert batch.shape == (3, 48)
         assert batch.dtype == np.float64
@@ -232,3 +236,85 @@ class TestBesselRowsBatch:
             bessel_rows(3, np.array([1.0, -1.0]))
         with pytest.raises(ValueError):
             bessel_rows(3, np.array([[1.0]]))
+
+
+def assert_same_bytes(actual: np.ndarray, expected: np.ndarray) -> None:
+    assert actual.shape == expected.shape
+    mismatched = np.flatnonzero(actual.ravel().view(np.int64) != expected.ravel().view(np.int64))
+    assert actual.tobytes() == expected.tobytes(), f"{mismatched.size} values differ, first at {mismatched[:5]}"
+
+
+class TestMillerPass:
+    """The compiled recurrence `miller_rows` against its numpy form, byte for byte."""
+
+    @pytest.mark.parametrize("order_max", [0, 1, 40, 700, 2100])
+    def test_batch_spanning_many_magnitudes(self, order_max):
+        # Over one start order sized for 3e3, 1e-9 rescales at almost every
+        # order and 3e3 at none: each element rescales at its own orders,
+        # stored ones included.
+        args = np.geomspace(1e-9, 3e3, 37)
+        assert_same_bytes(bessel_rows(order_max, args), bessel_rows_numpy(order_max, args))
+
+    @pytest.mark.parametrize("order_max", [0, 3, 25, 400])
+    @pytest.mark.parametrize("args", [[0.0, 17.3, 0.0, 1e-6, 88.0], [0.0, 0.0], [250.0, 0.0, 2.5]])
+    def test_zeros_and_orders_below_and_above_the_arguments(self, order_max, args):
+        args = np.array(args)
+        assert_same_bytes(bessel_rows(order_max, args), bessel_rows_numpy(order_max, args))
+
+    @settings(max_examples=60, deadline=None)
+    @given(order_max=st.integers(0, 300),
+           args=st.lists(st.one_of(st.just(0.0), st.floats(1e-9, 500.0)), min_size=1, max_size=20))
+    def test_property_matches_numpy(self, order_max, args):
+        args = np.array(args)
+        assert_same_bytes(bessel_rows(order_max, args), bessel_rows_numpy(order_max, args))
+
+    def test_ordered_pipeline_chunks(self):
+        # The benchmark's ordered_pipeline grid at its default seed, in the
+        # chunks analytic_series takes: 16 chunks of up to 256 times.
+        t_start = 0.25 * (1.0 + float(np.random.default_rng(20260810).uniform()))
+        config = config_from_dict({
+            "schema_version": 1, "chain": {"num_sites": 8001, "gamma": 1.0},
+            "times": {"t_start": t_start, "t_end": t_start + 999.75, "num_samples": 4001},
+            "ensemble": {"num_realizations": 1, "base_seed": 0},
+        })
+        times = config.times.grid()
+        chunks = [times[lo : lo + 256] for lo in range(0, len(times), 256)]
+        assert len(chunks) == 16
+        for chunk in chunks:
+            order_max = tail_order(2.0 * float(chunk[-1]))
+            assert_same_bytes(bessel_rows(order_max, 2.0 * chunk), bessel_rows_numpy(order_max, 2.0 * chunk))
+
+    @pytest.mark.parametrize("x", [1e-9, 1e-3, 1.08, 17.3, 300.0, 1999.5, 3e3])
+    def test_row_is_the_one_argument_batch(self, x):
+        for order_max in (0, 1, 47, int(x) // 2, int(x) + 60):
+            assert_same_bytes(bessel_row(order_max, x), bessel_rows_numpy(order_max, np.array([x]))[0])
+
+    def test_strided_arguments_are_read_in_order(self):
+        args = np.geomspace(1e-3, 900.0, 40)
+        assert_same_bytes(bessel_rows(120, args[::3]), bessel_rows_numpy(120, args[::3]))
+
+
+class TestOrderSums:
+    """`order_sums` against the numpy reductions it replaces, bit for bit."""
+
+    @pytest.mark.parametrize("core", [0, 1, 5, 400])
+    def test_matches_numpy_reductions(self, core):
+        # Lengths 1..300 cross the pairwise sum's 8- and 128-term boundaries;
+        # core 400 lies past every row's last order.
+        rng = np.random.default_rng(core)
+        for length in range(1, 301):
+            shape = (1 + length % 4, length)
+            rows = rng.normal(size=shape) * np.exp(rng.uniform(-40.0, 3.0, shape))
+            k2 = np.arange(length, dtype=float) ** 2
+            inner, outer, squares = order_sums(rows, core)
+            assert_same_bytes(inner, np.add.reduce(np.abs(rows[:, 1 : core + 1]) * k2[1 : core + 1], axis=1))
+            assert_same_bytes(outer, np.add.reduce(np.abs(rows[:, core + 1 :]) * k2[core + 1 :], axis=1))
+            assert_same_bytes(squares, np.add.reduce(rows[:, 1:] ** 2, axis=1))
+
+    def test_invalid_inputs(self):
+        with pytest.raises(ValueError):
+            order_sums(np.zeros((2, 0)), 0)
+        with pytest.raises(ValueError):
+            order_sums(np.zeros(4), 0)
+        with pytest.raises(ValueError):
+            order_sums(np.zeros((2, 4)), -1)

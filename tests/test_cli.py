@@ -1,8 +1,12 @@
 import concurrent.futures
 import csv
+import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import astuple
 from pathlib import Path
 
@@ -15,7 +19,7 @@ from hypothesis.extra.numpy import arrays
 
 import entspread.cli
 from entspread.analysis import MomentSeries
-from entspread.bessel import bessel_row
+from entspread.bessel import _RING_BUILT, _RING_PATH, bessel_row
 from entspread.chain import build_hamiltonian
 from entspread.cli import (
     BoundaryBudgetError,
@@ -33,6 +37,8 @@ from entspread.config import SCHEMA_VERSION, config_from_dict, load_config
 from entspread.observables import MOMENT_COLUMNS, MomentSample, moment_m
 from entspread.propagator import evolve_blocks, evolve_series
 from entspread.seriesio import ANALYTIC_EXTRA_COLUMNS, read_series_csv, write_series_csv
+
+from test_ring import NO_FMA, numpy_dispatches
 
 GOLDEN_HEADER = "time,m,w,alpha0_abs,m_o,m_d,norm_error"
 GOLDEN_ANALYTIC_HEADER = GOLDEN_HEADER + ",w_lower_bound,w_upper_bound,w_asymptote,m_asymptote"
@@ -300,6 +306,9 @@ class TestSimulate:
         on_disk = json.loads((tmp_path / "manifest.json").read_text())
         assert on_disk["config_digest"] == manifest["config_digest"]
         assert {r["index"] for r in on_disk["realizations"]} == {0, 1}
+        # the compiled library this process loaded, and whether it built it
+        assert on_disk["library"] == {"file": _RING_PATH.name, "built": _RING_BUILT}
+        assert re.fullmatch(r"entspread-ring-[0-9a-f]{16}\.so", _RING_PATH.name)
 
     @pytest.mark.filterwarnings("ignore::entspread.propagator.ReflectionBudgetWarning")
     def test_boundary_budget_enforced(self, tmp_path):
@@ -459,6 +468,28 @@ class TestAnalytic:
             (w,) = analytic_series(config_from_dict(raw))[0].column("w")
             long_sum = 2.0 * (np.abs(bessel_row(2600, 2.0 * t)) @ (x * x))
             assert w == pytest.approx(long_sum, rel=1e-13, abs=0.0), t
+
+    @pytest.mark.parametrize("env", [
+        pytest.param({}, id="default"),
+        pytest.param({"OPENBLAS_CORETYPE": "Prescott"}, id="openblas_prescott"),
+        pytest.param({"NPY_DISABLE_CPU_FEATURES": NO_FMA}, id="numpy_without_fma", marks=pytest.mark.skipif(
+            not numpy_dispatches(NO_FMA), reason=f"numpy dispatches none of {NO_FMA} here")),
+    ])
+    def test_ordered_csv_does_not_depend_on_the_host(self, tmp_path, env):
+        # A fresh interpreter under each environment writes the CSV this one
+        # writes: no sum goes through a BLAS kernel or a CPU-dispatched loop.
+        raw = make_config(chain={"num_sites": 1001}, times={"t_start": 0.25, "t_end": 150.0, "num_samples": 600},
+                          ensemble={"num_realizations": 1, "base_seed": 0})
+        run_analytic(config_from_dict(raw), tmp_path / "here")
+        src = str(Path(entspread.cli.__file__).parents[1])
+        environ = {**os.environ, **env, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        command = [sys.executable, "-m", "entspread.cli", "analytic", "--config", str(write_config(tmp_path, raw)),
+                   "--out", str(tmp_path / "child")]
+        child = subprocess.run(command, env=environ, capture_output=True, text=True)
+        assert child.returncode == 0, child.stderr
+        digests = {hashlib.sha256((tmp_path / out / "series_analytic.csv").read_bytes()).hexdigest()
+                   for out in ("here", "child")}
+        assert len(digests) == 1
 
     def test_rejects_disordered_config(self):
         config = config_from_dict(make_config())
@@ -990,7 +1021,8 @@ class TestReportSchemas:
         verify = run_verify(config=ordered)
         sweep = run_sweep(config, tmp_path / "sweep", window=(2.0, 20.0))
 
-        manifest_keys = self.HEADER | {"config", "config_digest", "realizations", "total_wall_time_s"}
+        manifest_keys = self.HEADER | {"config", "config_digest", "library", "realizations",
+                                       "total_wall_time_s"}
         assert set(simulate) == manifest_keys | {"failures"}
         assert set(analytic) == manifest_keys
         assert set(fit) == self.HEADER | {"realizations", "ensemble"}

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entspread.propagator
+from entspread.bessel import _RING_PATH, _ring_library
 from entspread.chain import Hamiltonian, build_hamiltonian
 from entspread.config import load_config
 from entspread.observables import moment_m, moment_rows
@@ -404,7 +405,7 @@ def test_passes_match_numpy_without_its_fma_loops():
     assert child.returncode == 0, child.stderr
 
 
-IMPORT = f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import entspread.propagator as p; print(p._RING_PATH)"
+IMPORT = f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import entspread.propagator, entspread.bessel as b; print(b._RING_PATH)"
 
 
 def import_propagator(tmp_path: Path, **env: str) -> subprocess.Popen:
@@ -436,6 +437,18 @@ class TestRingBuild:
         assert child.returncode == 0, err
         (library,) = (tmp_path / "tmp").iterdir()
         assert Path(out.strip()) == library and library.suffix == ".so"
+
+    def test_a_build_is_reported_then_the_cached_library_found(self, tmp_path, monkeypatch):
+        # A stand-in `cc` copies this process's library to its -o path, so no compiler runs.
+        (tmp_path / "bin").mkdir()
+        cc = tmp_path / "bin" / "cc"
+        cc.write_text(f'#!/bin/sh\nwhile [ "$1" != -o ]; do shift; done\ncp "{_RING_PATH}" "$2"\n')
+        cc.chmod(0o755)
+        monkeypatch.setenv("PATH", f"{tmp_path / 'bin'}{os.pathsep}{os.environ['PATH']}")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        library = tmp_path / "cache" / "entspread" / _RING_PATH.name
+        assert _ring_library() == (library, True)
+        assert _ring_library() == (library, False)
 
     def test_no_compiler_raises_an_import_error_naming_it(self, tmp_path):
         (tmp_path / "bin").mkdir()
