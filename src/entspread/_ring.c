@@ -1,8 +1,9 @@
 /* The compiled passes of entspread: the Chebyshev recurrence step and the
    flush of its orders into the samples, the per-block trim, phase and
-   moment sums, and the closed form's Bessel rows (miller_rows) and their
-   sums over the orders (order_sums).  The bessel module builds and loads
-   this one library; the propagator binds its passes from there.
+   moment sums, the closed form's Bessel rows (miller_rows) and their sums
+   over the orders (order_sums), and the read of a series CSV's rows
+   (parse_rows).  The bessel module builds and loads this one library; the
+   propagator and seriesio bind their passes from there.
 
    ring_flush defines its own arithmetic, one fma per term (see there), and
    the moment and order sums share one pairwise rule, numpy's, as the
@@ -40,6 +41,7 @@
 
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 #if defined(__x86_64__)
@@ -505,4 +507,81 @@ CLONES void ring_flush(double *rows, long stride, long count, long width, const 
                            stop);
         flush_rest(row, tiled, length, ring, spacing, slots, c, done, stop);
     }
+}
+
+/* parse_rows: the `rows` lines of a series CSV's body (the bytes after its
+   header line), read in one pass.  A line ends in LF or CRLF, the last one
+   possibly in neither; a blank line has no fields, any other one more than
+   it has commas.  Field f of a line goes to column columns[f] of its row
+   of `table` (`width` doubles a row) where columns[f] >= 0, and is skipped
+   unread otherwise.  A field is read as float() reads it, in the C
+   locale's decimal spelling: ASCII white space around a decimal number,
+   inf, infinity or nan, with a sign or without.  strtod must consume all
+   of it, and the hex and nan(...) spellings it would also take are
+   refused.  glibc's strtod rounds correctly (Clinger, PLDI 1990), as
+   float() does, so a field gives float()'s bits.
+
+   The pass stops at the first line with another count than `fields` or a
+   field it cannot read.  status[0] is that line's index, or `rows` when
+   every line is read; status[1] the line's field count, or -1 when the
+   count is right; status[2] and status[3] the offsets in `text` that bound
+   its bad field, the one in the lowest column where there are several.
+   Every byte read lies before text + length save the one past it, which
+   must be a NUL (Python's bytes end in one) and stops strtod. */
+static int blank(char c)
+{
+    return c == ' ' || c == '\t' || c == '\v' || c == '\f' || c == '\r';
+}
+
+/* Whether text[start, end) reads as a number, stored in *value. */
+static int read_field(const char *start, const char *end, double *value)
+{
+    while (start < end && blank(*start))
+        ++start;
+    while (end > start && blank(end[-1]))
+        --end;
+    const char *digits = start + (start < end && (*start == '+' || *start == '-'));
+    if (digits == end || memchr(digits, '(', end - digits))
+        return 0;
+    if (end - digits > 1 && digits[0] == '0' && (digits[1] == 'x' || digits[1] == 'X'))
+        return 0;
+    char *stop;
+    *value = strtod(start, &stop);
+    return stop == end;
+}
+
+void parse_rows(const char *text, long length, long rows, long fields, const int64_t *columns,
+                long width, double *table, int64_t *status)
+{
+    const char *line = text, *last = text + length;
+    status[1] = -1;
+    for (long row = 0; row < rows; ++row) {
+        const char *newline = memchr(line, '\n', last - line);
+        const char *end = newline ? newline : last;
+        if (end > line && end[-1] == '\r')
+            --end;
+        double *out = table + width * row;
+        long count = 0, bad = width;
+        for (const char *field = line; end > line; ++count) {
+            const char *comma = memchr(field, ',', end - field), *stop = comma ? comma : end;
+            long column = count < fields ? columns[count] : -1;
+            if (column >= 0 && !read_field(field, stop, out + column) && column < bad) {
+                bad = column;
+                status[2] = field - text, status[3] = stop - text;
+            }
+            if (!comma) {
+                ++count;
+                break;
+            }
+            field = comma + 1;
+        }
+        if (count != fields || bad < width) {
+            status[0] = row;
+            if (count != fields)
+                status[1] = count;
+            return;
+        }
+        line = newline ? newline + 1 : last;
+    }
+    status[0] = rows;
 }

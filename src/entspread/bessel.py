@@ -53,6 +53,19 @@ def _own_file(path: Path) -> bool:
     return path.is_file() and path.stat().st_uid == os.getuid()
 
 
+def _prune(directory: Path, name: str) -> None:
+    """Remove this user's libraries other than `name` from `directory`; one that will not go stays.
+
+    A build's `.partial` files end in another suffix, so none is removed.
+    """
+    for stale in directory.glob("entspread-ring-*.so"):
+        try:
+            if stale.name != name and _own_file(stale):
+                stale.unlink()
+        except OSError:
+            pass
+
+
 def _ring_library() -> tuple[Path, bool]:
     """The shared library built from `_ring.c`, and whether this call built it with `cc`.
 
@@ -60,7 +73,8 @@ def _ring_library() -> tuple[Path, bool]:
     or in the temp directory where that cannot be written, under a name
     keyed by the source, the flags and the machine.  A build goes to a
     temp file that is then renamed over the name, so processes that build
-    at once each leave a whole library.
+    at once each leave a whole library; it then removes this user's other
+    libraries from that directory, which older sources or flags left.
     """
     source = _RING_SOURCE.read_bytes()
     key = hashlib.sha256(b"\0".join([source, *map(str.encode, _RING_FLAGS + _RING_LIBS),
@@ -86,6 +100,7 @@ def _ring_library() -> tuple[Path, bool]:
             done = subprocess.run(command, capture_output=True, text=True)
             if done.returncode == 0:
                 os.replace(partial, directory / name)
+                _prune(directory, name)
                 return directory / name, True
             error = done.stderr.strip()
         except OSError as exc:

@@ -1,22 +1,29 @@
-"""CSV and JSON emission with a pinned schema.
+"""CSV and JSON emission with a pinned schema, and the series CSV read.
 
 Column set and order are fixed; floats are written with 17 significant
 digits so a read-back is bit-exact for doubles, and reruns of a deterministic
-command produce byte-identical series files.
+command produce byte-identical series files.  A series is read back by one
+compiled pass over the file's bytes (`parse_rows` in `_ring.c`): strtod,
+correctly rounded as float() is, on the base columns, the extra columns
+skipped unread.  `read_series_csv` gives the field grammar, and the locale
+strtod reads.
 """
 
 from __future__ import annotations
 
-import csv
+import ctypes
 import json
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import MomentSeries
+from .bessel import _N, _P, _bind
 from .observables import MOMENT_COLUMNS
 
 ANALYTIC_EXTRA_COLUMNS = ("w_lower_bound", "w_upper_bound", "w_asymptote", "m_asymptote")
+
+_parse_rows = _bind("parse_rows", ctypes.c_char_p, _N, _N, _N, _P, _N, _P, _P)
 
 
 def write_series_csv(
@@ -46,32 +53,47 @@ def write_series_csv(
 def read_series_csv(path: str | Path) -> MomentSeries:
     """Read a series back; extra columns are ignored.
 
-    Missing base columns raise ValueError naming the path; a row with another
-    field count than the header or a non-numeric base field, naming the path
-    and the line.
+    The header is the first line; every other line is one row, ending in
+    LF or CRLF (the last one may end in neither), with the header's field
+    count.  A base field is a decimal number as float() reads it, with
+    ASCII white space around it allowed: digits with an optional point and
+    exponent, or inf, infinity or nan, signed or not.  Fields are split at
+    every comma, so quotes are not CSV quoting, and the `1_0` and non-ASCII
+    digit spellings that float() also takes are refused.  The file's bytes
+    are read in one compiled pass (`parse_rows` in `_ring.c`), whose
+    strtod rounds correctly, so a field written with 17 digits reads back
+    bit for bit.  strtod reads the decimal point of the LC_NUMERIC locale,
+    which Python leaves at "C" unless a program calls locale.setlocale.
+
+    An empty file or missing base columns raise ValueError naming the
+    path; a row with another field count than the header, or a base field
+    that is not such a number, naming the path and the line.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty CSV") from None
-        missing = [c for c in MOMENT_COLUMNS if c not in header]
-        if missing:
-            raise ValueError(f"{path}: missing columns {missing}")
-        index = [header.index(name) for name in MOMENT_COLUMNS]
-        rows = []
-        for row in reader:
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: line {reader.line_num}: {len(row)} fields, header has {len(header)}"
-                )
-            try:
-                rows.append([float(row[k]) for k in index])
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-    table = np.array(rows, dtype=float).reshape(len(rows), len(MOMENT_COLUMNS))
+    text = path.read_bytes()
+    if not text:
+        raise ValueError(f"{path}: empty CSV")
+    head, _, body = text.partition(b"\n")
+    try:
+        header = head.removesuffix(b"\r").decode().split(",")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: line 1: {exc}") from None
+    missing = [c for c in MOMENT_COLUMNS if c not in header]
+    if missing:
+        raise ValueError(f"{path}: missing columns {missing}")
+    columns = np.full(len(header), -1, dtype=np.int64)
+    columns[[header.index(name) for name in MOMENT_COLUMNS]] = range(len(MOMENT_COLUMNS))
+    rows = body.count(b"\n") + (len(body) > 0 and not body.endswith(b"\n"))
+    table = np.empty((rows, len(MOMENT_COLUMNS)))
+    status = np.empty(4, dtype=np.int64)
+    _parse_rows(body, len(body), rows, len(header), columns.ctypes.data, len(MOMENT_COLUMNS),
+                table.ctypes.data, status.ctypes.data)
+    row, count, start, stop = status.tolist()
+    if row < rows:
+        if count >= 0:
+            raise ValueError(f"{path}: line {row + 2}: {count} fields, header has {len(header)}")
+        field = body[start:stop].decode(errors="replace")
+        raise ValueError(f"{path}: line {row + 2}: could not convert string to float: {field!r}")
     return MomentSeries.from_table(table)
 
 

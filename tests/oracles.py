@@ -17,22 +17,29 @@ None of these is on the pipeline's path, so they live beside their tests:
   must reproduce;
 * `ring_flush_exact`: a ring's orders added into the sample rows, each fma
   rounded once from its exact value in rationals, as the compiled
-  `ring_flush` must round it.
+  `ring_flush` must round it;
+* `read_series_csv_csvmodule`: a series CSV read by the csv module and one
+  float() per field, whose tables and errors the compiled `parse_rows`
+  must reproduce.
 
 Tests import them as they import `conftest`: `from oracles import ...`.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import scipy.linalg
 
+from entspread.analysis import MomentSeries
 from entspread.bessel import FLUSH_THRESHOLD, miller_start_order
 from entspread.chain import Hamiltonian
+from entspread.observables import MOMENT_COLUMNS
 from entspread.propagator import Block, WaveState
 
 # Validity box of the ascending-series oracle in these units; beyond it the
@@ -337,3 +344,35 @@ def concurrence_pair(state: WaveState, i: int, j: int) -> float:
     """Shortcut concurrence 2 |a_i| |a_j| between two sites."""
     _check_pair(state, i, j)
     return 2.0 * abs(state.amplitudes[i]) * abs(state.amplitudes[j])
+
+
+def read_series_csv_csvmodule(path: str | Path) -> MomentSeries:
+    """`seriesio.read_series_csv` as csv.reader rows and one float() per base field.
+
+    Missing base columns raise ValueError naming the path; a row with another
+    field count than the header or a non-numeric base field, naming the path
+    and the line.
+    """
+    path = Path(path)
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty CSV") from None
+        missing = [c for c in MOMENT_COLUMNS if c not in header]
+        if missing:
+            raise ValueError(f"{path}: missing columns {missing}")
+        index = [header.index(name) for name in MOMENT_COLUMNS]
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: {len(row)} fields, header has {len(header)}"
+                )
+            try:
+                rows.append([float(row[k]) for k in index])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    table = np.array(rows, dtype=float).reshape(len(rows), len(MOMENT_COLUMNS))
+    return MomentSeries.from_table(table)

@@ -38,6 +38,7 @@ from entspread.observables import MOMENT_COLUMNS, MomentSample, moment_m
 from entspread.propagator import evolve_blocks, evolve_series
 from entspread.seriesio import ANALYTIC_EXTRA_COLUMNS, read_series_csv, write_series_csv
 
+from oracles import read_series_csv_csvmodule
 from test_ring import NO_FMA, numpy_dispatches
 
 GOLDEN_HEADER = "time,m,w,alpha0_abs,m_o,m_d,norm_error"
@@ -109,7 +110,102 @@ def reference_csv_bytes(table, header):
     return text.getvalue().encode()
 
 
+def read_outcome(reader, path):
+    """What `reader` makes of the CSV at `path`: its table's shape and bytes, or its ValueError's message."""
+    try:
+        table = reader(path).table
+    except ValueError as exc:
+        return str(exc)
+    return table.shape, table.tobytes()
+
+
+ROWS = ("0,1,2,0.5,1,0,0", "1,2,3,0.5,2,0,0", "2,3,4,0.5,3,0,0")
+# The base columns in another order, an extra column among them, and ROWS
+# in that order with the extra field 9.
+REORDERED_HEADER = "m_d,w,extra,time,norm_error,alpha0_abs,m_o,m"
+REORDERED = tuple(",".join((d, w, "9", t, e, a, o, m))
+                  for t, m, w, a, o, d, e in (row.split(",") for row in ROWS))
+
+
+def with_cell(cell: str, column: int = 2, row: int = 1) -> list[str]:
+    """GOLDEN_HEADER and ROWS with field `column` of data row `row` replaced by `cell`."""
+    fields = ROWS[row].split(",")
+    fields[column] = cell
+    return [GOLDEN_HEADER, *ROWS[:row], ",".join(fields), *ROWS[row + 1:]]
+
+
+def csv_bytes(lines, ending="\n", final=True) -> bytes:
+    return (ending.join(lines) + (ending if final else "")).encode()
+
+
+SERIES_CSVS = {
+    "lf": csv_bytes([GOLDEN_HEADER, *ROWS]),
+    "crlf": csv_bytes([GOLDEN_HEADER, *ROWS], "\r\n"),
+    "lf_no_final_newline": csv_bytes([GOLDEN_HEADER, *ROWS], final=False),
+    "crlf_no_final_newline": csv_bytes([GOLDEN_HEADER, *ROWS], "\r\n", final=False),
+    "header_only": csv_bytes([GOLDEN_HEADER]),
+    "header_only_no_newline": csv_bytes([GOLDEN_HEADER], final=False),
+    "another_header_order": csv_bytes([REORDERED_HEADER, *REORDERED]),
+    # m_d comes first in the file, time first in MOMENT_COLUMNS.
+    "two_bad_fields_in_another_order": csv_bytes([REORDERED_HEADER, REORDERED[0], "x,3,9,y,0,0.5,2,2"]),
+    "blank_line": csv_bytes([GOLDEN_HEADER, ROWS[0], "", *ROWS[1:]]),
+    "blank_crlf_line": csv_bytes([GOLDEN_HEADER, ROWS[0], "", *ROWS[1:]], "\r\n"),
+    "blank_last_line": csv_bytes([GOLDEN_HEADER, *ROWS, ""]),
+    "short_row": csv_bytes([GOLDEN_HEADER, ROWS[0], ROWS[1][:-2], ROWS[2]]),
+    "long_row": csv_bytes([GOLDEN_HEADER, ROWS[0], ROWS[1] + ",7", ROWS[2]]),
+    "trailing_comma": csv_bytes([GOLDEN_HEADER, ROWS[0], ROWS[1] + ",", ROWS[2]]),
+    "short_row_with_a_bad_field": csv_bytes([GOLDEN_HEADER, ROWS[0], "1,x,3", ROWS[2]]),
+    **{f"cell_{cell!r}": csv_bytes(with_cell(cell))
+       for cell in ("x", "1e", "0x1p3", "-0X1P3", "nan(1)", "", " ", "+", "1.5.", "1 5",
+                    " 1.5", "1.5 ", "\t-2.5e-3 ", "inf", "-Infinity", "+inf", "NaN", "-nan", "1e400",
+                    "1e-400", "4.9406564584124654e-324", ".5", "5.", "1E+05")},
+}
+
+
 class TestSeriesIO:
+    @settings(max_examples=100, deadline=None)
+    @given(csv_tables())
+    def test_tables_match_the_csv_module_reader(self, tmp_path_factory, table_and_extras):
+        # Seven base columns, or eleven with the analytic extras.
+        table, extras = table_and_extras
+        path = tmp_path_factory.mktemp("csv") / "series.csv"
+        write_series_csv(path, MomentSeries.from_table(table), extras)
+        outcome = read_outcome(read_series_csv, path)
+        assert outcome == read_outcome(read_series_csv_csvmodule, path)
+        assert outcome == (table.shape, table.tobytes())
+
+    @pytest.mark.parametrize("name", SERIES_CSVS)
+    def test_reads_match_the_csv_module_reader(self, tmp_path, name):
+        path = tmp_path / "series.csv"
+        path.write_bytes(SERIES_CSVS[name])
+        assert read_outcome(read_series_csv, path) == read_outcome(read_series_csv_csvmodule, path)
+
+    @pytest.mark.parametrize("name, message", [
+        ("blank_line", "line 3: 0 fields, header has 7"),
+        ("blank_crlf_line", "line 3: 0 fields, header has 7"),
+        ("blank_last_line", "line 5: 0 fields, header has 7"),
+        ("short_row_with_a_bad_field", "line 3: 3 fields, header has 7"),
+        ("two_bad_fields_in_another_order", "line 3: could not convert string to float: 'y'"),
+        ("cell_'nan(1)'", "line 3: could not convert string to float: 'nan(1)'"),
+        ("cell_' '", "line 3: could not convert string to float: ' '"),
+    ])
+    def test_errors_name_the_line(self, tmp_path, name, message):
+        path = tmp_path / "series.csv"
+        path.write_bytes(SERIES_CSVS[name])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            read_series_csv(path)
+
+    @pytest.mark.parametrize("cell", ['"1.5"', "1_0"])
+    def test_quotes_and_underscores_are_not_numbers(self, tmp_path, cell):
+        # The csv module strips the quotes and float() takes "1_0"; the
+        # compiled reader splits at commas and reads C decimals only.
+        path = tmp_path / "series.csv"
+        path.write_bytes(csv_bytes(with_cell(cell)))
+        read_series_csv_csvmodule(path)
+        message = f"{path}: line 3: could not convert string to float: {cell!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_series_csv(path)
+
     @settings(max_examples=150, deadline=None)
     @given(csv_tables())
     def test_bytes_match_the_csv_module_rendering(self, tmp_path_factory, table_and_extras):
@@ -173,6 +269,19 @@ class TestSeriesIO:
         result = CliRunner().invoke(main, ["fit", str(path), "--window", "10:100"])
         assert result.exit_code == 2, result.output
         assert "line 3" in result.output
+
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_undecodable_byte_names_the_path_and_line(self, tmp_path, line):
+        path = tmp_path / "latin1.csv"
+        synthetic_power_law_csv(path)
+        lines = path.read_bytes().split(b"\r\n")
+        lines[line - 1] = lines[line - 1].replace(b",", b"\xe9,", 1)
+        path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line {line}: ")):
+            read_series_csv(path)
+        result = CliRunner().invoke(main, ["fit", str(path), "--window", "10:100"])
+        assert result.exit_code == 2, result.output
+        assert f"line {line}" in result.output
 
 
 @st.composite

@@ -8,7 +8,8 @@ skipped.  The third-party modules imported under src/ must be exactly the
 `[project] dependencies` of pyproject.toml, so a test-only library such as
 mpmath cannot creep back into the package, and fresh interpreters check
 that importing the package loads nothing, that the CLI loads neither
-mpmath nor scipy, and that its ensemble statistics load no numpy.ma.
+mpmath nor scipy, that its ensemble statistics load no numpy.ma, and that
+reading a series maps the one compiled library.
 """
 
 import ast
@@ -124,3 +125,19 @@ def test_ensemble_statistics_load_no_numpy_ma():
     # scipy, no longer imported, used to load it at start-up instead.
     loaded = modules_after("import entspread.cli; entspread.cli._ensemble([2.0, 2.5, 3.0])")
     assert "numpy.ma" not in loaded
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="no /proc/self/maps here")
+def test_a_series_read_maps_one_compiled_library(tmp_path):
+    # seriesio binds its pass from the library the bessel module loaded.
+    statement = (
+        "import numpy as np; import entspread.seriesio as io; from entspread.analysis import MomentSeries; "
+        f"path = {str(tmp_path / 'series.csv')!r}; "
+        "io.write_series_csv(path, MomentSeries.from_table(np.arange(14.0).reshape(2, 7))); "
+        "io.read_series_csv(path); "
+        "print(sorted({line.split(maxsplit=5)[5].strip() for line in open('/proc/self/maps') "
+        "if 'entspread-ring-' in line}))"
+    )
+    code = f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); {statement}"
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert len(ast.literal_eval(child.stdout)) == 1, child.stdout

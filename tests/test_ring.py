@@ -438,17 +438,51 @@ class TestRingBuild:
         (library,) = (tmp_path / "tmp").iterdir()
         assert Path(out.strip()) == library and library.suffix == ".so"
 
-    def test_a_build_is_reported_then_the_cached_library_found(self, tmp_path, monkeypatch):
-        # A stand-in `cc` copies this process's library to its -o path, so no compiler runs.
+    @pytest.fixture
+    def cache(self, tmp_path, monkeypatch) -> Path:
+        """An empty cache directory, and a stand-in `cc` that copies this process's library to its -o path."""
         (tmp_path / "bin").mkdir()
         cc = tmp_path / "bin" / "cc"
         cc.write_text(f'#!/bin/sh\nwhile [ "$1" != -o ]; do shift; done\ncp "{_RING_PATH}" "$2"\n')
         cc.chmod(0o755)
         monkeypatch.setenv("PATH", f"{tmp_path / 'bin'}{os.pathsep}{os.environ['PATH']}")
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-        library = tmp_path / "cache" / "entspread" / _RING_PATH.name
+        (tmp_path / "cache" / "entspread").mkdir(parents=True)
+        return tmp_path / "cache" / "entspread"
+
+    def test_a_build_is_reported_then_the_cached_library_found(self, cache):
+        library = cache / _RING_PATH.name
         assert _ring_library() == (library, True)
         assert _ring_library() == (library, False)
+
+    # What an older source's build left, a build of it that never finished,
+    # and a file of another program.
+    STALE = "entspread-ring-0123456789abcdef.so"
+    PARTIAL, OTHER = STALE + "x1y2.partial", "other.so"
+
+    def left_in(self, cache: Path) -> set[str]:
+        for name in (self.STALE, self.PARTIAL, self.OTHER):
+            (cache / name).write_bytes(b"")
+        _ring_library()
+        return {path.name for path in cache.iterdir()}
+
+    def test_a_build_removes_this_users_stale_libraries_only(self, cache):
+        assert self.left_in(cache) == {_RING_PATH.name, self.PARTIAL, self.OTHER}
+
+    def test_a_cache_hit_removes_nothing(self, cache):
+        (cache / _RING_PATH.name).write_bytes(_RING_PATH.read_bytes())
+        assert self.left_in(cache) == {_RING_PATH.name, self.STALE, self.PARTIAL, self.OTHER}
+
+    def test_another_users_library_is_kept(self, cache, monkeypatch):
+        monkeypatch.setattr(os, "getuid", lambda: os.stat(cache).st_uid + 1)
+        assert self.left_in(cache) == {_RING_PATH.name, self.STALE, self.PARTIAL, self.OTHER}
+
+    def test_a_library_that_will_not_go_is_left(self, cache, monkeypatch):
+        def refuse(path, missing_ok=False):
+            raise PermissionError(f"cannot remove {path}")
+
+        monkeypatch.setattr(Path, "unlink", refuse)
+        assert self.left_in(cache) == {_RING_PATH.name, self.STALE, self.PARTIAL, self.OTHER}
 
     def test_no_compiler_raises_an_import_error_naming_it(self, tmp_path):
         (tmp_path / "bin").mkdir()
