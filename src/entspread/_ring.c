@@ -13,8 +13,8 @@
    dispatches or on a BLAS.  Built with -ffp-contract=off, so no product
    is fused into an addition unless written as fma(), save that GCC's
    vectorizer fuses what it takes for a complex product (see phase_rows);
-   in ring_steps that changes no bit, as one product of each part is exact
-   (a zero real part, or a halving).  -fno-math-errno lets sqrt vectorize
+   in ring_steps' halving of order 1 that changes no bit, as both products
+   are exact (a halving and a zero).  -fno-math-errno lets sqrt vectorize
    and changes no result.  Where numpy's loops fuse (its complex product
    and absolute on FMA hardware), a pass takes `fused` from the caller,
    which probes what numpy does in the running process.
@@ -28,16 +28,19 @@
 
    in place: order k goes into slot k % slots of `ring`, `slots` rows of
    `width` values `spacing` complex values apart, and reads its two
-   predecessors from the slots before it.
-   `d` (width values) and `o` (width - 1 values) are the diagonal and
-   off-diagonal of -2i Hs on the window.  The arithmetic is grouped as the
-   numpy step's ufuncs group it,
+   predecessors from the slots before it.  -2i Hs is purely imaginary: `d`
+   (width doubles) and `o` (width - 1 doubles) are the imaginary parts of
+   its diagonal and off-diagonal on the window.  With c = U_{k-1}, each
+   part of
 
-       ((d[i] U[i] + o[i] U[i+1]) + o[i-1] U[i-1]) + U_{k-2}[i],
+       s[i] = (d[i] c[i] + o[i] c[i+1]) + o[i-1] c[i-1]
 
-   each product is (ar br - ai bi, ar bi + ai br), and order 1 is multiplied
-   by the complex 0.5 last, which turns some -0.0 into +0.0 where a real
-   halving would not. */
+   is summed in that order (an end site has no term past the end), and
+   U_k[i] = U_{k-2}[i] + i s[i] = (U_{k-2}.re - s.im, s.re + U_{k-2}.im).
+   Order 1 is then multiplied by the complex 0.5 + 0i, (re 0.5 - im 0.0,
+   re 0.0 + im 0.5), which turns some -0.0 into +0.0 where a real halving
+   would not.  That is 64 bytes of memory traffic a site, and one product
+   and one addition a term and part. */
 
 #include <math.h>
 #include <stdint.h>
@@ -50,42 +53,45 @@
 #define CLONES
 #endif
 
-/* re + i im = a b for complex a, b at two interleaved doubles each. */
-#define MUL(a, b, re, im)                    \
-    re = a[0] * b[0] - a[1] * b[1];          \
-    im = a[0] * b[1] + a[1] * b[0]
+/* Four doubles, two complex values, loaded from any 8-byte boundary. */
+typedef double quad __attribute__((vector_size(4 * sizeof(double)), aligned(8)));
+typedef int64_t quad_bits __attribute__((vector_size(4 * sizeof(double))));
 
 CLONES void ring_steps(double *ring, long spacing, const double *d, const double *o,
                        long width, long slots, long first, long last)
 {
+    /* the sign bit of each real part: prev + i s is (prev_re - s_im, prev_im + s_re) */
+    const quad_bits real_signs = {INT64_MIN, 0, INT64_MIN, 0};
     for (long k = first; k <= last; ++k) {
         double *restrict next = ring + 2 * spacing * (k % slots);
         const double *restrict cur = ring + 2 * spacing * ((k - 1) % slots);
         const double *restrict prev = ring + 2 * spacing * ((k - 2 + slots) % slots);
-        double re, im, pr, pi;
         if (width == 1) {
-            MUL(d, cur, re, im);
-            next[0] = re + prev[0];
-            next[1] = im + prev[1];
+            next[0] = prev[0] - d[0] * cur[1];
+            next[1] = d[0] * cur[0] + prev[1];
         } else {
-            MUL(d, cur, re, im);
-            MUL(o, (cur + 2), pr, pi);
-            next[0] = (re + pr) + prev[0];
-            next[1] = (im + pi) + prev[1];
-            for (long i = 1; i < width - 1; ++i) {
-                const double *di = d + 2 * i, *oi = o + 2 * i, *ci = cur + 2 * i;
-                double ur, ui, lr, li;
-                MUL(di, ci, re, im);
-                MUL(oi, (ci + 2), ur, ui);
-                MUL((oi - 2), (ci - 2), lr, li);
-                next[2 * i] = ((re + ur) + lr) + prev[2 * i];
-                next[2 * i + 1] = ((im + ui) + li) + prev[2 * i + 1];
+            next[0] = prev[0] - (d[0] * cur[1] + o[0] * cur[3]);
+            next[1] = (d[0] * cur[0] + o[0] * cur[2]) + prev[1];
+            long i = 1;
+            /* two sites a pass: s per part for the (re, im) pairs, its
+               parts swapped and the real ones negated by their sign bit */
+            for (; i + 2 < width; i += 2) {
+                const double *c = cur + 2 * i;
+                quad dd = {d[i], d[i], d[i + 1], d[i + 1]}, oo = {o[i], o[i], o[i + 1], o[i + 1]},
+                     ll = {o[i - 1], o[i - 1], o[i], o[i]};
+                quad s = (dd * *(const quad *)c + oo * *(const quad *)(c + 2)) + ll * *(const quad *)(c - 2);
+                quad swapped = __builtin_shufflevector(s, s, 1, 0, 3, 2);
+                *(quad *)(next + 2 * i) =
+                    *(const quad *)(prev + 2 * i) + (quad)((quad_bits)swapped ^ real_signs);
             }
-            long i = width - 1;
-            MUL((d + 2 * i), (cur + 2 * i), re, im);
-            MUL((o + 2 * i - 2), (cur + 2 * i - 2), pr, pi);
-            next[2 * i] = (re + pr) + prev[2 * i];
-            next[2 * i + 1] = (im + pi) + prev[2 * i + 1];
+            for (; i < width - 1; ++i) {
+                const double *c = cur + 2 * i;
+                next[2 * i] = prev[2 * i] - ((d[i] * c[1] + o[i] * c[3]) + o[i - 1] * c[-1]);
+                next[2 * i + 1] = ((d[i] * c[0] + o[i] * c[2]) + o[i - 1] * c[-2]) + prev[2 * i + 1];
+            }
+            const double *c = cur + 2 * i;
+            next[2 * i] = prev[2 * i] - (d[i] * c[1] + o[i - 1] * c[-1]);
+            next[2 * i + 1] = (d[i] * c[0] + o[i - 1] * c[-2]) + prev[2 * i + 1];
         }
         if (k == 1) {
             for (long i = 0; i < width; ++i) {
@@ -398,114 +404,205 @@ CLONES void miller_rows(const double *args, long count, long order_max, long sta
    `coeff_stride` doubles per row.  The first flush (done == 0) starts
    every row from 0.0.  So each double of sample s is one fixed sequence of
    roundings over its first need[s] orders, whatever the ring size or the
-   tiling below.  fma() is written out, not left to -ffp-contract: a clone
+   tiling below.  fma() is written out, not left to -ffp-contract: a build
    without an FMA unit calls libm's, which rounds alike.
 
-   The rows are cut into tiles of TILE_ROWS samples by TILE_COLS doubles,
+   The rows are cut into tiles of TILE_ROWS samples by TILE_VECS vectors,
    each tile's sums held in registers while the ring's orders pass over it;
    a tile column's ring orders stay in L1 while its tiles run down the
-   samples.  A sample that stops inside the ring, and samples and doubles
-   past the last whole tile, take the same fmas one row at a time.  The
-   kernel starts every ring slot on a 64-byte line, so that no vector load
-   of the ring splits a cache line. */
+   samples.  The samples go in groups of TILE_ROWS from the last one, as a
+   block's later samples need more orders, so the first count % TILE_ROWS
+   go alone.  A group's tile runs up to the least stop of its rows, and each
+   row then finishes alone, as do the doubles past the last whole tile
+   column.  The tile is sized per instruction set so that its sums, three
+   ring vectors and a coefficient fit the vector registers (Goto & van de
+   Geijn, ACM TOMS 34, 12 (2008)): 4 x 3 zmm sums of 32 registers for
+   x86-64-v4, 4 x 3 ymm of 16 for x86-64-v3, each function built for its
+   ISA and picked at the call.  The kernel starts every ring slot on a
+   64-byte line, so that no vector load of the ring splits a cache line. */
 #define TILE_ROWS 4
 #define TILE_VECS 3
-#define TILE_LANES 8
-#define TILE_COLS (TILE_VECS * TILE_LANES)
+#define FLUSH_BATCH 256 /* most samples one sweep of the tile columns plans for */
 
-typedef double lanes __attribute__((vector_size(TILE_LANES * sizeof(double)), aligned(8)));
+struct flush {
+    double *rows;
+    long stride, count, width;
+    const double *ring;
+    long spacing, slots;
+    const double *coeffs;
+    long coeff_stride;
+    const int64_t *need;
+    long done, last;
+};
 
-/* The orders from..stop-1 into `count` rows (TILE_ROWS or 1) of one tile. */
+/* flush_tile_N: the orders from..stop-1 into `count` rows (TILE_ROWS or 1)
+   of one tile TILE_VECS vectors of N doubles wide, order `from` being in
+   slot `at` of the ring; strides in doubles.
+   The sums are taken lane by lane, which each build vectorizes as its ISA
+   allows; a vector wider than the ISA's registers would live on the stack. */
+#define FLUSH_TILE(N, vector)                                                                      \
+    static inline __attribute__((always_inline)) void flush_tile_##N(                              \
+        double *rows, long stride, int count, const double *ring, long spacing, long slots,         \
+        long at, const double *coeffs, long coeff_stride, long from, long stop)                    \
+    {                                                                                              \
+        vector sums[TILE_ROWS][TILE_VECS];                                                         \
+        _Pragma("GCC unroll 16") for (int r = 0; r < count; ++r)                                   \
+            _Pragma("GCC unroll 16") for (int v = 0; v < TILE_VECS; ++v)                           \
+        {                                                                                          \
+            /* these rows' next tile column, due once this column's tiles are done */              \
+            __builtin_prefetch(rows + stride * r + N * (v + TILE_VECS), 1);                        \
+            sums[r][v] = from == 0 ? (vector){0.0} : *(const vector *)(rows + stride * r + N * v); \
+        }                                                                                          \
+        const double *u = ring + spacing * at;                                                     \
+        for (long j = from; j < stop; ++j, u += spacing) {                                         \
+            if (u == ring + spacing * slots)                                                       \
+                u = ring;                                                                          \
+            _Pragma("GCC unroll 16") for (int r = 0; r < count; ++r)                               \
+            {                                                                                      \
+                double c = coeffs[coeff_stride * r + j];                                           \
+                _Pragma("GCC unroll 16") for (int v = 0; v < TILE_VECS; ++v)                       \
+                {                                                                                  \
+                    vector sum = sums[r][v], x = *(const vector *)(u + N * v);                     \
+                    for (int i = 0; i < N; ++i)                                                    \
+                        sum[i] = fma(c, x[i], sum[i]);                                             \
+                    sums[r][v] = sum;                                                              \
+                }                                                                                  \
+            }                                                                                      \
+        }                                                                                          \
+        _Pragma("GCC unroll 16") for (int r = 0; r < count; ++r)                                   \
+            _Pragma("GCC unroll 16") for (int v = 0; v < TILE_VECS; ++v)                           \
+                *(vector *)(rows + stride * r + N * v) = sums[r][v];                               \
+    }
+
+typedef double octet __attribute__((vector_size(8 * sizeof(double)), aligned(8)));
+FLUSH_TILE(8, octet)
+FLUSH_TILE(4, quad)
+
+/* The orders from..stop-1 into the doubles [first, length) of one row,
+   order `from` being in slot `at` of the ring: order by order, so that the
+   doubles' fmas are independent. */
 static inline __attribute__((always_inline)) void
-flush_tile(double *rows, long stride, int count, const double *ring, long spacing, long slots,
-           const double *coeffs, long coeff_stride, long from, long stop)
+flush_rest(double *row, long first, long length, const double *ring, long spacing, long slots,
+           long at, const double *coeffs, long from, long stop)
 {
-    lanes sums[TILE_ROWS][TILE_VECS];
-#pragma GCC unroll 16
-    for (int r = 0; r < count; ++r)
-#pragma GCC unroll 16
-        for (int v = 0; v < TILE_VECS; ++v) {
-            /* these rows' next tile column, due once this column's tiles are done */
-            __builtin_prefetch(rows + stride * r + TILE_LANES * v + TILE_COLS, 1);
-            sums[r][v] = from == 0 ? (lanes){0.0}
-                                   : *(const lanes *)(rows + stride * r + TILE_LANES * v);
-        }
-    const double *u = ring + spacing * (from % slots);
+    if (from == 0)
+        for (long q = first; q < length; ++q)
+            row[q] = 0.0;
+    const double *u = ring + spacing * at;
     for (long j = from; j < stop; ++j, u += spacing) {
         if (u == ring + spacing * slots)
             u = ring;
-#pragma GCC unroll 16
-        for (int r = 0; r < count; ++r) {
-            double c = coeffs[coeff_stride * r + j];
-#pragma GCC unroll 16
-            for (int v = 0; v < TILE_VECS; ++v) {
-                /* lane by lane, which each clone vectorizes as its ISA allows */
-                lanes sum = sums[r][v], x = *(const lanes *)(u + TILE_LANES * v);
-                for (int i = 0; i < TILE_LANES; ++i)
-                    sum[i] = fma(c, x[i], sum[i]);
-                sums[r][v] = sum;
-            }
-        }
-    }
-#pragma GCC unroll 16
-    for (int r = 0; r < count; ++r)
-#pragma GCC unroll 16
-        for (int v = 0; v < TILE_VECS; ++v)
-            *(lanes *)(rows + stride * r + TILE_LANES * v) = sums[r][v];
-}
-
-/* The orders from..stop-1 into the doubles [first, length) of one row. */
-static inline __attribute__((always_inline)) void
-flush_rest(double *row, long first, long length, const double *ring, long spacing, long slots,
-           const double *coeffs, long from, long stop)
-{
-    for (long q = first; q < length; ++q) {
-        double sum = from == 0 ? 0.0 : row[q];
-        const double *u = ring + spacing * (from % slots) + q;
-        for (long j = from; j < stop; ++j, u += spacing) {
-            if (u >= ring + spacing * slots)
-                u -= spacing * slots;
-            sum = fma(coeffs[j], *u, sum);
-        }
-        row[q] = sum;
+        double c = coeffs[j];
+        for (long q = first; q < length; ++q)
+            row[q] = fma(c, u[q], row[q]);
     }
 }
 
-/* Whether the samples first..first+TILE_ROWS-1 all sum the whole ring. */
-static inline int whole_tile(const int64_t *need, long first, long last)
+/* A tile's rows and orders: `rows` samples from sample s, TILE_ROWS or 1,
+   take the orders from..stop-1, order `from` being in slot `at`. */
+struct piece {
+    long s, rows, from, stop, at;
+};
+
+/* The piece of `rows` samples from s over the orders from..stop-1. */
+static inline struct piece piece(const struct flush *f, long s, long rows, long from, long stop)
 {
-    for (long s = first; s < first + TILE_ROWS; ++s)
-        if (need[s] <= last)
-            return 0;
-    return 1;
+    return (struct piece){s, rows, from, stop, (f->done % f->slots + from - f->done) % f->slots};
 }
 
-CLONES void ring_flush(double *rows, long stride, long count, long width, const double *ring,
-                       long spacing, long slots, const double *coeffs, long coeff_stride,
-                       const int64_t *need, long done, long last)
+/* The pieces of a flush of at most FLUSH_BATCH samples, in the order they
+   run down a tile column, into `pieces` (room for 2 count); returns how many. */
+static long flush_pieces(const struct flush *f, struct piece *pieces)
 {
-    long length = 2 * width, tiled = length - length % TILE_COLS;
-    stride *= 2, spacing *= 2;
-    /* Samples [tiles, count) go in tiles: a block's later samples need more
-       orders, so those that sum the whole ring are a suffix. */
-    long tiles = count;
-    while (tiles >= TILE_ROWS && whole_tile(need, tiles - TILE_ROWS, last))
-        tiles -= TILE_ROWS;
-    for (long q = 0; q < tiled; q += TILE_COLS)
-        for (long s = tiles; s < count; s += TILE_ROWS)
-            flush_tile(rows + stride * s + q, stride, TILE_ROWS, ring + q, spacing, slots,
-                       coeffs + coeff_stride * s, coeff_stride, done, last + 1);
-    for (long s = 0; s < count; ++s) {
-        long stop = need[s] > last ? last + 1 : need[s];
-        if (done > 0 && stop <= done)
-            continue;
-        double *row = rows + stride * s;
-        const double *c = coeffs + coeff_stride * s;
-        if (s < tiles)
-            for (long q = 0; q < tiled; q += TILE_COLS)
-                flush_tile(row + q, stride, 1, ring + q, spacing, slots, c, coeff_stride, done,
-                           stop);
-        flush_rest(row, tiled, length, ring, spacing, slots, c, done, stop);
+    long count = f->count, done = f->done, head = count % TILE_ROWS, n = 0;
+    long stops[FLUSH_BATCH];
+    for (long s = 0; s < count; ++s)
+        stops[s] = f->need[s] > f->last ? f->last + 1 : f->need[s];
+    for (long s = 0; s < head; ++s)
+        if (done == 0 || stops[s] > done)
+            pieces[n++] = piece(f, s, 1, done, stops[s]);
+    for (long s = head; s < count; s += TILE_ROWS) {
+        long least = stops[s];
+        for (long r = s + 1; r < s + TILE_ROWS; ++r)
+            least = stops[r] < least ? stops[r] : least;
+        /* the group's tile, where it has an order to add or rows to start */
+        long from = least > done ? least : done;
+        if (done == 0 || least > done)
+            pieces[n++] = piece(f, s, TILE_ROWS, done, from);
+        for (long r = s; r < s + TILE_ROWS; ++r)
+            if (stops[r] > from)
+                pieces[n++] = piece(f, r, 1, from, stops[r]);
+    }
+    return n;
+}
+
+/* ring_flush in tiles of N = `lanes` doubles a vector. */
+static inline __attribute__((always_inline)) void flush_rows(const struct flush *f, int lanes)
+{
+    long stride = 2 * f->stride, spacing = 2 * f->spacing, coeff_stride = f->coeff_stride;
+    long slots = f->slots, length = 2 * f->width;
+    long cols = TILE_VECS * lanes, tiled = length - length % cols;
+    double *rows = f->rows;
+    const double *ring = f->ring, *coeffs = f->coeffs;
+    struct piece pieces[2 * FLUSH_BATCH];
+    long n = flush_pieces(f, pieces);
+    for (long q = 0; q < tiled; q += cols)
+        for (const struct piece *p = pieces; p < pieces + n; ++p) {
+            double *at_rows = rows + stride * p->s + q;
+            const double *at_coeffs = coeffs + coeff_stride * p->s;
+            if (p->rows == TILE_ROWS)
+                (lanes == 8 ? flush_tile_8 : flush_tile_4)(at_rows, stride, TILE_ROWS, ring + q,
+                                                           spacing, slots, p->at, at_coeffs,
+                                                           coeff_stride, p->from, p->stop);
+            else
+                (lanes == 8 ? flush_tile_8 : flush_tile_4)(at_rows, stride, 1, ring + q, spacing,
+                                                           slots, p->at, at_coeffs, coeff_stride,
+                                                           p->from, p->stop);
+        }
+    /* the doubles past the last tile column, row by row over each sample's orders */
+    for (long s = 0; s < f->count; ++s) {
+        long stop = f->need[s] > f->last ? f->last + 1 : f->need[s];
+        if (f->done == 0 || stop > f->done)
+            flush_rest(rows + stride * s, tiled, length, ring, spacing, slots, f->done % slots,
+                       coeffs + coeff_stride * s, f->done, stop);
+    }
+}
+
+/* One flush per instruction set, each with its own tile. */
+#if defined(__x86_64__)
+__attribute__((target("arch=x86-64-v4"))) static void flush_v4(const struct flush *f)
+{
+    flush_rows(f, 8);
+}
+
+__attribute__((target("arch=x86-64-v3"))) static void flush_v3(const struct flush *f)
+{
+    flush_rows(f, 4);
+}
+#endif
+
+static void flush_baseline(const struct flush *f)
+{
+    flush_rows(f, 4);
+}
+
+void ring_flush(double *rows, long stride, long count, long width, const double *ring,
+                long spacing, long slots, const double *coeffs, long coeff_stride,
+                const int64_t *need, long done, long last)
+{
+    /* Batches of FLUSH_BATCH samples from the last one, the first batch the rest. */
+    for (long s = 0, n = count % FLUSH_BATCH ? count % FLUSH_BATCH : FLUSH_BATCH; s < count;
+         s += n, n = FLUSH_BATCH) {
+        struct flush f = {rows + 2 * stride * s, stride, n, width, ring, spacing, slots,
+                          coeffs + coeff_stride * s, coeff_stride, need + s, done, last};
+#if defined(__x86_64__)
+        if (__builtin_cpu_supports("x86-64-v4"))
+            flush_v4(&f);
+        else if (__builtin_cpu_supports("x86-64-v3"))
+            flush_v3(&f);
+        else
+#endif
+            flush_baseline(&f);
     }
 }
 

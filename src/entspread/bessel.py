@@ -32,6 +32,7 @@ import hashlib
 import math
 import os
 import platform
+import time
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,9 @@ FLUSH_THRESHOLD = 1e-300
 _RING_SOURCE = Path(__file__).with_name("_ring.c")
 _RING_FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
 _RING_LIBS = ("-lm",)
+# A build removes this user's other libraries that no import has used for
+# this long: checkouts of other sources that share the cache keep theirs.
+_STALE_SECONDS = 24 * 3600
 
 
 def _own_file(path: Path) -> bool:
@@ -54,16 +58,27 @@ def _own_file(path: Path) -> bool:
 
 
 def _prune(directory: Path, name: str) -> None:
-    """Remove this user's libraries other than `name` from `directory`; one that will not go stays.
+    """Remove this user's libraries other than `name` from `directory` unused for _STALE_SECONDS; one that will not go stays.
 
-    A build's `.partial` files end in another suffix, so none is removed.
+    An import that finds a library marks it used (`_used`).  A build's
+    `.partial` files end in another suffix, so none is removed.
     """
+    unused_since = time.time() - _STALE_SECONDS
     for stale in directory.glob("entspread-ring-*.so"):
         try:
-            if stale.name != name and _own_file(stale):
+            if stale.name != name and _own_file(stale) and stale.stat().st_mtime < unused_since:
                 stale.unlink()
         except OSError:
             pass
+
+
+def _used(library: Path) -> Path:
+    """`library`, its mtime set to now where it can be, so that no build prunes it for a day."""
+    try:
+        os.utime(library)
+    except OSError:
+        pass
+    return library
 
 
 def _ring_library() -> tuple[Path, bool]:
@@ -74,7 +89,8 @@ def _ring_library() -> tuple[Path, bool]:
     keyed by the source, the flags and the machine.  A build goes to a
     temp file that is then renamed over the name, so processes that build
     at once each leave a whole library; it then removes this user's other
-    libraries from that directory, which older sources or flags left.
+    libraries from that directory that no import has used for a day, which
+    older sources or flags left.
     """
     source = _RING_SOURCE.read_bytes()
     key = hashlib.sha256(b"\0".join([source, *map(str.encode, _RING_FLAGS + _RING_LIBS),
@@ -82,13 +98,13 @@ def _ring_library() -> tuple[Path, bool]:
     name = f"entspread-ring-{key[:16]}.so"
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "entspread"
     if _own_file(cache / name):
-        return cache / name, False
+        return _used(cache / name), False
     import subprocess
     import tempfile
 
     for directory in (cache, Path(tempfile.gettempdir())):
         if _own_file(directory / name):
-            return directory / name, False
+            return _used(directory / name), False
         try:
             directory.mkdir(parents=True, exist_ok=True)
             handle, partial = tempfile.mkstemp(prefix=name, suffix=".partial", dir=directory)

@@ -20,17 +20,17 @@ The coefficients are exactly the Bessel rows the bessel module provides.
 * Complex ring.  Even orders carry real coefficients and odd orders
   imaginary ones, so the recurrence runs on U_k = (-i)^k T_k(Hs) psi =
   -2i Hs U_{k-1} + U_{k-2}, one complex row per order, with -2i Hs set up
-  once.  Its coefficients are purely imaginary, so each complex product is
-  the one real product per part that two real rows would make, bit for bit.
-  The orders of a ring are one pass of the C function `ring_steps`
-  (`_ring.c`, whose library the bessel module builds with `cc` on first
-  import and caches; an import that cannot build it fails), which groups
-  each order's arithmetic as the six numpy ufuncs it replaced did, so
-  their bytes are kept.
+  once.  -2i Hs is purely imaginary, so it is kept as the imaginary parts
+  of its diagonal and off-diagonal, and each order is one real product per
+  part, as two real rows would make it: U_k = U_{k-2} + i s, s = (d U + o U')
+  + o- U- summed per part in that order.  The orders of a ring are one pass
+  of the C function `ring_steps` (`_ring.c`, whose library the bessel
+  module builds with `cc` on first import and caches; an import that
+  cannot build it fails).
   The coefficients (2 - delta_k0) J_k(b tau) are real, so when the ring
   fills, `ring_flush` adds its orders into the sample rows as one fma per
   double of the (re, im) rows, order by order: each double of a sample is
-  one fixed sequence of roundings, whatever the ring size.
+  one fixed sequence of roundings, whatever the ring size or tiling.
 * Order.  As |T_k(Hs)| <= 1 on the spectrum, cutting after order K changes
   a sample by at most 2 sum_{k>K} |J_k(b tau)| in the 2-norm.  A block is
   cut where that tail first is <= TAIL_TOLERANCE for its longest offset.
@@ -57,13 +57,15 @@ The coefficients are exactly the Bessel rows the bessel module provides.
   too (`edge_counts`, `phase_rows`), in numpy's arithmetic: a running sum
   as np.cumsum makes it, and numpy's complex product, fused where numpy's
   loops fuse it in this process (`_numpy_fuses`).
-* Byte cap.  Up to 8 orders sit in a ring, added into the S sample rows
-  whenever it fills; S is cut so that ring, sample and coefficient rows and
-  a margin fit WORKSPACE_BYTES.  Wider windows shrink the ring to as few
-  as 3 orders; only one over WORKSPACE_BYTES / 112 sites (75 000) passes
-  the cap.  The ring and the sample rows each head a buffer whose byte
-  size is rounded up to a power of 2 ** (1 / _SIZE_CLASSES) (`block_empty`),
-  so the next block gets back memory a block before it freed instead of
+* Byte cap.  Up to 16 orders sit in a ring, added into the S sample rows
+  whenever it fills.  S is cut so that a ring of 8 orders, sample and
+  coefficient rows and a margin fit WORKSPACE_BYTES; the ring then grows
+  into the bytes the samples leave, each slot past 8 with an eighth more
+  for its size class.  Wider windows shrink the ring to as few as 3
+  orders; only one over WORKSPACE_BYTES / 112 sites (75 000) passes the
+  cap.  The ring and the sample rows each head a buffer whose byte size is
+  rounded up to a power of 2 ** (1 / _SIZE_CLASSES) (`block_empty`), so
+  the next block gets back memory a block before it freed instead of
   faulting in fresh pages.  Those capacities, up to 12% over the arrays,
   are what count against WORKSPACE_BYTES.  The plan's margins (its order
   guess, the coefficient rows and three spare rows) leave room for them:
@@ -102,7 +104,15 @@ BLOCK_Z_SPAN = 25.9
 # Cap on a block's workspace.  A desk block at t = 1000 needs 2.5 MB with its
 # moments; a fig1_full block at t = 10000 is cut to 4 samples by it.
 WORKSPACE_BYTES = 8 << 20
-_RING_ORDERS = 8  # most orders stored between two accumulating products
+# Most orders a ring holds.  Each flush loads and stores a tile's sums once,
+# so a longer ring spreads that over more fmas, until the ring outgrows L2
+# and slows the step: on the desk run 16 and 20 were fastest, 12, 24 and 30
+# slower.  A block's plan reserves _RING_RESERVED of them before it counts
+# its samples, and the ring grows past those only into the bytes the
+# samples leave: where the cap binds, it cuts the ring rather than the
+# samples, whose count sets the bytes.
+_RING_ORDERS = 16
+_RING_RESERVED = 8
 
 # Byte sizes of the large per-block arrays are rounded up to a power of
 # 2 ** (1 / _SIZE_CLASSES), so blocks whose windows differ by a few sites ask
@@ -310,9 +320,11 @@ class _Kernel:
         self.center = 0.5 * (emax + emin)
         self.half_width = 0.5 * (emax - emin)
         if self.half_width > 0.0:
-            # -2i Hs, so each recurrence order is one matvec and one addition.
-            self.diag2 = -1j * (2.0 * (h.diag - self.center) / self.half_width)
-            self.off2 = -1j * (2.0 * h.offdiag / self.half_width)
+            # -2i Hs, so each recurrence order is one matvec and one addition;
+            # it is purely imaginary, and these are its diagonal's and
+            # off-diagonal's imaginary parts.
+            self.diag2 = -(2.0 * (h.diag - self.center) / self.half_width)
+            self.off2 = -(2.0 * h.offdiag / self.half_width)
             self.at_diag2, self.at_off2 = self.diag2.ctypes.data, self.off2.ctypes.data
         self._blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
 
@@ -343,10 +355,11 @@ class _Kernel:
         It holds the first S times of the remaining `grid`; only a grid from
         t = 0 has a zero offset, whose row J_0(0) = 1 yields the seed.  S
         counts the offsets within BLOCK_Z_SPAN, cut so that the workspace fits
-        WORKSPACE_BYTES on a window sized by the plan's order guess: the ring,
-        S sample and coefficient rows beside it, and three spare rows, which
-        hold the size classes' rounding (see "Byte cap").  The positive offsets
-        are then evened over the grid, so blocks of a linear grid repeat them.
+        WORKSPACE_BYTES on a window sized by the plan's order guess: the
+        reserved ring, S sample and coefficient rows beside it, and three
+        spare rows, which hold the size classes' rounding (see "Byte cap").
+        The positive offsets are then evened over the grid, so blocks of a
+        linear grid repeat them, and the ring grows into what is left.
         K is cut for the last offset; each sample sums only the orders its
         own tail needs.
 
@@ -369,12 +382,15 @@ class _Kernel:
         last = float(z[count - 1])
         orders = math.ceil(last) + 41 + math.ceil(10.0 * math.log1p(last))
         window = min(len(seed) + 2 * orders, self.num_sites)
-        slots = min(_RING_ORDERS, max(3, WORKSPACE_BYTES // (32 * window)))
+        slots = min(_RING_RESERVED, max(3, WORKSPACE_BYTES // (32 * window)))
         free = WORKSPACE_BYTES - 16 * window * (slots + 3)
         count = max(least, min(count, free // (16 * window + 32 * orders)))
         positive = len(offsets) - zero
         if positive:
             count = zero + -(-positive // -(-positive // (count - zero)))
+        # Each slot past the reserved ones takes an eighth more for its size class.
+        spare = free - count * (16 * window + 32 * orders)
+        slots = min(_RING_ORDERS, slots + max(0, spare // (18 * window)))
         coeffs, need, phases = self._coefficients(offsets[:count])
         order = coeffs.shape[1] - 1
         start = max(lo - order, 0)
@@ -437,8 +453,8 @@ class _Kernel:
             k = min(done + slots - 1, order)
             if k >= 1:
                 # U_j = -2i Hs U_{j-1} + U_{j-2} for the ring's orders j >= 1;
-                # the operator's window starts 16 bytes (one complex) per site in.
-                _ring_steps(at_ring, spacing, self.at_diag2 + 16 * start, self.at_off2 + 16 * start,
+                # the operator's window starts 8 bytes (one double) per site in.
+                _ring_steps(at_ring, spacing, self.at_diag2 + 8 * start, self.at_off2 + 8 * start,
                             width, slots, max(done, 1), k)
             # rows[s] (+)= sum_j coeffs[s, j] U_j over the ring's orders j < need[s]
             _ring_flush(*flush, done, k)

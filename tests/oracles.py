@@ -11,10 +11,13 @@ None of these is on the pipeline's path, so they live beside their tests:
 * `reduced_density_pair`, `wootters_concurrence`, `concurrence_pair`: the
   two-site concurrence by the spin-flip route, against which the product
   form C_ij = 2 |a_i| |a_j| the moments rest on is checked;
-* `ring_steps_numpy`, `edge_count_numpy` and `moment_rows_numpy`: the
+* `ring_steps_parts`, `edge_count_numpy` and `moment_rows_numpy`: the
   Chebyshev recurrence step, the block trim's edge search and a block's
   moment rows as numpy calls, whose bytes the compiled passes of `_ring.c`
   must reproduce;
+* `ring_steps_numpy`: the step as complex ufuncs on the complex -2i Hs,
+  equal in value to `ring_steps_parts`, a cross-check that shares none of
+  its grouping;
 * `ring_flush_exact`: a ring's orders added into the sample rows, each fma
   rounded once from its exact value in rationals, as the compiled
   `ring_flush` must round it;
@@ -187,11 +190,43 @@ def evolve_diagonalization(h: Hamiltonian, initial: WaveState, delta_t: float) -
     return WaveState(amps, initial.time + delta_t, initial.origin)
 
 
+def ring_steps_parts(ring: np.ndarray, diag2: np.ndarray, off2: np.ndarray, first: int, last: int) -> None:
+    """Orders first..last of U_k = -2i Hs U_{k-1} + U_{k-2}, in place in slot k % len(ring), as `ring_steps`.
+
+    `ring` is (slots, width) complex; `diag2` and `off2` are real, the
+    imaginary parts of -2i Hs's diagonal and off-diagonal on its window.
+    With c = U_{k-1}, each part of s = ((d c + o c') + o- c-) is summed in
+    that order by real ufuncs (c' and c- the next and previous sites, a term
+    without its site left out), and U_k = (U_{k-2}.re - s.im, s.re + U_{k-2}.im).
+    Order 1 is halved last as the complex product with 0.5 + 0i:
+    (re 0.5 - im 0.0, re 0.0 + im 0.5).
+    """
+    slots, width = ring.shape
+
+    def summed(c: np.ndarray) -> np.ndarray:
+        s = np.multiply(diag2, c)
+        np.add(s[:-1], np.multiply(off2, c[1:]), out=s[:-1])
+        np.add(s[1:], np.multiply(off2, c[:-1]), out=s[1:])
+        return s
+
+    for k in range(first, last + 1):
+        nxt, cur, prev = ring[k % slots], ring[(k - 1) % slots], ring[(k - 2) % slots]
+        s_re, s_im = summed(cur.real), summed(cur.imag)
+        nxt.real = np.subtract(prev.real, s_im)
+        nxt.imag = np.add(s_re, prev.imag)
+        if k == 1:
+            re, im = nxt.real.copy(), nxt.imag.copy()
+            nxt.real = np.subtract(np.multiply(re, 0.5), np.multiply(im, 0.0))
+            nxt.imag = np.add(np.multiply(re, 0.0), np.multiply(im, 0.5))
+
+
 def ring_steps_numpy(ring: np.ndarray, diag2: np.ndarray, off2: np.ndarray, first: int, last: int) -> None:
     """Orders first..last of U_k = -2i Hs U_{k-1} + U_{k-2}, in place in slot k % len(ring).
 
     `ring` is (slots, width) complex; `diag2` and `off2` are -2i Hs on its
-    window.  Each order is six ufunc calls, and order 1 is halved last.
+    window, complex.  Each order is six ufunc calls, and order 1 is halved
+    last.  Its values are `ring_steps_parts`'s, but not always its zero
+    signs: a complex product adds 0.0 re to each real part.
     """
     slots, width = ring.shape
     tmp = np.empty(width - 1, dtype=complex)

@@ -1,7 +1,8 @@
 """The compiled passes of `_ring.c`: their bytes against their oracles, and how their library is built.
 
-`ring_steps` must reproduce the numpy step of `oracles.ring_steps_numpy` bit
-for bit, and the block passes (the trim's edge search, the phase and the
+`ring_steps` must reproduce the real-ufunc step of `oracles.ring_steps_parts`
+bit for bit, and equal the complex step of `oracles.ring_steps_numpy`; the
+block passes (the trim's edge search, the phase and the
 moment sums) `oracles.edge_count_numpy`, numpy's `rows *= phases[:, None]`
 and `oracles.moment_rows_numpy`, so that every CSV keeps its bytes.
 `ring_flush` must round each of its fmas once, as `oracles.ring_flush_exact`
@@ -12,6 +13,7 @@ loops, run fresh interpreters.
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -32,18 +34,19 @@ from entspread.propagator import (
     _moment_sums,
     _numpy_fuses,
     _phase_rows,
+    _RING_ORDERS,
     _ring_flush,
     _ring_steps,
     evolve_blocks,
 )
 
-from oracles import edge_count_numpy, moment_rows_numpy, ring_flush_exact, ring_steps_numpy
+from oracles import edge_count_numpy, moment_rows_numpy, ring_flush_exact, ring_steps_numpy, ring_steps_parts
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def operator(num_sites: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """-2i Hs of a random chain, as the propagator's kernel sets it up."""
+    """The imaginary parts of -2i Hs of a random chain, as the propagator's kernel sets them up."""
     rng = np.random.default_rng(seed)
     kernel = _Kernel(Hamiltonian(diag=rng.uniform(-2.5, 2.5, num_sites), offdiag=rng.uniform(0.2, 1.5, num_sites - 1)))
     return kernel.diag2, kernel.off2
@@ -54,16 +57,41 @@ def random_ring(slots: int, width: int, seed: int) -> np.ndarray:
     return rng.normal(size=(slots, width)) + 1j * rng.normal(size=(slots, width))
 
 
+def parts(operator: np.ndarray) -> np.ndarray:
+    """The imaginary parts of a purely imaginary operator given as complex, or those parts as given."""
+    return np.ascontiguousarray(operator.imag) if np.iscomplexobj(operator) else operator
+
+
+def imaginary(operator: np.ndarray) -> np.ndarray:
+    """A purely imaginary operator as complex, its real parts +0.0, from its imaginary parts or as given."""
+    if np.iscomplexobj(operator):
+        return operator
+    full = np.zeros(len(operator), dtype=complex)
+    full.imag = operator
+    return full
+
+
 def compiled(ring: np.ndarray, diag2: np.ndarray, off2: np.ndarray, first: int, last: int) -> None:
+    """The compiled step on -2i Hs, given as complex or as its imaginary parts."""
+    diag2, off2 = parts(diag2), parts(off2)
     _ring_steps(ring.ctypes.data, ring.strides[0] // 16, diag2.ctypes.data, off2.ctypes.data, ring.shape[1], len(ring),
                 first, last)
 
 
-def assert_same_bytes(ring, diag2, off2, first, last):
-    expected, got = ring.copy(), ring.copy()
-    ring_steps_numpy(expected, diag2, off2, first, last)
+def assert_same_bytes(ring, diag2, off2, first, last, complex_bytes=True):
+    """The compiled step against `ring_steps_parts` by bytes, and against the complex numpy step.
+
+    The complex step is compared by bytes too unless `complex_bytes` is
+    False, where the two are known to differ in zero signs only.
+    """
+    expected, got, complex_step = ring.copy(), ring.copy(), ring.copy()
+    ring_steps_parts(expected, parts(diag2), parts(off2), first, last)
     compiled(got, diag2, off2, first, last)
+    ring_steps_numpy(complex_step, imaginary(diag2), imaginary(off2), first, last)
     assert got.tobytes() == expected.tobytes()
+    assert np.array_equal(complex_step, expected)
+    if complex_bytes:
+        assert complex_step.tobytes() == expected.tobytes()
 
 
 class TestRingStep:
@@ -78,7 +106,7 @@ class TestRingStep:
         ring[-1] = 0.0
         for done in range(0, 4 * slots, slots):
             assert_same_bytes(ring, diag2, off2, max(done, 1), done + slots - 1)
-            ring_steps_numpy(ring, diag2, off2, max(done, 1), done + slots - 1)
+            ring_steps_parts(ring, diag2, off2, max(done, 1), done + slots - 1)
 
     @pytest.mark.parametrize("first, last", [(1, 20), (5, 17), (2, 2)])
     def test_one_call_may_wrap_the_ring(self, first, last):
@@ -94,6 +122,18 @@ class TestRingStep:
         compiled(ring, diag2, np.empty(0, complex), 1, 1)
         assert ring[1, 0] == -0.25j and not np.signbit(ring[1, 0].real)
 
+    def test_zero_signs_may_differ_from_the_complex_step(self):
+        # U_1 = (1, +0.0) and U_0 = (-0.0, 1) at one site with d = 0.5: the
+        # step's real part is -0.0 - 0.5 * 0.0 = -0.0, the complex product's
+        # (0.0 * 1 - 0.5 * 0.0) + -0.0 = +0.0.  The values are equal.
+        ring = np.array([complex(-0.0, 1.0), complex(1.0, 0.0), 7.0 + 7.0j]).reshape(3, 1)
+        assert_same_bytes(ring, np.array([0.5]), np.empty(0), 2, 2, complex_bytes=False)
+        complex_step = ring.copy()
+        ring_steps_numpy(complex_step, np.array([0.5j]), np.empty(0, complex), 2, 2)
+        compiled(ring, np.array([0.5]), np.empty(0), 2, 2)
+        assert ring[2, 0] == complex_step[2, 0] == 1.5j
+        assert np.signbit(ring[2, 0].real) and not np.signbit(complex_step[2, 0].real)
+
     @pytest.mark.parametrize("start, stop, slots", [(0, 14, 3), (-1, 5, 3), (4, 4, 3), (0, 13, 2)])
     def test_expand_rejects_a_window_the_step_would_overrun(self, start, stop, slots):
         kernel = _Kernel(Hamiltonian(diag=np.linspace(0.0, 1.0, 13), offdiag=np.ones(12)))
@@ -102,7 +142,7 @@ class TestRingStep:
             kernel._expand(np.ones(1, dtype=complex), 0, start, stop, coeffs, need, slots)
 
     @settings(max_examples=60, deadline=None)
-    @given(width=st.integers(1, 300), slots=st.integers(3, 8), first=st.integers(1, 20),
+    @given(width=st.integers(1, 300), slots=st.integers(3, _RING_ORDERS), first=st.integers(1, 20),
            count=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
     def test_matches_the_numpy_step_on_random_chains(self, width, slots, first, count, seed):
         diag2, off2 = operator(width + 1, seed)
@@ -153,9 +193,9 @@ class TestRingFlush:
             assert_flush_exact(rows, ring, coeffs, need, done, done + 7)
             ring = flush_case(count, width, 8, 16, seed=done + 1)[1]
 
-    @pytest.mark.parametrize("orders", range(1, 9))
+    @pytest.mark.parametrize("orders", range(1, _RING_ORDERS + 1))
     def test_rings_of_any_length_match_the_exact_fma(self, orders):
-        # A later ring of 1 .. 8 orders, whose slots wrap as the kernel's do.
+        # A later ring of 1 .. _RING_ORDERS orders, whose slots wrap as the kernel's do.
         slots = max(orders, 3)
         rows, ring, coeffs = flush_case(6, 13, slots, 3 * slots, seed=orders)
         need = np.full(6, 3 * slots, dtype=np.int64)
@@ -184,9 +224,28 @@ class TestRingFlush:
         need = np.random.default_rng(seed).integers(0, done + slots + 2, count)
         assert_flush_exact(rows, ring, coeffs, need, done, done + slots - 1)
 
+    @settings(max_examples=40, deadline=None)
+    @given(count=st.integers(1, 30), width=st.integers(1, 30), slots=st.integers(3, _RING_ORDERS),
+           ring_index=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_exact_fma_on_ragged_rings(self, count, width, slots, ring_index, seed):
+        # need non-decreasing, as `_Kernel._coefficients` makes it: groups of
+        # samples whose rows stop at different orders of one ring.
+        done = ring_index * slots
+        rows, ring, coeffs = flush_case(count, width, slots, done + slots, seed)
+        need = np.sort(np.random.default_rng(seed).integers(0, done + slots + 2, count))
+        assert_flush_exact(rows, ring, coeffs, need, done, done + slots - 1)
+
+    def test_flushes_of_more_samples_than_one_batch_match_the_exact_fma(self):
+        # 301 samples: the flush plans a first batch of 45, then one of 256,
+        # its groups of 4 still counted from the last sample.
+        rows, ring, coeffs = flush_case(301, 7, 8, 16, seed=5)
+        need = np.sort(np.random.default_rng(5).integers(0, 18, 301))
+        assert_flush_exact(rows, ring, coeffs, need, 8, 15)
+
     def test_expand_rows_do_not_depend_on_the_ring_size(self):
         # Each double of a sample is one fma per order it needs, in order, so
-        # a desk block's rows are the same bytes from rings of 3 to 8 orders.
+        # a desk block's rows are the same bytes from rings of 3 to
+        # _RING_ORDERS orders.
         config = load_config(ROOT / "configs" / "fig1_desk.json")
         h = build_hamiltonian(config.chain, 0)
         blocks = evolve_blocks(h, config.chain.origin, config.times.grid()[:401], 50)
@@ -196,7 +255,7 @@ class TestRingFlush:
         order = coeffs.shape[1] - 1
         start, stop = block.start - order, block.start + block.width + order
         rows = [kernel._expand(block.amplitudes[-1], order, start, stop, coeffs, need, slots).tobytes()
-                for slots in range(3, 9)]
+                for slots in range(3, _RING_ORDERS + 1)]
         assert len(set(rows)) == 1 and stop - start > 500
 
     @pytest.mark.parametrize("kind", ["float32", "fortran", "every_other_order", "one_row", "short_need"])
@@ -460,14 +519,28 @@ class TestRingBuild:
     STALE = "entspread-ring-0123456789abcdef.so"
     PARTIAL, OTHER = STALE + "x1y2.partial", "other.so"
 
-    def left_in(self, cache: Path) -> set[str]:
+    def left_in(self, cache: Path, unused_for: float = 2 * 24 * 3600) -> set[str]:
+        """What is left after a build or cache hit, beside files last used `unused_for` seconds ago."""
+        used = time.time() - unused_for
         for name in (self.STALE, self.PARTIAL, self.OTHER):
             (cache / name).write_bytes(b"")
+            os.utime(cache / name, (used, used))
         _ring_library()
         return {path.name for path in cache.iterdir()}
 
     def test_a_build_removes_this_users_stale_libraries_only(self, cache):
         assert self.left_in(cache) == {_RING_PATH.name, self.PARTIAL, self.OTHER}
+
+    def test_a_library_used_within_the_day_is_kept(self, cache):
+        # Another checkout's library, loaded an hour ago, is not built again on its next import.
+        assert self.left_in(cache, unused_for=3600) == {_RING_PATH.name, self.STALE, self.PARTIAL, self.OTHER}
+
+    def test_a_cache_hit_marks_the_library_used(self, cache):
+        library = cache / _RING_PATH.name
+        library.write_bytes(_RING_PATH.read_bytes())
+        os.utime(library, (0, 0))
+        assert _ring_library() == (library, False)
+        assert time.time() - library.stat().st_mtime < 3600
 
     def test_a_cache_hit_removes_nothing(self, cache):
         (cache / _RING_PATH.name).write_bytes(_RING_PATH.read_bytes())
