@@ -507,7 +507,7 @@ struct piece {
 /* The piece of `rows` samples from s over the orders from..stop-1. */
 static inline struct piece piece(const struct flush *f, long s, long rows, long from, long stop)
 {
-    return (struct piece){s, rows, from, stop, (f->done % f->slots + from - f->done) % f->slots};
+    return (struct piece){s, rows, from, stop, from % f->slots};
 }
 
 /* The pieces of a flush of at most FLUSH_BATCH samples, in the order they
