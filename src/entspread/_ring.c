@@ -74,7 +74,8 @@ CLONES void ring_steps(double *ring, long spacing, const double *d, const double
             next[1] = (d[0] * cur[0] + o[0] * cur[2]) + prev[1];
             long i = 1;
             /* two sites a pass: s per part for the (re, im) pairs, its
-               parts swapped and the real ones negated by their sign bit */
+               parts swapped and the real ones negated by their sign bit,
+               as prev + (-x) is prev - x bit for bit */
             for (; i + 2 < width; i += 2) {
                 const double *c = cur + 2 * i;
                 quad dd = {d[i], d[i], d[i + 1], d[i + 1]}, oo = {o[i], o[i], o[i + 1], o[i + 1]},
@@ -417,8 +418,8 @@ CLONES void miller_rows(const double *args, long count, long order_max, long sta
    column.  The tile is sized per instruction set so that its sums, three
    ring vectors and a coefficient fit the vector registers (Goto & van de
    Geijn, ACM TOMS 34, 12 (2008)): 4 x 3 zmm sums of 32 registers for
-   x86-64-v4, 4 x 3 ymm of 16 for x86-64-v3, each function built for its
-   ISA and picked at the call.  The kernel starts every ring slot on a
+   x86-64-v4, 4 x 3 ymm of 16 for x86-64-v3 (and the baseline), each
+   function built for its ISA and picked at the call.  The kernel starts every ring slot on a
    64-byte line, so that no vector load of the ring splits a cache line. */
 #define TILE_ROWS 4
 #define TILE_VECS 3
