@@ -1,9 +1,11 @@
 /* The compiled passes of entspread: the Chebyshev recurrence step and the
    flush of its orders into the samples, the per-block trim, phase and
    moment sums, the closed form's Bessel rows (miller_rows) and their sums
-   over the orders (order_sums), and the read of a series CSV's rows
-   (parse_rows).  The bessel module builds and loads this one library; the
-   propagator and seriesio bind their passes from there.
+   over the orders (order_sums), and the write and read of a series CSV's
+   rows (format_rows, parse_rows).  The bessel module builds and loads this
+   one library; the propagator and seriesio bind their passes from there.
+   format_rows is integer arithmetic save a rare call of snprintf, so it
+   has no clones and does not depend on the flags below.
 
    ring_flush defines its own arithmetic, one fma per term (see there), and
    the moment and order sums share one pairwise rule, numpy's, as the
@@ -44,8 +46,13 @@
 
 #include <math.h>
 #include <stdint.h>
+#include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
+
+#ifndef __SIZEOF_INT128__
+#error "format_rows needs a compiler with unsigned __int128 (GCC or Clang on a 64-bit target)"
+#endif
 
 #if defined(__x86_64__)
 #define CLONES __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
@@ -682,4 +689,182 @@ void parse_rows(const char *text, long length, long rows, long fields, const int
         line = newline ? newline + 1 : last;
     }
     status[0] = rows;
+}
+
+/* format_rows: the `rows` x `cols` doubles of `table` (C order) as CSV
+   rows, each cell spelled as Python's format(x, ".17g") spells it, cells
+   joined by commas and every row ended by CRLF, into `out`; *length is
+   the count of bytes written, at most rows (25 cols + 1).
+
+   A finite nonzero |x| = m 2^e, its significand m shifted up to [2^63,
+   2^64), is scaled by 10^k so that v = |x| 10^k lies in [10^16, 10^17):
+   k = 16 - X, X the decimal exponent, first guessed from the top bit as
+   floor((e + 64) log10 2), which is X or X + 1; a v below 10^16 is scaled
+   again by 10^(k+1).  The powers are cached as Loitsch's are (PLDI 2010),
+   at 128 bits: `powers` holds, for k = POWER_MIN..POWER_MAX, the four
+   words {P >> 64, P mod 2^64, s, bound}, P = floor(10^k 2^s) in [2^127,
+   2^128).  The 192-bit product m P is v 2^(s - e), exact or short of it by
+   less than m units; from its top come v's integer part I < 2^57 and the
+   64-bit fraction f.  The 17 digits are I rounded half to even.
+
+   For k = 0..55, 10^k = 5^k 2^k with 5^k < 2^128, P is exact and bound
+   is 0: every bit under I is known, and a tie (f = 2^63, nothing below)
+   goes to the even I.  For any other k, P's relative error is under
+   2^-127 and v under 2^57, so m P falls short of v by less than 2^-70 of
+   a unit, and v's fraction lies in [f, f + 1 + 2^-6) units of 2^-64.
+   Such an entry's bound is 1: a cell whose f is more than bound units
+   from 2^63 rounds as f does, and one within it, which may round either
+   way, is formatted by glibc's correctly rounded snprintf("%.16e")
+   instead, its 17 digits and exponent taking the same spelling.  That is
+   the pass's only fallback and its only floating point.  A table with
+   wider bounds sends more cells to snprintf and gives the same bytes.
+
+   The spelling is fixed for X = -4..16, else d.ddde±XX with two exponent
+   digits at least, trailing zeros and a bare point stripped; zeros are 0
+   and -0, infinities inf and -inf, and a NaN of either sign is nan. */
+#define POWER_MIN (-293)
+#define POWER_MAX 341
+#define TEN_16 10000000000000000ULL
+#define HALF (1ULL << 63)
+
+typedef unsigned __int128 u128;
+
+static const char digit_pairs[201] =
+    "0001020304050607080910111213141516171819202122232425262728293031323334353637383940414243444546474849"
+    "5051525354555657585960616263646566676869707172737475767778798081828384858687888990919293949596979899";
+
+/* The 8 decimal digits of v < 10^8 into d[0..7]. */
+static inline void eight_digits(uint32_t v, char *d)
+{
+    uint32_t parts[4] = {v / 1000000, v / 10000 % 100, v / 100 % 100, v % 100};
+    for (int i = 0; i < 4; ++i)
+        memcpy(d + 2 * i, digit_pairs + 2 * parts[i], 2);
+}
+
+/* The 17 significant digits of finite nonzero |x| into d, as snprintf rounds them; returns X. */
+static int snprintf_digits(double x, char *d)
+{
+    char text[40];
+    snprintf(text, sizeof text, "%.16e", fabs(x));
+    const char *c = text;
+    /* the digits, past a decimal point of whatever locale */
+    for (int i = 0; i < 17; ++i, ++c) {
+        while (*c < '0' || *c > '9')
+            ++c;
+        d[i] = *c;
+    }
+    return atoi(strchr(c, 'e') + 1);
+}
+
+/* The 17 significant digits of finite nonzero |x| rounded half to even into d; returns X. */
+static int cell_digits(double x, const uint64_t *powers, char *d)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    int biased = (int)(bits >> 52 & 0x7ff);
+    uint64_t m = bits & ((1ULL << 52) - 1);
+    int e = biased ? biased - 1075 : -1074;
+    m |= biased ? 1ULL << 52 : 0;
+    int lead = __builtin_clzll(m);
+    m <<= lead, e -= lead;
+    /* floor(n log10 2) is n 78913 >> 18 for |n| <= 1650 */
+    int k = 16 - ((e + 64) * 78913 >> 18);
+    for (;; ++k) {
+        const uint64_t *p = powers + 4 * (k - POWER_MIN);
+        u128 low = (u128)m * p[1];
+        u128 high = (u128)m * p[0] + (low >> 64);
+        int under = (int)((int64_t)p[2] - e - 64); /* the bits of `high` under I: 70..78 */
+        uint64_t whole = (uint64_t)(high >> under);
+        if (whole < TEN_16)
+            continue;
+        uint64_t fraction = (uint64_t)(high << (128 - under) >> 64), bound = p[3];
+        int up;
+        if (bound == 0) {
+            int below = ((uint64_t)low | (uint64_t)(high << (192 - under) >> 64)) != 0;
+            up = fraction > HALF || (fraction == HALF && (below || (whole & 1)));
+        } else if ((fraction > HALF ? fraction - HALF : HALF - fraction) <= bound) {
+            return snprintf_digits(x, d);
+        } else {
+            up = fraction > HALF;
+        }
+        whole += up;
+        int exponent = 16 - k;
+        if (whole == 10 * TEN_16)
+            whole = TEN_16, ++exponent;
+        d[0] = (char)('0' + whole / TEN_16);
+        whole %= TEN_16;
+        eight_digits((uint32_t)(whole / 100000000), d + 1);
+        eight_digits((uint32_t)(whole % 100000000), d + 9);
+        return exponent;
+    }
+}
+
+/* format(x, ".17g") of one cell at out; returns the byte past it. */
+static char *spell_cell(double x, const uint64_t *powers, char *out)
+{
+    if (isnan(x)) {
+        memcpy(out, "nan", 3);
+        return out + 3;
+    }
+    if (signbit(x))
+        *out++ = '-';
+    if (isinf(x)) {
+        memcpy(out, "inf", 3);
+        return out + 3;
+    }
+    if (x == 0.0) {
+        *out = '0';
+        return out + 1;
+    }
+    char d[17];
+    int exponent = cell_digits(x, powers, d), n = 17;
+    while (d[n - 1] == '0')
+        --n;
+    if (exponent < -4 || exponent > 16) {
+        *out++ = d[0];
+        if (n > 1) {
+            *out++ = '.';
+            memcpy(out, d + 1, n - 1);
+            out += n - 1;
+        }
+        *out++ = 'e';
+        *out++ = exponent < 0 ? '-' : '+';
+        int size = abs(exponent);
+        if (size >= 100)
+            *out++ = (char)('0' + size / 100);
+        memcpy(out, digit_pairs + 2 * (size % 100), 2);
+        return out + 2;
+    }
+    if (exponent < 0) {
+        memcpy(out, "0.", 2);
+        memset(out + 2, '0', -exponent - 1);
+        out += 1 - exponent;
+        memcpy(out, d, n);
+        return out + n;
+    }
+    int whole = exponent + 1;
+    if (n <= whole) {
+        memcpy(out, d, n);
+        memset(out + n, '0', whole - n);
+        return out + whole;
+    }
+    memcpy(out, d, whole);
+    out[whole] = '.';
+    memcpy(out + whole + 1, d + whole, n - whole);
+    return out + n + 1;
+}
+
+void format_rows(const double *table, long rows, long cols, const uint64_t *powers, char *out,
+                 int64_t *length)
+{
+    char *at = out;
+    for (long r = 0; r < rows; ++r) {
+        for (long c = 0; c < cols; ++c) {
+            at = spell_cell(table[cols * r + c], powers, at);
+            *at++ = ',';
+        }
+        memcpy(at - 1, "\r\n", 2);
+        ++at;
+    }
+    *length = at - out;
 }

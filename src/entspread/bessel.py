@@ -128,9 +128,29 @@ def _ring_library() -> tuple[Path, bool]:
     raise ImportError(f"cannot write {name} to {cache} or {tempfile.gettempdir()}")
 
 
+def _load_ring() -> tuple[Path, bool, ctypes.CDLL]:
+    """`_ring_library()` and the library loaded from it.
+
+    A cached library that will not load, one cut short or removed by
+    another process's build between its `_used` and the load, is removed
+    and built again, once.
+    """
+    path, built = _ring_library()
+    try:
+        return path, built, ctypes.CDLL(str(path))
+    except OSError:
+        if built:
+            raise
+    try:
+        path.unlink()
+    except OSError:
+        pass
+    path, built = _ring_library()
+    return path, built, ctypes.CDLL(str(path))
+
+
 # The one library of compiled passes this process loads, and whether it built it.
-_RING_PATH, _RING_BUILT = _ring_library()
-_LIBRARY = ctypes.CDLL(str(_RING_PATH))
+_RING_PATH, _RING_BUILT, _LIBRARY = _load_ring()
 
 
 def _bind(name: str, *argtypes):

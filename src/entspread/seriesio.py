@@ -2,11 +2,13 @@
 
 Column set and order are fixed; floats are written with 17 significant
 digits so a read-back is bit-exact for doubles, and reruns of a deterministic
-command produce byte-identical series files.  A series is read back by one
-compiled pass over the file's bytes (`parse_rows` in `_ring.c`): strtod,
-correctly rounded as float() is, on the base columns, the extra columns
-skipped unread.  `read_series_csv` gives the field grammar, and the locale
-strtod reads.
+command produce byte-identical series files.  A series is written by one
+compiled pass (`format_rows` in `_ring.c`) that spells every cell as
+format(x, ".17g") does, from integer products with a table of 128-bit
+powers of ten built here at import (`_POWERS`), and read back by another
+(`parse_rows`): strtod, correctly rounded as float() is, on the base
+columns, the extra columns skipped unread.  `read_series_csv` gives the
+field grammar, and the locale strtod reads.
 """
 
 from __future__ import annotations
@@ -24,6 +26,32 @@ from .observables import MOMENT_COLUMNS
 ANALYTIC_EXTRA_COLUMNS = ("w_lower_bound", "w_upper_bound", "w_asymptote", "m_asymptote")
 
 _parse_rows = _bind("parse_rows", ctypes.c_char_p, _N, _N, _N, _P, _N, _P, _P)
+_format_rows = _bind("format_rows", _P, _N, _N, _P, _P, _P)
+
+
+def _powers_of_ten() -> np.ndarray:
+    """`format_rows`' table: for k = -293..341, the words P >> 64, P mod 2^64, s and bound.
+
+    P = floor(10^k 2^s) lies in [2^127, 2^128).  The bound is 0 where P is
+    10^k 2^s exactly, which holds for k = 0..55, and 1, in units of 2^-64
+    of the scaled cell, elsewhere (see `format_rows` in `_ring.c`).
+    """
+    words = []
+    for k in range(-293, 342):  # row k + 293, as `format_rows` indexes it (POWER_MIN)
+        if k >= 0:
+            power, shift = 10**k, 128 - (10**k).bit_length()
+            scaled = power << shift if shift >= 0 else power >> -shift
+            exact = shift >= 0 or scaled << -shift == power
+        else:
+            shift = 127 + (10**-k).bit_length()
+            scaled, exact = (1 << shift) // 10**-k, False
+        words.append((*divmod(scaled, 1 << 64), shift % (1 << 64), 0 if exact else 1))
+    return np.array(words, dtype=np.uint64)
+
+
+_POWERS = _powers_of_ten()
+# The longest cell, -d.dddddddddddddddde-XXX, and its comma or line end.
+_CELL_BYTES = 25
 
 
 def write_series_csv(
@@ -31,23 +59,33 @@ def write_series_csv(
     series: MomentSeries,
     extras: dict[str, np.ndarray] | None = None,
 ) -> None:
-    """Write one moment series; `extras` appends named columns after the base set.
+    """Write one moment series; `extras` appends named numeric columns after the base set.
 
-    Rows end in CRLF, as the csv module's default dialect writes them.
+    Every cell is spelled as format(x, ".17g") spells it, and rows end in
+    CRLF, as the csv module's default dialect writes them.  The body is
+    formatted by one compiled pass (`format_rows` in `_ring.c`) before the
+    file is opened, so an extra column of another length or not numeric
+    raises ValueError naming it and leaves the path as it was.
     """
     extras = extras or {}
+    columns = []
     for name, col in extras.items():
+        col = np.asarray(col)
         if len(col) != len(series):
             raise ValueError(f"extra column {name!r} has {len(col)} rows, series has {len(series)}")
+        if col.dtype.kind not in "biuf":
+            raise ValueError(f"extra column {name!r} is not numeric: dtype {col.dtype}")
+        columns.append(col)
+    table = np.ascontiguousarray(np.column_stack((series.table, *columns)), dtype=np.float64)
+    head = (",".join((*MOMENT_COLUMNS, *extras)) + "\r\n").encode()
+    text = np.empty(len(head) + len(table) * (_CELL_BYTES * table.shape[1] + 1), dtype=np.uint8)
+    text[: len(head)] = np.frombuffer(head, dtype=np.uint8)
+    length = np.empty(1, dtype=np.int64)
+    _format_rows(table.ctypes.data, *table.shape, _POWERS.ctypes.data, text[len(head):].ctypes.data,
+                 length.ctypes.data)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    table = np.column_stack((series.table, *extras.values()))
-    header = ",".join((*MOMENT_COLUMNS, *extras))
-    # One format per row, applied to plain floats: no numpy scalar per cell.
-    row = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
-    with path.open("w", newline="") as fh:
-        fh.write(header + "\r\n")
-        fh.writelines(row % cells for cells in map(tuple, table.tolist()))
+    path.write_bytes(text[: len(head) + int(length[0])].data)
 
 
 def read_series_csv(path: str | Path) -> MomentSeries:

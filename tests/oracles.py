@@ -23,7 +23,9 @@ None of these is on the pipeline's path, so they live beside their tests:
   `ring_flush` must round it;
 * `read_series_csv_csvmodule`: a series CSV read by the csv module and one
   float() per field, whose tables and errors the compiled `parse_rows`
-  must reproduce.
+  must reproduce;
+* `write_series_csv_python`: a series CSV written row by row with Python's
+  %.17g, whose bytes the compiled `format_rows` must reproduce.
 
 Tests import them as they import `conftest`: `from oracles import ...`.
 """
@@ -411,3 +413,19 @@ def read_series_csv_csvmodule(path: str | Path) -> MomentSeries:
                 raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     table = np.array(rows, dtype=float).reshape(len(rows), len(MOMENT_COLUMNS))
     return MomentSeries.from_table(table)
+
+
+def write_series_csv_python(
+    path: str | Path,
+    series: MomentSeries,
+    extras: dict[str, np.ndarray] | None = None,
+) -> None:
+    """`seriesio.write_series_csv` as one Python "%.17g" row format per row, written as text."""
+    extras = extras or {}
+    path = Path(path)
+    table = np.column_stack((series.table, *extras.values()))
+    header = ",".join((*MOMENT_COLUMNS, *extras))
+    row = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
+    with path.open("w", newline="") as fh:
+        fh.write(header + "\r\n")
+        fh.writelines(row % cells for cells in map(tuple, table.tolist()))

@@ -8,6 +8,8 @@ import re
 import subprocess
 import sys
 from dataclasses import astuple
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import entspread.cli
+import entspread.seriesio
 from entspread.analysis import MomentSeries
 from entspread.bessel import _RING_BUILT, _RING_PATH, bessel_row
 from entspread.chain import build_hamiltonian
@@ -38,7 +41,7 @@ from entspread.observables import MOMENT_COLUMNS, MomentSample, moment_m
 from entspread.propagator import evolve_blocks, evolve_series
 from entspread.seriesio import ANALYTIC_EXTRA_COLUMNS, read_series_csv, write_series_csv
 
-from oracles import read_series_csv_csvmodule
+from oracles import read_series_csv_csvmodule, write_series_csv_python
 from test_ring import NO_FMA, numpy_dispatches
 
 GOLDEN_HEADER = "time,m,w,alpha0_abs,m_o,m_d,norm_error"
@@ -108,6 +111,40 @@ def reference_csv_bytes(table, header):
     writer.writerow(header)
     writer.writerows([format(x, ".17g") for x in row] for row in table.tolist())
     return text.getvalue().encode()
+
+
+# Raw float64s the writer must spell as format(x, ".17g") does: both
+# zeros, subnormals, infinities, and NaNs of both signs with several payloads.
+SPECIAL_BITS = (0, 1 << 63, 1, (1 << 52) - 1, (1 << 63) | 1, 0x7FF0000000000000, 0xFFF0000000000000,
+                0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFF0000000000001,
+                0x7FF4000000000000, 0x7FFFFFFFFFFFFFFF, 0xFFFFFFFFFFFFFFFF)
+
+
+def bit_patterns(rng, count, fields=2048):
+    """`count` raw float64s, their exponent fields 0..fields-1 in turn, with random signs and significands."""
+    exponent = np.arange(count, dtype=np.uint64) % np.uint64(fields)
+    sign = rng.integers(0, 2, count, dtype=np.uint64) << np.uint64(63)
+    significand = rng.integers(0, 1 << 52, count, dtype=np.uint64)
+    return (sign | exponent << np.uint64(52) | significand).view(np.float64)
+
+
+def patterned_series(rng, rows):
+    """A series of `rows` rows, its six value columns finite bit patterns led
+    by every power of ten and its neighbours, and four extras of any bit
+    pattern led by SPECIAL_BITS: ten patterns a row."""
+    tens = 10.0 ** np.arange(-323, 309)
+    edges = np.concatenate((tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf), -tens))
+    values = bit_patterns(rng, 6 * rows, fields=2047)
+    values[: len(edges)] = edges
+    extras = bit_patterns(rng, 4 * rows)
+    extras[: len(SPECIAL_BITS)] = np.array(SPECIAL_BITS, dtype=np.uint64).view(np.float64)
+    table = np.column_stack((np.arange(rows, dtype=float), values.reshape(rows, 6)))
+    return MomentSeries.from_table(table), dict(zip(ANALYTIC_EXTRA_COLUMNS, extras.reshape(4, rows)))
+
+
+def exact_ties() -> np.ndarray:
+    """Every m / 2^18 with m odd in [26215, 262143]: 18 significant digits, the last a 5."""
+    return np.arange(26215, 262144, 2) / 2.0**18
 
 
 def read_outcome(reader, path):
@@ -243,6 +280,66 @@ class TestSeriesIO:
         with pytest.raises(ValueError, match="extra column 'w_lower_bound' has 2 rows, series has 3"):
             write_series_csv(path, series, {"w_lower_bound": np.zeros(2)})
         assert not path.exists()
+
+    def test_a_non_numeric_extra_column_leaves_the_path_as_it_was(self, tmp_path):
+        table = np.zeros((2, len(MOMENT_COLUMNS)))
+        table[:, 0] = [0.0, 1.0]
+        path = tmp_path / "series.csv"
+        path.write_bytes(b"kept")
+        with pytest.raises(ValueError, match="extra column 'w_lower_bound' is not numeric"):
+            write_series_csv(path, MomentSeries.from_table(table), {"w_lower_bound": np.array(["a", "b"])})
+        assert path.read_bytes() == b"kept"
+        with pytest.raises(ValueError, match="extra column 'w_lower_bound' is not numeric"):
+            write_series_csv(tmp_path / "new" / "series.csv", MomentSeries.from_table(table),
+                             {"w_lower_bound": np.array(["a", "b"])})
+        assert not (tmp_path / "new").exists()
+
+    def test_raw_bit_patterns_are_spelled_as_python_spells_them(self, tmp_path, rng):
+        # 200 000 patterns over every exponent field; the extras carry the
+        # infinities and NaNs, which a series' own columns refuse.
+        series, extras = patterned_series(rng, 20_000)
+        path = tmp_path / "series.csv"
+        write_series_csv(path, series, extras)
+        full = np.column_stack((series.table, *extras.values()))
+        assert path.read_bytes() == reference_csv_bytes(full, GOLDEN_ANALYTIC_HEADER.split(","))
+
+    def test_exact_ties_round_half_to_even(self, tmp_path):
+        ties = exact_ties()
+        assert {len(Decimal(x).as_tuple().digits) for x in ties[::997]} == {18}
+        columns = np.resize(ties, (6, -(-len(ties) // 6)))
+        table = np.column_stack((np.arange(columns.shape[1], dtype=float), columns.T))
+        path = tmp_path / "series.csv"
+        write_series_csv(path, MomentSeries.from_table(table))
+        assert path.read_bytes() == reference_csv_bytes(table, MOMENT_COLUMNS)
+
+    def test_every_cell_through_snprintf_gives_the_same_bytes(self, tmp_path, rng, monkeypatch):
+        # A bound of the whole fraction leaves no cell to the integer rounding.
+        wide = entspread.seriesio._POWERS.copy()
+        wide[:, 3] = np.iinfo(np.uint64).max
+        monkeypatch.setattr(entspread.seriesio, "_POWERS", wide)
+        series, extras = patterned_series(rng, 2_000)
+        ties = np.column_stack((np.arange(4096, dtype=float), np.resize(exact_ties(), (4096, 6))))
+        for series, extras in ((series, extras), (MomentSeries.from_table(ties), None)):
+            write_series_csv(tmp_path / "compiled.csv", series, extras)
+            write_series_csv_python(tmp_path / "python.csv", series, extras)
+            assert (tmp_path / "compiled.csv").read_bytes() == (tmp_path / "python.csv").read_bytes()
+
+    def test_powers_of_ten_are_exact_for_k_0_to_55_only(self):
+        powers = entspread.seriesio._POWERS
+        for k, (high, low, shift, bound) in zip(range(-293, 342), powers.tolist()):
+            power, shift = high << 64 | low, shift - (shift >> 63 << 64)
+            assert 2**127 <= power < 2**128
+            value = Fraction(10) ** k * Fraction(2) ** shift
+            assert power <= value < power + 1
+            assert bound == (0 if value == power else 1)
+        assert (np.flatnonzero(powers[:, 3] == 0) - 293).tolist() == list(range(56))
+
+    @pytest.mark.parametrize("extras", [None, dict.fromkeys(ANALYTIC_EXTRA_COLUMNS, np.zeros(0))])
+    def test_a_series_of_no_rows_writes_only_the_header(self, tmp_path, extras):
+        path = tmp_path / "series.csv"
+        write_series_csv(path, MomentSeries.from_table(np.zeros((0, len(MOMENT_COLUMNS)))), extras)
+        header = GOLDEN_ANALYTIC_HEADER if extras else GOLDEN_HEADER
+        assert path.read_bytes() == (header + "\r\n").encode()
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -7,10 +7,11 @@ moment sums) `oracles.edge_count_numpy`, numpy's `rows *= phases[:, None]`
 and `oracles.moment_rows_numpy`, so that every CSV keeps its bytes.
 `ring_flush` must round each of its fmas once, as `oracles.ring_flush_exact`
 does in rationals.  The build tests, and the check of numpy's unfused
-loops, run fresh interpreters.
+loops, run fresh interpreters; the source must compile without a warning.
 """
 
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -557,6 +558,15 @@ class TestRingBuild:
         monkeypatch.setattr(Path, "unlink", refuse)
         assert self.left_in(cache) == {_RING_PATH.name, self.STALE, self.PARTIAL, self.OTHER}
 
+    def test_a_cached_library_that_will_not_load_is_built_again(self, cache):
+        # Garbage under the library's name, as a cut-short file would leave.
+        (cache / _RING_PATH.name).write_bytes(b"not a shared library")
+        code = IMPORT.replace("print(b._RING_PATH)", "print(b._RING_PATH, b._RING_BUILT)")
+        child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.split() == [str(cache / _RING_PATH.name), "True"]
+        assert (cache / _RING_PATH.name).read_bytes() == _RING_PATH.read_bytes()
+
     def test_no_compiler_raises_an_import_error_naming_it(self, tmp_path):
         (tmp_path / "bin").mkdir()
         child = import_propagator(tmp_path, PATH=str(tmp_path / "bin"))
@@ -564,3 +574,14 @@ class TestRingBuild:
         assert child.returncode != 0
         assert "ImportError: cannot build the Chebyshev ring step: `cc -O3" in err
         assert not any((tmp_path / "cache" / "entspread").iterdir())
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no cc here")
+def test_the_source_compiles_without_a_warning():
+    source = str(ROOT / "src" / "entspread" / "_ring.c")
+    flags = ["-fsyntax-only", "-Wall", "-Wextra", "-Werror", "-ffp-contract=off", "-fno-math-errno"]
+    child = subprocess.run(["cc", *flags, source], capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    # A compiler without 128-bit integers stops at a message naming them.
+    child = subprocess.run(["cc", *flags, "-U__SIZEOF_INT128__", source], capture_output=True, text=True)
+    assert child.returncode != 0 and "unsigned __int128" in child.stderr
