@@ -7,19 +7,19 @@
    format_rows is integer arithmetic save a rare call of snprintf, so it
    has no clones and does not depend on the flags below.
 
-   ring_flush defines its own arithmetic, one fma per term (see there), and
-   the moment and order sums share one pairwise rule, numpy's, as the
-   module's own (`pairwise`).  miller_rows and the other passes keep the
-   bytes numpy gave, so each does numpy's own arithmetic in numpy's order;
-   none of miller_rows, order_sums and ring_flush depends on what numpy
-   dispatches or on a BLAS.  Built with -ffp-contract=off, so no product
-   is fused into an addition unless written as fma(), save that GCC's
-   vectorizer fuses what it takes for a complex product (see phase_rows);
-   in ring_steps' halving of order 1 that changes no bit, as both products
-   are exact (a halving and a zero).  -fno-math-errno lets sqrt vectorize
-   and changes no result.  Where numpy's loops fuse (its complex product
-   and absolute on FMA hardware), a pass takes `fused` from the caller,
-   which probes what numpy does in the running process.
+   Each pass computes one arithmetic, written here, whatever the CPU, its
+   clone (x86-64-v4, v3 or the baseline) or what numpy dispatches; none
+   calls a BLAS.  ring_flush is one fma per term (see there); phase_rows
+   and the magnitude of moment_sums are written with fma() too, as numpy's
+   complex product and absolute are on FMA hardware; the moment and order
+   sums share one pairwise rule, numpy's, as the module's own
+   (`pairwise`).  edge_counts and miller_rows keep the bytes numpy gave,
+   numpy's own arithmetic in numpy's order.  Built with -ffp-contract=off,
+   so no product is fused into an addition unless written as fma(), save
+   that GCC's vectorizer fuses what it takes for a complex product; the one
+   such form, ring_steps' halving of order 1, changes no bit so, as both
+   products are exact (a halving and a zero).  -fno-math-errno lets sqrt
+   vectorize and changes no result.
 
    Rows are complex values stored as interleaved (re, im) doubles; row s of
    a (count, width) stack starts `stride` complex values after row s - 1.
@@ -141,41 +141,32 @@ CLONES void edge_counts(const double *rows, long stride, long count, long width,
     }
 }
 
-/* phase_rows: row s *= phases[s] in place, as numpy's complex product,
-   (fma(ar, br, -ai bi), fma(ar, bi, ai br)) when fused.  The plain real
-   part is written ar br + ai (-bi), the same bits as ar br - ai bi: GCC 12
-   vectorizes that form as its complex-multiply pattern, fused whatever
-   -ffp-contract says. */
-static inline void phase_row(double *row, long width, double br, double bi, int fused)
+/* phase_rows: row s *= phases[s] in place, each product a b as
+   (fma(ar, br, -(ai bi)), fma(ar, bi, ai br)), numpy's where its loops fuse. */
+static inline void phase_row(double *row, long width, double br, double bi)
 {
-    double minus_bi = -bi;
     for (long i = 0; i < width; ++i) {
         double ar = row[2 * i], ai = row[2 * i + 1];
-        if (fused) {
-            row[2 * i] = fma(ar, br, -(ai * bi));
-            row[2 * i + 1] = fma(ar, bi, ai * br);
-        } else {
-            row[2 * i] = ar * br + ai * minus_bi;
-            row[2 * i + 1] = ar * bi + ai * br;
-        }
+        row[2 * i] = fma(ar, br, -(ai * bi));
+        row[2 * i + 1] = fma(ar, bi, ai * br);
     }
 }
 
-CLONES void phase_rows(double *rows, long stride, long count, long width, const double *phases,
-                       long fused)
+CLONES void phase_rows(double *rows, long stride, long count, long width, const double *phases)
 {
     for (long s = 0; s < count; ++s)
-        phase_row(rows + 2 * stride * s, width, phases[2 * s], phases[2 * s + 1], fused);
+        phase_row(rows + 2 * stride * s, width, phases[2 * s], phases[2 * s + 1]);
 }
 
-/* numpy's complex absolute, larger * sqrt(1 + ratio ratio) with ratio =
-   smaller / larger; a NaN part makes it NaN, and an infinite part inf. */
-static inline double magnitude(double re, double im, int fused)
+/* |a| as larger * sqrt(fma(ratio, ratio, 1.0)) with ratio = smaller /
+   larger, numpy's complex absolute where its loops fuse; a NaN part makes
+   it NaN, and an infinite part inf. */
+static inline double magnitude(double re, double im)
 {
     re = fabs(re), im = fabs(im);
     double larger = re > im ? re : im, smaller = im < re ? im : re;
     double ratio = larger == 0.0 ? 0.0 : smaller / larger;
-    double size = sqrt(fused ? fma(ratio, ratio, 1.0) : ratio * ratio + 1.0) * larger;
+    double size = larger * sqrt(fma(ratio, ratio, 1.0));
     size = isunordered(re, im) ? re + im : size;
     return (re == INFINITY || im == INFINITY) ? INFINITY : size;
 }
@@ -214,7 +205,6 @@ struct summand {
     enum terms kind;
     const double *row;
     long first, core_lo, core_hi;
-    int fused;
 };
 
 /* The terms lo..lo+n-1 (n <= 128) of `of` into t[0..]; returns how many sums they feed. */
@@ -238,10 +228,9 @@ static inline int terms(const struct summand *of, long lo, long n, double t[3][1
        vectorized (moment_sums took 1.5 times as long). */
     double *a = t[2], *w = t[0], *o = t[1];
     long first = of->first, core_lo = of->core_lo, core_hi = of->core_hi;
-    int fused = of->fused;
     const double *at = row + 2 * lo;
     for (long i = 0; i < n; ++i)
-        a[i] = magnitude(at[2 * i], at[2 * i + 1], fused);
+        a[i] = magnitude(at[2 * i], at[2 * i + 1]);
     for (long i = 0; i < n; ++i) {
         long site = lo + i;
         double x = (double)(first + site);
@@ -284,11 +273,11 @@ CLONES static int pairwise(const struct summand *of, long lo, long n, double sum
    to its identity.  The core sum is its own pairwise sum over the core's
    sites, as numpy sums a slice. */
 CLONES void moment_sums(const double *rows, long stride, long count, long width, long first,
-                        long core_lo, long core_hi, long fused, double *out)
+                        long core_lo, long core_hi, double *out)
 {
     for (long s = 0; s < count; ++s) {
-        struct summand all = {SITES, rows + 2 * stride * s, first, core_lo, core_hi, fused};
-        struct summand core = {SITES, all.row, first, 0, 0, fused};
+        struct summand all = {SITES, rows + 2 * stride * s, first, core_lo, core_hi};
+        struct summand core = {SITES, all.row, first, 0, 0};
         double sums[3], on_core[3];
         pairwise(&all, 0, width, sums);
         pairwise(&core, core_lo, core_hi - core_lo, on_core);
@@ -308,8 +297,8 @@ CLONES void order_sums(const double *rows, long count, long length, long core, d
 {
     long inner = core < length - 1 ? core : length - 1;
     for (long s = 0; s < count; ++s) {
-        struct summand weights = {WEIGHTS, rows + length * s, 0, 0, 0, 0};
-        struct summand squares = {SQUARES, weights.row, 0, 0, 0, 0};
+        struct summand weights = {WEIGHTS, rows + length * s, 0, 0, 0};
+        struct summand squares = {SQUARES, weights.row, 0, 0, 0};
         double on_core[3], off_core[3], sum_squares[3];
         pairwise(&weights, 1, inner, on_core);
         pairwise(&weights, 1 + inner, length - 1 - inner, off_core);
@@ -632,7 +621,8 @@ void ring_flush(double *rows, long stride, long count, long width, const double 
    count is right; status[2] and status[3] the offsets in `text` that bound
    its bad field, the one in the lowest column where there are several.
    Every byte read lies before text + length save the one past it, which
-   must be a NUL (Python's bytes end in one) and stops strtod. */
+   must be a NUL and stops strtod: the caller passes the body where it lies
+   in the file's bytes, and Python's bytes end in one. */
 static int blank(char c)
 {
     return c == ' ' || c == '\t' || c == '\v' || c == '\f' || c == '\r';

@@ -48,6 +48,9 @@ class TimesSpec:
             raise ConfigError("t_end", f"must be finite, got {self.t_end}")
         if self.spacing == "log" and self.t_start <= 0.0:
             raise ConfigError("t_start", "log spacing requires t_start > 0")
+        if self.num_samples > 1 and not np.all(np.diff(self.grid()) > 0.0):
+            raise ConfigError("num_samples", f"{self.num_samples} {self.spacing} samples on "
+                              f"[{self.t_start!r}, {self.t_end!r}] repeat a float64 time")
 
     def grid(self) -> np.ndarray:
         if self.spacing == "log":

@@ -4,11 +4,13 @@ For one excitation shared across the chain, the two-site concurrence
 collapses to the product form C_ij = 2 |a_i| |a_j|, and the spatial moments
 below, built on it, are what `simulate` records.  A block's sums over x^2
 |a_x| and |a_x|^2 are one compiled pass over its rows (`moment_sums` in
-`_ring.c`), which computes |a| and numpy's pairwise sums as numpy does, so
-the moments have the bytes the numpy reductions gave; those reductions are
-the test suite's oracle `moment_rows_numpy`.  The full concurrence route
-(two-site reduced density matrix, then the spin-flipped eigenvalue
-construction) is an independent oracle in the `oracles` module as well.
+`_ring.c`): |a| with one fma, as numpy's np.abs is on FMA hardware, and
+numpy's pairwise sums, whatever numpy dispatches.  The test suite's
+`moment_rows_exact` is that rule with each fma rounded from rationals, and
+`moment_rows_numpy`, the numpy reductions, a tolerance oracle.  The full
+concurrence route (two-site reduced density matrix, then the spin-flipped
+eigenvalue construction) is an independent oracle in the `oracles` module
+as well.
 """
 
 from __future__ import annotations

@@ -54,9 +54,10 @@ The coefficients are exactly the Bessel rows the bessel module provides.
   The trim is the block's one cut: a block stores its samples on the
   support only, a view of the window-wide rows, and they are zero outside it.
   The trim's search and the phase exp(-i a tau) are C passes over the rows
-  too (`edge_counts`, `phase_rows`), in numpy's arithmetic: a running sum
-  as np.cumsum makes it, and numpy's complex product, fused where numpy's
-  loops fuse it in this process (`_numpy_fuses`).
+  too (`edge_counts`, `phase_rows`): a running sum as np.cumsum makes it,
+  and a complex product with one fma a part, as numpy's FMA loops make it.
+  The budget's ||psi||^2 is numpy's pairwise sum of psi's squared parts,
+  which no BLAS kernel or CPU dispatch changes.
 * Byte cap.  Up to 16 orders sit in a ring, added into the S sample rows
   whenever it fills.  S is cut so that a ring of 8 orders, sample and
   coefficient rows and a margin fit WORKSPACE_BYTES; the ring then grows
@@ -83,7 +84,6 @@ Everything here is pure; distinct trajectories can be evolved concurrently.
 from __future__ import annotations
 
 import ctypes
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -122,34 +122,10 @@ _RING_RESERVED = 8
 _SIZE_CLASSES = 6
 
 
-@functools.cache
-def _numpy_fuses() -> tuple[bool, bool, bool]:
-    """Whether numpy fuses a product into a sum here: in a complex product of rows, of one element in place, and in |a|.
-
-    numpy picks its loops by the CPU (and NPY_DISABLE_CPU_FEATURES): with
-    FMA they compute a b as (fma(ar, br, -ai bi), fma(ar, bi, ai br)) and
-    |a| as L sqrt(fma(q, q, 1)), L = max(|ar|, |ai|), q = min / L; without,
-    as the plain products and sums.  It multiplies a lone element in place
-    with a plain scalar loop.  Each is probed on values where the two forms
-    round apart, and compared with the plain form.  The probe runs on first
-    use: it maps in numpy's complex loops, about 0.26 MB, which a process
-    that runs no block never needs.
-    """
-    x = 1.0 + 2.0**-27  # x x - 1 is exact only when fused
-    products = []
-    for sites in (8, 1):
-        rows = np.full((1, sites), complex(x, 1.0))
-        rows *= rows[:, :1].copy()  # as `_Kernel.block` applies its phases
-        products.append(bool(np.any(rows.real != x * x - 1.0)))
-    ratio = np.arange(1, 257) * 0.6180339887498949 % 1.0  # some give |1 + i ratio| two roundings
-    magnitudes = np.abs(1.0 + 1j * ratio)
-    return *products, bool(np.any(magnitudes != np.sqrt(ratio * ratio + 1.0)))
-
-
 _ring_steps = _bind("ring_steps", _P, _N, _P, _P, _N, _N, _N, _N)
 _edge_counts_c = _bind("edge_counts", _P, _N, _N, _N, ctypes.c_double, _P)
-_phase_rows_c = _bind("phase_rows", _P, _N, _N, _N, _P, _N)
-_moment_sums_c = _bind("moment_sums", _P, _N, _N, _N, _N, _N, _N, _N, _P)
+_phase_rows_c = _bind("phase_rows", _P, _N, _N, _N, _P)
+_moment_sums_c = _bind("moment_sums", _P, _N, _N, _N, _N, _N, _N, _P)
 _ring_flush = _bind("ring_flush", _P, _N, _N, _N, _P, _N, _N, _P, _N, _P, _N, _N)
 
 
@@ -186,28 +162,31 @@ def _edge_counts(rows: np.ndarray, budget: float) -> np.ndarray:
 
 
 def _phase_rows(rows: np.ndarray, phases: np.ndarray) -> None:
-    """rows[s] *= phases[s] in place, bit for bit as numpy's `rows *= phases[:, None]`."""
+    """rows[s] *= phases[s] in place, each product a b as (fma(ar, br, -ai bi), fma(ar, bi, ai br)).
+
+    That is numpy's `rows *= phases[:, None]` where numpy's loops fuse, as
+    on FMA hardware, but it does not follow what numpy dispatches.
+    """
     address, stride, count, width = _row_args(rows)
     phases = np.ascontiguousarray(phases, dtype=complex)
     if not rows.flags.writeable or phases.shape != (count,):
         raise ValueError(f"{count} writeable rows need as many phases, got {phases.shape}")
-    rows_fused, lone_fused, _ = _numpy_fuses()
-    fused = lone_fused if count * width == 1 else rows_fused
-    _phase_rows_c(address, stride, count, width, phases.ctypes.data, fused)
+    _phase_rows_c(address, stride, count, width, phases.ctypes.data)
 
 
 def _moment_sums(rows: np.ndarray, first: int, core: tuple[int, int]) -> np.ndarray:
     """Sums over each row of `rows` (S, width), as (4, S): of x^2 |a_x|, of it off the core, on the core, and of |a_x|^2.
 
-    x = first + column; the core is the columns [core[0], core[1]).  Each
-    is the pairwise sum np.add.reduce makes of numpy's own |a| and
-    products, so they equal the numpy reductions bit for bit.
+    x = first + column; the core is the columns [core[0], core[1]).  |a| is
+    L sqrt(fma(q, q, 1)), L = max(|re|, |im|) and q = min / L, numpy's
+    np.abs where its loops fuse, and each sum is the pairwise sum
+    np.add.reduce makes of the terms.
     """
     address, stride, count, width = _row_args(rows)
     if not 0 <= core[0] <= core[1] <= width:
         raise ValueError(f"core columns {core} outside {width} sites")
     sums = np.empty((4, count))
-    _moment_sums_c(address, stride, count, width, first, *core, _numpy_fuses()[2], sums.ctypes.data)
+    _moment_sums_c(address, stride, count, width, first, *core, sums.ctypes.data)
     return sums
 
 
@@ -396,7 +375,7 @@ class _Kernel:
         start = max(lo - order, 0)
         stop = min(lo + len(seed) + order, self.num_sites)
         samples = self._expand(seed, lo - start, start, stop, coeffs, need, slots)
-        budget = (0.5 * TAIL_TOLERANCE) ** 2 * float(np.vdot(seed, seed).real)
+        budget = (0.5 * TAIL_TOLERANCE) ** 2 * float(np.add.reduce(np.square(seed.view(float))))
         # Each side drops what every sample can spare; each row's search stops
         # at its first site past the budget, almost always among the outer
         # order + 1 sites the light cone added.

@@ -25,7 +25,7 @@ from .observables import MOMENT_COLUMNS
 
 ANALYTIC_EXTRA_COLUMNS = ("w_lower_bound", "w_upper_bound", "w_asymptote", "m_asymptote")
 
-_parse_rows = _bind("parse_rows", ctypes.c_char_p, _N, _N, _N, _P, _N, _P, _P)
+_parse_rows = _bind("parse_rows", _P, _N, _N, _N, _P, _N, _P, _P)
 _format_rows = _bind("format_rows", _P, _N, _N, _P, _P, _P)
 
 
@@ -111,9 +111,9 @@ def read_series_csv(path: str | Path) -> MomentSeries:
     text = path.read_bytes()
     if not text:
         raise ValueError(f"{path}: empty CSV")
-    head, _, body = text.partition(b"\n")
+    body = text.find(b"\n") + 1 or len(text)  # the offset of the first row's line
     try:
-        header = head.removesuffix(b"\r").decode().split(",")
+        header = text[:body].removesuffix(b"\n").removesuffix(b"\r").decode().split(",")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: line 1: {exc}") from None
     missing = [c for c in MOMENT_COLUMNS if c not in header]
@@ -121,16 +121,17 @@ def read_series_csv(path: str | Path) -> MomentSeries:
         raise ValueError(f"{path}: missing columns {missing}")
     columns = np.full(len(header), -1, dtype=np.int64)
     columns[[header.index(name) for name in MOMENT_COLUMNS]] = range(len(MOMENT_COLUMNS))
-    rows = body.count(b"\n") + (len(body) > 0 and not body.endswith(b"\n"))
+    rows = text.count(b"\n", body) + (body < len(text) and not text.endswith(b"\n"))
     table = np.empty((rows, len(MOMENT_COLUMNS)))
     status = np.empty(4, dtype=np.int64)
-    _parse_rows(body, len(body), rows, len(header), columns.ctypes.data, len(MOMENT_COLUMNS),
-                table.ctypes.data, status.ctypes.data)
+    # The rows are read in place, from the body's address inside `text`.
+    _parse_rows(ctypes.cast(text, _P).value + body, len(text) - body, rows, len(header), columns.ctypes.data,
+                len(MOMENT_COLUMNS), table.ctypes.data, status.ctypes.data)
     row, count, start, stop = status.tolist()
     if row < rows:
         if count >= 0:
             raise ValueError(f"{path}: line {row + 2}: {count} fields, header has {len(header)}")
-        field = body[start:stop].decode(errors="replace")
+        field = text[body + start : body + stop].decode(errors="replace")
         raise ValueError(f"{path}: line {row + 2}: could not convert string to float: {field!r}")
     return MomentSeries.from_table(table)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from entspread.bessel import _RING_PATH
-from entspread.propagator import WaveState, _numpy_fuses
+from entspread.propagator import WaveState
 
 
 def random_unit_state(rng, n, origin=None):
@@ -16,12 +16,7 @@ def random_unit_state(rng, n, origin=None):
 
 
 def pytest_report_header(config):
-    # The compiled passes copy numpy's complex product and absolute, fused
-    # or not as numpy's loops are here; a byte-test failure reads against this.
-    product, lone_product, absolute = _numpy_fuses()
-    return [f"entspread ring library: {_RING_PATH}",
-            f"numpy FMA: complex product {product} (one element in place {lone_product}), "
-            f"complex absolute {absolute}"]
+    return [f"entspread ring library: {_RING_PATH}"]
 
 
 @pytest.fixture

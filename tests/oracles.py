@@ -11,10 +11,14 @@ None of these is on the pipeline's path, so they live beside their tests:
 * `reduced_density_pair`, `wootters_concurrence`, `concurrence_pair`: the
   two-site concurrence by the spin-flip route, against which the product
   form C_ij = 2 |a_i| |a_j| the moments rest on is checked;
-* `ring_steps_parts`, `edge_count_numpy` and `moment_rows_numpy`: the
-  Chebyshev recurrence step, the block trim's edge search and a block's
-  moment rows as numpy calls, whose bytes the compiled passes of `_ring.c`
-  must reproduce;
+* `ring_steps_parts` and `edge_count_numpy`: the Chebyshev recurrence
+  step and the block trim's edge search as numpy calls, whose bytes the
+  compiled passes of `_ring.c` must reproduce;
+* `phase_rows_exact` and `moment_rows_exact`: a block's phase and moment
+  rows in the rule of `_ring.c`, each fma rounded once from its exact
+  value in rationals (`magnitudes_exact`), as the compiled `phase_rows` and
+  `moment_sums` must round it; `moment_rows_numpy`, the numpy reductions,
+  agrees with them to rounding, and bit for bit where numpy's loops fuse;
 * `ring_steps_numpy`: the step as complex ufuncs on the complex -2i Hs,
   equal in value to `ring_steps_parts`, a cross-check that shares none of
   its grouping;
@@ -299,10 +303,45 @@ def edge_count_numpy(samples: np.ndarray, budget: float, rim: int) -> np.ndarray
         rim *= 2
 
 
-def moment_rows_numpy(block: Block, origin: int, half_width: int = 0) -> np.ndarray:
-    """`observables.moment_rows` as numpy reductions: np.abs, then one np.add.reduce per row and column."""
+def phase_rows_exact(rows: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """rows[s] * phases[s], each product a b as (fma(ar, br, -(ai bi)), fma(ar, bi, ai br)), each fma exact."""
+    out = np.array(rows, dtype=complex)
+    for s, phase in enumerate(np.asarray(phases, dtype=complex).tolist()):
+        br, bi = phase.real, phase.imag
+        out[s] = [complex(fma_exact(a.real, br, -(a.imag * bi)), fma_exact(a.real, bi, a.imag * br))
+                  for a in out[s].tolist()]
+    return out
+
+
+def magnitudes_exact(amplitudes: np.ndarray) -> np.ndarray:
+    """|a| of each amplitude as larger * sqrt(fma(ratio, ratio, 1.0)), ratio = smaller / larger, each fma exact.
+
+    A NaN part makes it NaN, and an infinite part inf.
+    """
+    def magnitude(a: complex) -> float:
+        re, im = abs(a.real), abs(a.imag)
+        if math.isinf(re) or math.isinf(im):
+            return math.inf
+        if math.isnan(re) or math.isnan(im):
+            return math.nan
+        larger, smaller = max(re, im), min(re, im)
+        ratio = 0.0 if larger == 0.0 else smaller / larger
+        return larger * math.sqrt(fma_exact(ratio, ratio, 1.0))
+
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    return np.array([magnitude(a) for a in amplitudes.ravel().tolist()], dtype=float).reshape(amplitudes.shape)
+
+
+def moment_rows_exact(block: Block, origin: int, half_width: int = 0) -> np.ndarray:
+    """`observables.moment_rows` in its own rule: `magnitudes_exact`, then numpy's pairwise sums."""
+    return moment_rows_numpy(block, origin, half_width, magnitudes_exact(block.amplitudes))
+
+
+def moment_rows_numpy(block: Block, origin: int, half_width: int = 0,
+                      magnitudes: np.ndarray | None = None) -> np.ndarray:
+    """`observables.moment_rows` as numpy reductions: np.abs, or `magnitudes`, then one np.add.reduce per row and column."""
     first, size = block.start - origin, block.width
-    magnitudes = np.abs(block.amplitudes)
+    magnitudes = np.abs(block.amplitudes) if magnitudes is None else magnitudes
     offsets = np.arange(first, first + size, dtype=float)
     weights = np.multiply(magnitudes, offsets * offsets)
     core = slice(min(max(-half_width - first, 0), size), min(max(half_width + 1 - first, 0), size))

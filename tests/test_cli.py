@@ -399,6 +399,31 @@ def small_configs(draw):
     ))
 
 
+# Environments that change which BLAS kernel or numpy loop a process runs.
+# The moment, phase and closed-form passes have one arithmetic of their own,
+# so none may change a CSV byte.
+HOSTS = [
+    pytest.param({}, id="default"),
+    pytest.param({"OPENBLAS_CORETYPE": "Prescott"}, id="openblas_prescott"),
+    *(pytest.param(env, id=name, marks=pytest.mark.skipif(
+        not numpy_dispatches(NO_FMA), reason=f"numpy dispatches none of {NO_FMA} here"))
+      for name, env in [("numpy_without_fma", {"NPY_DISABLE_CPU_FEATURES": NO_FMA}),
+                        ("numpy_without_fma_openblas_prescott",
+                         {"NPY_DISABLE_CPU_FEATURES": NO_FMA, "OPENBLAS_CORETYPE": "Prescott"})]),
+]
+
+
+def assert_child_writes_the_same_csv(tmp_path, raw, command, csv_name, env):
+    """A fresh interpreter under `env` runs `entspread <command>` on `raw` and writes the CSV this one wrote to tmp_path/here."""
+    src = str(Path(entspread.cli.__file__).parents[1])
+    environ = {**os.environ, **env, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    child = subprocess.run([sys.executable, "-m", "entspread.cli", command, "--config", str(write_config(tmp_path, raw)),
+                            "--out", str(tmp_path / "child")], env=environ, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    digests = {hashlib.sha256((tmp_path / out / csv_name).read_bytes()).hexdigest() for out in ("here", "child")}
+    assert len(digests) == 1
+
+
 class TestSimulate:
     @pytest.mark.filterwarnings("ignore::entspread.propagator.ReflectionBudgetWarning")
     @settings(max_examples=40, deadline=None)
@@ -416,6 +441,15 @@ class TestSimulate:
         states = evolve_series(h, config.chain.origin, config.times.grid(), half_width)
         expected = np.array([astuple(moment_m(state, half_width)) for state in states])
         assert np.array_equal(simulate_realization(config, 0)[0].table, expected)
+
+    @pytest.mark.parametrize("env", HOSTS)
+    def test_simulated_csv_does_not_depend_on_the_host(self, tmp_path, env):
+        # A disordered core, so every block's trim, phase and moment pass runs.
+        raw = make_config(chain={"num_sites": 1001, "disorder": {"half_width": 50, "low": 0.0, "high": 2.5}},
+                          times={"t_start": 0.0, "t_end": 150.0, "num_samples": 600},
+                          ensemble={"num_realizations": 1, "base_seed": 0})
+        run_simulate(config_from_dict(raw), tmp_path / "here")
+        assert_child_writes_the_same_csv(tmp_path, raw, "simulate", "series_r0000.csv", env)
 
     def test_manifest_stats_count_the_kernel_work(self, tmp_path):
         # Desk realization 0: the kernel's own counts, not K x num_sites per gap.
@@ -675,27 +709,12 @@ class TestAnalytic:
             long_sum = 2.0 * (np.abs(bessel_row(2600, 2.0 * t)) @ (x * x))
             assert w == pytest.approx(long_sum, rel=1e-13, abs=0.0), t
 
-    @pytest.mark.parametrize("env", [
-        pytest.param({}, id="default"),
-        pytest.param({"OPENBLAS_CORETYPE": "Prescott"}, id="openblas_prescott"),
-        pytest.param({"NPY_DISABLE_CPU_FEATURES": NO_FMA}, id="numpy_without_fma", marks=pytest.mark.skipif(
-            not numpy_dispatches(NO_FMA), reason=f"numpy dispatches none of {NO_FMA} here")),
-    ])
+    @pytest.mark.parametrize("env", HOSTS)
     def test_ordered_csv_does_not_depend_on_the_host(self, tmp_path, env):
-        # A fresh interpreter under each environment writes the CSV this one
-        # writes: no sum goes through a BLAS kernel or a CPU-dispatched loop.
         raw = make_config(chain={"num_sites": 1001}, times={"t_start": 0.25, "t_end": 150.0, "num_samples": 600},
                           ensemble={"num_realizations": 1, "base_seed": 0})
         run_analytic(config_from_dict(raw), tmp_path / "here")
-        src = str(Path(entspread.cli.__file__).parents[1])
-        environ = {**os.environ, **env, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        command = [sys.executable, "-m", "entspread.cli", "analytic", "--config", str(write_config(tmp_path, raw)),
-                   "--out", str(tmp_path / "child")]
-        child = subprocess.run(command, env=environ, capture_output=True, text=True)
-        assert child.returncode == 0, child.stderr
-        digests = {hashlib.sha256((tmp_path / out / "series_analytic.csv").read_bytes()).hexdigest()
-                   for out in ("here", "child")}
-        assert len(digests) == 1
+        assert_child_writes_the_same_csv(tmp_path, raw, "analytic", "series_analytic.csv", env)
 
     def test_rejects_disordered_config(self):
         config = config_from_dict(make_config())
@@ -967,6 +986,19 @@ class TestCommandLine:
         assert result.exit_code == 2, result.output
         assert str(blocker) in result.output
         assert len(result.output.splitlines()) == 1
+
+    @pytest.mark.parametrize("times", [
+        pytest.param({"t_start": 0.0, "t_end": 1e-321, "num_samples": 400}, id="linear"),
+        pytest.param({"t_start": 1.0, "t_end": 1.0 + 1e-13, "num_samples": 4001, "spacing": "log"}, id="log"),
+    ])
+    def test_grid_that_repeats_a_time_exit_code(self, tmp_path, times):
+        # Distinct ends, but too many samples between them for float64: the
+        # grid repeats a time, which no realization could run.
+        path = write_config(tmp_path, make_config(chain={"num_sites": 101}, times=times))
+        result = CliRunner().invoke(main, ["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "config.times.num_samples" in result.output and "repeat a float64 time" in result.output
+        assert not (tmp_path / "out").exists()
 
     def test_fit_on_a_directory_exit_code(self, tmp_path):
         result = CliRunner().invoke(main, ["fit", str(tmp_path), "--window", "1:5"])

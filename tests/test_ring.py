@@ -2,15 +2,20 @@
 
 `ring_steps` must reproduce the real-ufunc step of `oracles.ring_steps_parts`
 bit for bit, and equal the complex step of `oracles.ring_steps_numpy`; the
-block passes (the trim's edge search, the phase and the
-moment sums) `oracles.edge_count_numpy`, numpy's `rows *= phases[:, None]`
-and `oracles.moment_rows_numpy`, so that every CSV keeps its bytes.
-`ring_flush` must round each of its fmas once, as `oracles.ring_flush_exact`
-does in rationals.  The build tests, and the check of numpy's unfused
-loops, run fresh interpreters; the source must compile without a warning.
+trim's edge search `oracles.edge_count_numpy`.  `ring_flush`, the phase and
+the moment sums must round each of their fmas once, as
+`oracles.ring_flush_exact`, `phase_rows_exact` and `moment_rows_exact` do in
+rationals, and come within rounding of numpy's `rows *= phases[:, None]`
+and `oracles.moment_rows_numpy`, which fuse only where numpy's loops do.
+The build tests, the run without numpy's FMA loops and the baseline-only
+build run fresh interpreters or compilers; the source must compile without
+a warning.
 """
 
+import ctypes
+import math
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -22,8 +27,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import entspread.bessel
 import entspread.propagator
-from entspread.bessel import _RING_PATH, _ring_library
+from entspread.bessel import _RING_FLAGS, _RING_LIBS, _RING_PATH, _ring_library, miller_start_order
 from entspread.chain import Hamiltonian, build_hamiltonian
 from entspread.config import load_config
 from entspread.observables import moment_m, moment_rows
@@ -33,7 +39,6 @@ from entspread.propagator import (
     _edge_counts,
     _Kernel,
     _moment_sums,
-    _numpy_fuses,
     _phase_rows,
     _RING_ORDERS,
     _ring_flush,
@@ -41,7 +46,17 @@ from entspread.propagator import (
     evolve_blocks,
 )
 
-from oracles import edge_count_numpy, moment_rows_numpy, ring_flush_exact, ring_steps_numpy, ring_steps_parts
+from oracles import (
+    edge_count_numpy,
+    fma_exact,
+    magnitudes_exact,
+    moment_rows_exact,
+    moment_rows_numpy,
+    phase_rows_exact,
+    ring_flush_exact,
+    ring_steps_numpy,
+    ring_steps_parts,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -319,25 +334,56 @@ def tapered_rows(count: int, width: int, seed: int) -> np.ndarray:
     return base[:, 2:-2]
 
 
+# How far numpy's unfused |a| and complex product may take it from the passes'
+# fused rule: the moments within MOMENT_RTOL, their norm sum too (so norm_error
+# within MOMENT_RTOL (1 + norm_error)), and each part of a phased value within
+# PHASE_ATOL |a|.  Unfused numpy measured 4.9e-16, 7.1e-15 absolute on the
+# norm error, and 1.98 2^-53 |a| on the test rows.
+MOMENT_RTOL = 2e-15
+PHASE_ATOL = 2.0**-51
+
+
+def assert_near_numpy_moments(got: np.ndarray, numpy_rows: np.ndarray) -> None:
+    np.testing.assert_allclose(got[:, :6], numpy_rows[:, :6], rtol=MOMENT_RTOL, atol=0.0)
+    norm_error = np.abs(got[:, 6] - numpy_rows[:, 6])
+    assert np.all(norm_error <= MOMENT_RTOL * (1.0 + got[:, 6]))
+
+
+def assert_near_numpy_phases(got: np.ndarray, rows: np.ndarray, phases: np.ndarray) -> None:
+    numpy_rows = rows.copy()
+    numpy_rows *= phases[:, None]
+    for part in (np.real, np.imag):
+        assert np.all(np.abs(part(got) - part(numpy_rows)) <= PHASE_ATOL * np.abs(rows))
+
+
+def plain_magnitudes(rows: np.ndarray) -> np.ndarray:
+    """|a| as larger * sqrt(ratio ratio + 1.0), every operation rounded, as numpy's unfused loop makes it."""
+    larger = np.maximum(np.abs(rows.real), np.abs(rows.imag))
+    ratio = np.minimum(np.abs(rows.real), np.abs(rows.imag)) / larger
+    return larger * np.sqrt(ratio * ratio + 1.0)
+
+
 class TestBlockPasses:
     @pytest.mark.parametrize("core", list(CORES))
     @pytest.mark.parametrize("width", WIDTHS)
     def test_moment_rows_match_numpy(self, width, core):
         block = block_of(strided_rows(5, width, seed=width))
         origin, half_width = CORES[core](width)
-        expected = moment_rows_numpy(block, origin, half_width)
-        assert moment_rows(block, origin, half_width).tobytes() == expected.tobytes()
+        got = moment_rows(block, origin, half_width)
+        assert got.tobytes() == moment_rows_exact(block, origin, half_width).tobytes()
+        assert_near_numpy_moments(got, moment_rows_numpy(block, origin, half_width))
 
     @pytest.mark.parametrize("count", [1, 4])
     @pytest.mark.parametrize("width", WIDTHS)
     def test_phase_matches_numpy(self, width, count):
-        # numpy multiplies one row of one site with its unfused scalar loop.
+        # One row of one site too, which numpy multiplies with its unfused
+        # scalar loop even where its row loops fuse.
         rows = strided_rows(count, width, seed=width)
         phases = np.exp(1j * np.random.default_rng(width).uniform(0.0, 7.0, count))
-        expected = rows.copy()
-        expected *= phases[:, None]
-        _phase_rows(rows, phases)
-        assert rows.tobytes() == expected.tobytes()
+        got = rows.copy()
+        _phase_rows(got, phases)
+        assert got.tobytes() == phase_rows_exact(rows, phases).tobytes()
+        assert_near_numpy_phases(got, rows, phases)
 
     @pytest.mark.parametrize("rim", [1, 8])
     @pytest.mark.parametrize("width", WIDTHS)
@@ -349,20 +395,39 @@ class TestBlockPasses:
             assert _edge_counts(rows, budget).tobytes() == expected.tobytes()
 
     def test_the_rows_tell_numpy_sums_from_near_misses(self):
-        # A sequential sum, or |a| without numpy's FMA where it uses one,
-        # gives other bytes on these rows, so the tests above can see them.
-        rows = strided_rows(5, 2167, seed=2167)
-        magnitudes = np.abs(rows)
-        assert not np.array_equal(np.add.reduce(magnitudes, axis=1), np.cumsum(magnitudes, axis=1)[:, -1])
-        larger = np.maximum(np.abs(rows.real), np.abs(rows.imag))
-        ratio = np.minimum(np.abs(rows.real), np.abs(rows.imag)) / larger
-        assert _numpy_fuses()[2] != np.array_equal(magnitudes, np.sqrt(ratio * ratio + 1.0) * larger)
+        # A sequential sum, or |a| or a complex product without its fma,
+        # gives other bytes on the rows of the tests above, on any host, so
+        # those tests can see it.
+        told = set()
+        for width in WIDTHS:
+            block = block_of(strided_rows(5, width, seed=width))
+            fused = magnitudes_exact(block.amplitudes)
+            if width == 2167:
+                assert not np.array_equal(np.add.reduce(fused, axis=1), np.cumsum(fused, axis=1)[:, -1])
+            for place in CORES.values():
+                rows = [moment_rows_numpy(block, *place(width), magnitudes).tobytes()
+                        for magnitudes in (fused, plain_magnitudes(block.amplitudes))]
+                if rows[0] != rows[1]:
+                    told.add(width)
+        assert len(told) >= len(WIDTHS) // 2, told
+        rows = strided_rows(4, 129, seed=129)
+        phases = np.exp(1j * np.random.default_rng(129).uniform(0.0, 7.0, 4))
+        ar, ai, br, bi = rows.real, rows.imag, phases.real[:, None], phases.imag[:, None]
+        plain = (ar * br - ai * bi) + 1j * (ar * bi + ai * br)
+        assert plain.tobytes() != phase_rows_exact(rows, phases).tobytes()
+
+    def test_the_exact_oracles_fuse_once(self):
+        # fma(x, x, -1) for x = 1 + 2^-27 keeps the 2^-54 a plain product rounds away.
+        x = 1.0 + 2.0**-27
+        assert fma_exact(x, x, -1.0) == 2.0**-26 + 2.0**-54 != x * x - 1.0
+        assert phase_rows_exact(np.array([[complex(x, 1.0)]]), np.array([complex(x, 1.0)]))[0, 0].real == 2.0**-26 + 2.0**-54
+        assert magnitudes_exact(np.array([3.0 - 4.0j, complex(np.nan, np.inf)])).tolist() == [5.0, math.inf]
 
     def test_non_finite_amplitudes_stay_non_finite(self):
         rows = strided_rows(4, 40, seed=3)
         rows[0, 5], rows[1, 7], rows[2, 9], rows[3, 11] = np.inf, complex(np.nan, 1.0), complex(1.0, -np.inf), 0.0
         block = block_of(rows)
-        expected = moment_rows_numpy(block, 110, 3)
+        expected = moment_rows_exact(block, 110, 3)
         assert np.array_equal(moment_rows(block, 110, 3), expected, equal_nan=True)
 
     @settings(max_examples=60, deadline=None)
@@ -370,11 +435,9 @@ class TestBlockPasses:
            half_width=st.integers(0, 320), seed=st.integers(0, 2**32 - 1))
     def test_passes_match_numpy_on_random_rows(self, count, width, origin, half_width, seed):
         block = block_of(strided_rows(count, width, seed))
-        expected = moment_rows_numpy(block, origin, half_width)
-        assert moment_rows(block, origin, half_width).tobytes() == expected.tobytes()
+        assert moment_rows(block, origin, half_width).tobytes() == moment_rows_exact(block, origin, half_width).tobytes()
         phases = np.exp(1j * np.random.default_rng(seed).uniform(0.0, 7.0, count))
-        phased = block.amplitudes.copy()
-        phased *= phases[:, None]
+        phased = phase_rows_exact(block.amplitudes, phases)
         _phase_rows(block.amplitudes, phases)
         assert block.amplitudes.tobytes() == phased.tobytes()
         rows = tapered_rows(count, width, seed)
@@ -399,7 +462,7 @@ class TestOtherAmplitudes:
         got = moment_rows(block, 120, 5)
         # w and the norm are those of the complex128 copy; alpha0, and so m,
         # is the scalar abs() of the amplitudes as given.
-        w_and_norm = moment_rows_numpy(exact, 120, 5)[:, [0, 2, 6]]
+        w_and_norm = moment_rows_exact(exact, 120, 5)[:, [0, 2, 6]]
         assert got[:, [0, 2, 6]].tobytes() == w_and_norm.tobytes()
         np.testing.assert_allclose(got, moment_rows_numpy(block, 120, 5), rtol=1e-6)
 
@@ -435,17 +498,22 @@ import sys
 sys.path[:0] = [{src!r}, {tests!r}]
 import numpy as np
 from entspread.observables import moment_rows
-from entspread.propagator import _numpy_fuses, _phase_rows
-from test_ring import block_of, strided_rows
-from oracles import moment_rows_numpy
-assert not any(_numpy_fuses())
+from entspread.propagator import _phase_rows
+from test_ring import assert_near_numpy_moments, assert_near_numpy_phases, block_of, plain_magnitudes, strided_rows
+from oracles import moment_rows_exact, moment_rows_numpy, phase_rows_exact
 block = block_of(strided_rows(4, 2167, seed=5))
-assert moment_rows(block, 1183, 50).tobytes() == moment_rows_numpy(block, 1183, 50).tobytes()
+rows = block.amplitudes.copy()
+# numpy's loops do not fuse here, and the passes still give the exact fused rule
+assert np.array_equal(np.abs(rows), plain_magnitudes(rows))
+got, numpy_rows = moment_rows(block, 1183, 50), moment_rows_numpy(block, 1183, 50)
+assert got.tobytes() == moment_rows_exact(block, 1183, 50).tobytes() != numpy_rows.tobytes()
+assert_near_numpy_moments(got, numpy_rows)
 phases = np.exp(1j * np.random.default_rng(5).uniform(0.0, 7.0, 4))
-expected = block.amplitudes.copy()
-expected *= phases[:, None]
 _phase_rows(block.amplitudes, phases)
-assert block.amplitudes.tobytes() == expected.tobytes()
+numpy_phased = rows.copy()
+numpy_phased *= phases[:, None]
+assert block.amplitudes.tobytes() == phase_rows_exact(rows, phases).tobytes() != numpy_phased.tobytes()
+assert_near_numpy_phases(block.amplitudes, rows, phases)
 """
 
 
@@ -585,3 +653,65 @@ def test_the_source_compiles_without_a_warning():
     # A compiler without 128-bit integers stops at a message naming them.
     child = subprocess.run(["cc", *flags, "-U__SIZEOF_INT128__", source], capture_output=True, text=True)
     assert child.returncode != 0 and "unsigned __int128" in child.stderr
+
+
+def pass_bytes(library: ctypes.CDLL) -> dict[str, bytes]:
+    """What the arithmetic passes of `library` write on fixed inputs, by pass name.
+
+    Each pass is called with the argument types the package binds it with.
+    """
+    def bound(name: str):
+        function = getattr(library, name)
+        function.argtypes, function.restype = getattr(entspread.bessel._LIBRARY, name).argtypes, None
+        return function
+
+    out = {}
+    diag2, off2 = operator(302, seed=7)
+    ring = random_ring(8, 301, seed=7)
+    ring[-1] = 0.0
+    bound("ring_steps")(ring.ctypes.data, ring.strides[0] // 16, diag2.ctypes.data, off2.ctypes.data, 301, 8, 1, 20)
+    out["ring_steps"] = ring.tobytes()
+    rows, ring, coeffs = flush_case(9, 37, 8, 16, seed=7)
+    need = np.sort(np.random.default_rng(7).integers(1, 18, 9))
+    for done in (0, 8):
+        bound("ring_flush")(rows.ctypes.data, rows.strides[0] // 16, 9, 37, ring.ctypes.data, ring.strides[0] // 16, 8,
+                            coeffs.ctypes.data, coeffs.strides[0] // 8, need.ctypes.data, done, done + 7)
+    out["ring_flush"] = rows.tobytes()
+    rows = tapered_rows(6, 129, seed=7)
+    counts = np.empty((2, 6), dtype=np.int64)
+    bound("edge_counts")(rows.ctypes.data, rows.strides[0] // 16, 6, 129, 2.5e-33, counts.ctypes.data)
+    out["edge_counts"] = counts.tobytes()
+    rows = strided_rows(4, 129, seed=7)
+    phases = np.exp(1j * np.random.default_rng(7).uniform(0.0, 7.0, 4))
+    bound("phase_rows")(rows.ctypes.data, rows.strides[0] // 16, 4, 129, phases.ctypes.data)
+    out["phase_rows"] = rows.tobytes()
+    rows = strided_rows(5, 2167, seed=7)
+    sums = np.empty((4, 5))
+    bound("moment_sums")(rows.ctypes.data, rows.strides[0] // 16, 5, 2167, -1000, 900, 1101, sums.ctypes.data)
+    out["moment_sums"] = sums.tobytes()
+    args = np.linspace(0.1, 300.0, 37)
+    bessel = np.empty((37, 401))
+    bound("miller_rows")(args.ctypes.data, 37, 400, miller_start_order(400, 300.0), bessel.ctypes.data)
+    out["miller_rows"] = bessel.tobytes()
+    return out
+
+
+@pytest.mark.skipif(shutil.which("cc") is None or platform.machine() != "x86_64", reason="needs cc on x86-64")
+def test_a_baseline_only_build_rounds_as_the_loaded_library(tmp_path):
+    # Each pass has one arithmetic whatever clone runs it: the source with
+    # its x86-64 blocks disabled builds the baseline code alone, clones and
+    # flush tiles alike, and must give the bytes of the library this process
+    # loaded, which runs the clone for this CPU.
+    source = (ROOT / "src" / "entspread" / "_ring.c").read_text()
+    assert source.count("#if defined(__x86_64__)") >= 2
+    copy = tmp_path / "_ring.c"
+    copy.write_text(source.replace("#if defined(__x86_64__)", "#if 0"))
+    library = tmp_path / "baseline.so"
+    command = ["cc", *_RING_FLAGS, "-o", str(library), str(copy), *_RING_LIBS]
+    child = subprocess.run(command, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    baseline = ctypes.CDLL(str(library))
+    assert not hasattr(baseline, "flush_v4")
+    expected, got = pass_bytes(entspread.bessel._LIBRARY), pass_bytes(baseline)
+    assert list(got) == ["ring_steps", "ring_flush", "edge_counts", "phase_rows", "moment_sums", "miller_rows"]
+    assert {name: got[name] == expected[name] for name in got} == dict.fromkeys(got, True)
