@@ -145,11 +145,12 @@ def _fit_window_values(series: MomentSeries, field_name: str, window: tuple[floa
     times = series.times()
     mask = (times >= t_lo) & (times <= t_hi)
     if np.count_nonzero(mask) < 2:
-        raise ValueError(f"window {window} selects fewer than 2 samples")
+        span = f"the series on [{times[0]:g}, {times[-1]:g}]" if len(times) else "an empty series"
+        raise ValueError(f"window {window} selects fewer than 2 samples of {span}")
     t = times[mask]
     y = series.column(field_name)[mask]
     if np.any(t <= 0.0):
-        raise ValueError("window must contain positive times only")
+        raise ValueError(f"window {window} holds the time {t[0]:g}; a fit needs positive times only")
     if np.any(y <= 0.0):
         raise ValueError(f"{field_name} must be positive throughout the window")
     return t, y

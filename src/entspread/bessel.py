@@ -84,11 +84,12 @@ def _used(library: Path) -> Path:
 def _ring_library() -> tuple[Path, bool]:
     """The shared library built from `_ring.c`, and whether this call built it with `cc`.
 
-    It is cached in $XDG_CACHE_HOME/entspread (default ~/.cache/entspread),
+    It is cached in $XDG_CACHE_HOME/entspread (~/.cache/entspread where that
+    is unset or, as the XDG Base Directory spec says, not an absolute path),
     or in the temp directory where that cannot be written, under a name
-    keyed by the source, the flags and the machine.  A build goes to a
-    temp file that is then renamed over the name, so processes that build
-    at once each leave a whole library; it then removes this user's other
+    keyed by the source, the flags and the machine.  A build goes to a temp
+    file that is then renamed over the name, so processes that build at
+    once each leave a whole library; it then removes this user's other
     libraries from that directory that no import has used for a day, which
     older sources or flags left.
     """
@@ -96,7 +97,8 @@ def _ring_library() -> tuple[Path, bool]:
     key = hashlib.sha256(b"\0".join([source, *map(str.encode, _RING_FLAGS + _RING_LIBS),
                                       platform.machine().encode()])).hexdigest()
     name = f"entspread-ring-{key[:16]}.so"
-    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "entspread"
+    xdg = os.environ.get("XDG_CACHE_HOME", "")
+    cache = Path(xdg if os.path.isabs(xdg) else Path.home() / ".cache") / "entspread"
     if _own_file(cache / name):
         return _used(cache / name), False
     import subprocess

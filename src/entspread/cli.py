@@ -28,7 +28,6 @@ from .analysis import (
     AVERAGE_WINDOW_DEFAULT,
     FIT_FIELDS,
     MomentSeries,
-    check_window,
     fit_power_law,
     local_exponent,
     time_average,
@@ -45,8 +44,8 @@ from .config import (
     config_to_dict,
     load_config,
 )
-from .observables import moment_rows
-from .propagator import evolve_blocks, reflection_budget_violation
+from .observables import MOMENT_COLUMNS, moment_rows
+from .propagator import EDGE_SITES, evolve_blocks, reflection_budget_violation
 from .seriesio import (
     ANALYTIC_EXTRA_COLUMNS,
     read_series_csv,
@@ -60,10 +59,6 @@ EARLY_WINDOW_START = 1.0
 
 # Largest |1 - norm| that `verify` accepts in a series.
 UNITARITY_TOL = 1e-8
-
-# Sites at either chain end whose largest |a| the manifest reports, the
-# margin the boundary budget keeps the front from.
-EDGE_SITES = 10
 
 
 class BoundaryBudgetError(RuntimeError):
@@ -94,6 +89,11 @@ def _record(index: int | None, path: Path, spec_digest: str, started: float) -> 
         "spec_digest": spec_digest,
         "wall_time_s": round(_time.perf_counter() - started, 3),
     }
+
+
+def _failure(index: int, exc: Exception) -> dict:
+    """The `failures` entry of a realization that raised `exc`."""
+    return {"index": index, "error": f"{type(exc).__name__}: {exc}"}
 
 
 def _manifest(
@@ -266,7 +266,7 @@ def run_simulate(
         try:
             records.append(run(*args))
         except Exception as exc:
-            failures.append({"index": index, "error": f"{type(exc).__name__}: {exc}"})
+            failures.append(_failure(index, exc))
 
     if jobs > 1 and len(indices) > 1:
         # The pool starts all its workers at once: no more than there is work for.
@@ -292,11 +292,6 @@ def run_analytic(config: ExperimentConfig, out_dir: str | Path) -> dict:
     return _manifest("analytic", config, out_dir, [record], started)
 
 
-def _check_average_window(average_window: float) -> None:
-    if not 0.0 <= average_window < math.inf:
-        raise ValueError(f"average_window must be finite and >= 0, got {average_window}")
-
-
 def fit_series(
     series: MomentSeries,
     window: tuple[float, float],
@@ -310,7 +305,8 @@ def fit_series(
     local exponent is taken over the samples at t > 0, as log t needs; with
     fewer than 3 of them there is none, and no early maximum is reported.
     """
-    _check_average_window(average_window)
+    if not 0.0 <= average_window < math.inf:
+        raise ValueError(f"average_window must be finite and >= 0, got {average_window}")
     averaged = time_average(series, average_window) if average_window > 0 else series
     fit = fit_power_law(averaged, field_name, window)
     positive = MomentSeries.from_table(averaged.table[averaged.times() > 0.0])
@@ -419,23 +415,17 @@ def run_sweep(
 ) -> dict:
     """Simulate the ensemble, fit every realization, aggregate exponent statistics.
 
-    A window that holds fewer than two grid times, or without averaging a
-    grid time t <= 0, is rejected before any simulation.  A realization
-    that failed to simulate, or whose series cannot be read or fitted, is
-    recorded under `failures` and does not stop the sweep.
+    Before it simulates, the sweep fits a flat series (every column 1.0) on
+    the grid's times, which are every realization's times: a window, field or
+    average that this fit refuses, every fit would.  A realization that failed
+    to simulate, or whose series cannot be read or fitted, is recorded under
+    `failures` and does not stop the sweep.
     """
-    _check_average_window(average_window)
     if window is None:
         window = (config.times.t_end / 5.0, config.times.t_end)
-    check_window(window)
-    grid = config.times.grid()
-    inside = grid[(grid >= window[0]) & (grid <= window[1])]
-    if len(inside) < 2:
-        raise ValueError(f"window {window} holds fewer than 2 times of the grid "
-                         f"[{grid[0]:g}, {grid[-1]:g}]")
-    if average_window == 0.0 and inside[0] <= 0.0:
-        raise ValueError(f"window {window} holds the grid time {inside[0]:g}; "
-                         "an unaveraged fit needs positive times only")
+    flat = np.ones((config.times.num_samples, len(MOMENT_COLUMNS)))
+    flat[:, 0] = config.times.grid()
+    fit_series(MomentSeries.from_table(flat), window, field_name, average_window)
     manifest = run_simulate(config, out_dir, allow_reflections, jobs)
     out_dir = Path(out_dir)
 
@@ -446,7 +436,7 @@ def run_sweep(
             series = read_series_csv(out_dir / record["csv"])
             fit = fit_series(series, window, field_name, average_window)
         except (ValueError, OSError) as exc:
-            failures.append({"index": record["index"], "error": str(exc)})
+            failures.append(_failure(record["index"], exc))
         else:
             entries.append({"index": record["index"], "source": record["csv"], **fit})
 

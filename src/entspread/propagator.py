@@ -440,19 +440,23 @@ class _Kernel:
         return rows
 
 
+# Sites at either chain end that the boundary budget keeps the front from.
+EDGE_SITES = 10
+
+
 def reflection_budget_violation(
     num_sites: int, t_max: float, disorder_half_width: int = 0, gamma: float = 1.0
 ) -> str | None:
     """Why the wavefront (speed 2 gamma) plus the disordered core can touch the boundary, or None.
 
-    Condition: 2 gamma t_max + (2L + 1) > (N - 1) / 2 - 10.  The message
-    gives both sides of it.
+    Condition: 2 gamma t_max + (2L + 1) > (N - 1) / 2 - EDGE_SITES.  The
+    message gives both sides of it.
     """
     reach = 2.0 * abs(gamma) * t_max + (2 * disorder_half_width + 1)
-    room = (num_sites - 1) / 2 - 10
+    room = (num_sites - 1) / 2 - EDGE_SITES
     if not reach > room:
         return None
-    return f"boundary budget exceeded: 2*gamma*t_max + (2L+1) = {reach:g} > (N-1)/2 - 10 = {room:g}"
+    return f"boundary budget exceeded: 2*gamma*t_max + (2L+1) = {reach:g} > (N-1)/2 - {EDGE_SITES} = {room:g}"
 
 
 def evolve_blocks(

@@ -130,8 +130,10 @@ class TestFitPowerLaw:
         series = series_from_m(times, times)
         with pytest.raises(ValueError):
             fit_power_law(series, "m", (5.0, 5.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"selects fewer than 2 samples of the series on \[1, 10\]$"):
             fit_power_law(series, "m", (100.0, 200.0))
+        with pytest.raises(ValueError, match="selects fewer than 2 samples of an empty series$"):
+            fit_power_law(MomentSeries(), "m", (1.0, 10.0))
 
 
 class TestLocalExponent:

@@ -451,6 +451,20 @@ class TestSimulate:
         run_simulate(config_from_dict(raw), tmp_path / "here")
         assert_child_writes_the_same_csv(tmp_path, raw, "simulate", "series_r0000.csv", env)
 
+    @pytest.mark.parametrize("chain, times", [
+        pytest.param({"num_sites": 1001, "disorder": {"half_width": 50, "low": 0.0, "high": 2.5}},
+                     {"t_start": 0.0, "t_end": 150.0, "num_samples": 600}, id="desk_core"),
+        pytest.param({"num_sites": 601, "gamma": 0.7, "disorder": {"half_width": 20, "low": -1.3, "high": 3.1}},
+                     {"t_start": 0.1, "t_end": 150.0, "num_samples": 300, "spacing": "log"}, id="log_grid"),
+    ])
+    def test_diag_sign_changes_no_csv(self, tmp_path, chain, times):
+        # The chain is bipartite: the sublattice gauge maps d to -d and keeps every |a_x(t)|.
+        for sign in ("plus", "minus"):
+            raw = make_config(chain={**chain, "disorder": {**chain["disorder"], "diag_sign": sign}}, times=times)
+            run_simulate(config_from_dict(raw), tmp_path / sign)
+        for name in ("series_r0000.csv", "series_r0001.csv"):
+            assert (tmp_path / "plus" / name).read_bytes() == (tmp_path / "minus" / name).read_bytes()
+
     def test_manifest_stats_count_the_kernel_work(self, tmp_path):
         # Desk realization 0: the kernel's own counts, not K x num_sites per gap.
         raw = json.loads(DESK.read_text())
@@ -889,42 +903,83 @@ class TestSweep:
         aggregate = run_sweep(self.sweep_config(tmp_path), tmp_path, window=(10.0, 60.0))
         assert aggregate["ensemble"]["count"] == 0
         assert [f["index"] for f in aggregate["failures"]] == [0]
-        assert "column 'm' must be finite" in aggregate["failures"][0]["error"]
+        assert aggregate["failures"][0]["error"].startswith("ValueError: column 'm' must be finite")
 
     def test_partial_failures_recorded(self, tmp_path, monkeypatch):
-        def failing_fit(*args):
+        fit_power_law = entspread.cli.fit_power_law
+
+        def failing_fit(series, *args):
+            # The pre-flight fits a flat series; only a simulated one fails.
+            if np.all(series.column("m") == 1.0):
+                return fit_power_law(series, *args)
             raise ValueError("no fit")
 
         monkeypatch.setattr(entspread.cli, "fit_power_law", failing_fit)
         config = self.sweep_config(tmp_path)
         aggregate = run_sweep(config, tmp_path, window=(10.0, 60.0))
         assert aggregate["ensemble"]["median_exponent"] is None
-        assert len(aggregate["failures"]) == 1
+        assert aggregate["failures"] == [{"index": 0, "error": "ValueError: no fit"}]
         assert (tmp_path / "aggregate.json").exists()
 
-    def test_window_off_the_grid_rejected_before_simulating(self, tmp_path):
-        raw = make_config(times={"t_start": 0.0, "t_end": 50.0, "num_samples": 101})
-        raw["chain"]["num_sites"] = 401
-        path = write_config(tmp_path, raw)
-        out = tmp_path / "out"
-        args = ["sweep", "--config", str(path), "--out", str(out), "--window", "200:300"]
+    # Input that every realization's fit would refuse, on 201 samples of
+    # [0, 50]: each is refused before anything is simulated.
+    UNFITTABLE = [
+        # The default pi average trims the series to [1.75, 48.25].
+        pytest.param({"window": (49.0, 50.0)},
+                     "window (49.0, 50.0) selects fewer than 2 samples of the series on [1.75, 48.25]",
+                     id="window_in_the_trimmed_margin"),
+        pytest.param({"window": (10.0, 50.0), "average_window": 0.1},
+                     "window 0.1 holds fewer than 2 samples on average (mean spacing 0.25)",
+                     id="average_narrower_than_the_grid"),
+        pytest.param({"field_name": "m_o"}, "fit field must be one of ('m', 'w'), got 'm_o'",
+                     id="field_that_is_not_fitted"),
+        pytest.param({"window": (200.0, 300.0)},
+                     "window (200.0, 300.0) selects fewer than 2 samples of the series on [1.75, 48.25]",
+                     id="window_off_the_grid"),
+        # Unaveraged, every fit would fail on the t = 0 sample; averaging trims it.
+        pytest.param({"window": (0.0, 10.0), "average_window": 0.0},
+                     "window (0.0, 10.0) holds the time 0; a fit needs positive times only",
+                     id="unaveraged_window_from_t_zero"),
+    ]
+
+    def unfittable_config(self, tmp_path):
+        raw = make_config(chain={"num_sites": 401, "disorder": {"half_width": 5, "low": 0.0, "high": 2.5}},
+                          times={"t_start": 0.0, "t_end": 50.0, "num_samples": 201})
+        return raw, write_config(tmp_path, raw)
+
+    @pytest.mark.parametrize("options, message", UNFITTABLE)
+    def test_unfittable_input_rejected_before_simulating(self, tmp_path, options, message):
+        raw, _ = self.unfittable_config(tmp_path)
+        with pytest.raises(ValueError) as raised:
+            run_sweep(config_from_dict(raw), tmp_path / "out", **options)
+        assert str(raised.value) == message
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("options, message", [
+        case for case in UNFITTABLE if "field_name" not in case.values[0]
+    ])
+    def test_unfittable_input_exit_code(self, tmp_path, options, message):
+        # --field is a click choice, so the unfitted field never reaches the sweep.
+        _, path = self.unfittable_config(tmp_path)
+        args = ["sweep", "--config", str(path), "--out", str(tmp_path / "out")]
+        if "window" in options:
+            args += ["--window", "{:g}:{:g}".format(*options["window"])]
+        if "average_window" in options:
+            args += ["--avg-window", str(options["average_window"])]
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 2, result.output
-        assert "window (200.0, 300.0) holds fewer than 2 times of the grid [0, 50]" in result.output
+        assert result.output == f"sweep error: {message}\n"
         assert not list(tmp_path.rglob("*.csv"))
 
-    def test_unaveraged_window_from_t_zero_rejected_before_simulating(self, tmp_path):
-        # Unaveraged, every fit would fail on the t = 0 sample; averaging trims it.
-        raw = make_config(times={"t_start": 0.0, "t_end": 50.0, "num_samples": 101})
-        raw["chain"]["num_sites"] = 401
-        path = write_config(tmp_path, raw)
-        out = tmp_path / "out"
-        args = ["sweep", "--config", str(path), "--out", str(out), "--window", "0:40",
-                "--avg-window", "0"]
-        result = CliRunner().invoke(main, args)
-        assert result.exit_code == 2, result.output
-        assert "window (0.0, 40.0) holds the grid time 0" in result.output
-        assert not list(tmp_path.rglob("*.csv"))
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda path: path.stem)
+    def test_shipped_config_passes_the_pre_flight(self, tmp_path, monkeypatch, path):
+        # At the default window and --avg-window; nothing is simulated.
+        def unreached(*args):
+            raise AssertionError("simulated")
+
+        monkeypatch.setattr(entspread.cli, "run_simulate", unreached)
+        with pytest.raises(AssertionError, match="simulated"):
+            run_sweep(load_config(path), tmp_path)
 
     def test_unaveraged_sweep_from_t_zero(self, tmp_path):
         aggregate = run_sweep(self.sweep_config(tmp_path), tmp_path, window=(10.0, 60.0),

@@ -583,6 +583,16 @@ class TestRingBuild:
         assert _ring_library() == (library, True)
         assert _ring_library() == (library, False)
 
+    def test_a_relative_cache_home_is_ignored(self, cache, tmp_path, monkeypatch):
+        # A relative XDG_CACHE_HOME would put a library under every working directory.
+        monkeypatch.setenv("XDG_CACHE_HOME", "relcache")
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        (tmp_path / "work").mkdir()
+        monkeypatch.chdir(tmp_path / "work")
+        library = tmp_path / "home" / ".cache" / "entspread" / _RING_PATH.name
+        assert _ring_library() == (library, True)
+        assert not any((tmp_path / "work").iterdir())
+
     # What an older source's build left, a build of it that never finished,
     # and a file of another program.
     STALE = "entspread-ring-0123456789abcdef.so"
